@@ -59,7 +59,7 @@ int main() {
 
   std::vector<std::string> baseline;
   double base_ms = 0;
-  for (int jobs : {1, 2, 4, static_cast<int>(hw)}) {
+  for (int jobs : bench::job_counts(hw)) {
     ExecutorOptions opts;
     opts.jobs = jobs;
     const auto t0 = std::chrono::steady_clock::now();

@@ -50,7 +50,7 @@ int main() {
   bench::rule(68);
 
   std::vector<std::string> baseline;
-  for (int jobs : {1, 2, 4, static_cast<int>(hw)}) {
+  for (int jobs : bench::job_counts(hw)) {
     ExecutorOptions opts;
     opts.jobs = jobs;
     const auto t0 = std::chrono::steady_clock::now();

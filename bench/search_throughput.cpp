@@ -10,6 +10,8 @@
 #include <string>
 #include <thread>
 
+#include <unistd.h>
+
 #include "bench/report.hpp"
 #include "campaign/spec.hpp"
 #include "search/search.hpp"
@@ -67,8 +69,21 @@ int main() {
   std::printf("spec: gmp, 4 types x 2 faults, 60 s simulated per cell, "
               "budget %d; host has %u core(s)\n\n", budget, hw);
 
-  const std::string journal = "/tmp/pfi_search_bench.journal";
-  std::remove(journal.c_str());
+  // A private directory, so concurrent runs never share a journal.
+  char dir[] = "/tmp/pfi_search_bench.XXXXXX";
+  if (mkdtemp(dir) == nullptr) {
+    std::perror("mkdtemp");
+    return 1;
+  }
+  const std::string journal = std::string(dir) + "/search.journal";
+  struct Cleanup {
+    const char* dir;
+    const std::string& journal;
+    ~Cleanup() {
+      std::remove(journal.c_str());
+      rmdir(dir);
+    }
+  } cleanup{dir, journal};
 
   std::printf("%18s %8s %10s %10s %12s %12s %10s\n", "pass", "jobs",
               "executed", "cached", "digests", "digests/s", "wall ms");
@@ -106,7 +121,6 @@ int main() {
                      {"digests_per_sec", dpsbuf},
                      {"wall_ms", wall}});
   }
-  std::remove(journal.c_str());
   std::printf("\nwarm-journal re-discovers journaled schedules from cached "
               "records: budget\nbuys only genuinely new mutants, so the "
               "digest count keeps growing.\n");

@@ -1,7 +1,6 @@
 #include "lint/cfg.hpp"
 
 #include <algorithm>
-#include <cctype>
 
 #include "script/interp.hpp"
 
@@ -10,10 +9,6 @@ namespace pfi::lint::cfg {
 namespace {
 
 namespace sp = script::parse;
-
-bool is_name_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
 
 /// v1's script_escapes over-approximation: does this text, parsed as a
 /// script (recursing into every brace), contain a command that can leave a
@@ -58,13 +53,9 @@ bool text_escapes(const std::string& text) {
 }  // namespace
 
 std::string var_name_base(const std::string& raw) {
-  std::string base;
-  for (const char c : raw) {
-    if (c == '(') break;
-    if (!is_name_char(c)) return {};
-    base += c;
-  }
-  return base;
+  const std::size_t end = sp::name_end(raw, 0);
+  if (end < raw.size() && raw[end] != '(') return {};
+  return raw.substr(0, end);
 }
 
 std::string normalize_var(const std::string& name) {

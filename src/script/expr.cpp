@@ -1,13 +1,16 @@
 // Expression engine for the `expr` command and for `if`/`while`/`for`
 // conditions. Performs its own `$var` and `[cmd]` substitution so that braced
 // conditions like {$count < 30} re-substitute on every loop iteration, as in
-// real Tcl.
+// real Tcl. The references and brackets are lexed by the script parser's
+// own scanners (parse.hpp), so `$a([set k])` and `[cmd \]]` read the same
+// in an expression as in a word.
 #include <cctype>
 #include <cmath>
 #include <string>
 #include <vector>
 
 #include "script/interp.hpp"
+#include "script/parse.hpp"
 
 namespace pfi::script {
 
@@ -303,59 +306,30 @@ class ExprParser {
   }
 
   ExprValue variable() {
-    ++pos_;  // '$'
-    std::string name;
-    if (peek() == '{') {
-      ++pos_;
-      while (pos_ < text_.size() && text_[pos_] != '}') name += text_[pos_++];
-      if (pos_ >= text_.size()) throw ExprError{"missing close-brace"};
-      ++pos_;
-    } else {
-      while (pos_ < text_.size() &&
-             (std::isalnum(static_cast<unsigned char>(text_[pos_])) != 0 ||
-              text_[pos_] == '_')) {
-        name += text_[pos_++];
-      }
-      // Array element with a possibly-substituted index: $a($i).
-      if (!name.empty() && peek() == '(') {
-        name += text_[pos_++];
-        while (pos_ < text_.size() && text_[pos_] != ')') {
-          if (text_[pos_] == '$') {
-            ExprValue inner = variable();
-            name += inner.str();
-          } else {
-            name += text_[pos_++];
-          }
-        }
-        if (pos_ >= text_.size()) {
-          throw ExprError{"missing ')' in array reference"};
-        }
-        ++pos_;
-        name += ')';
-      }
+    std::vector<parse::Part> parts;
+    std::vector<parse::Script> nested;
+    std::string error;
+    const std::size_t end =
+        parse::lex_var_ref(text_, pos_, parts, nested, error);
+    if (end == std::string_view::npos) throw ExprError{error};
+    pos_ = end;
+    // A lone `$` (or `${}`) names no variable: an operand needs one.
+    if (parts.front().kind == parse::Part::Kind::kLiteral) {
+      throw ExprError{"can't read \"\": no such variable"};
     }
-    auto value = interp_.get_var(name);
-    if (!value) {
-      throw ExprError{"can't read \"" + name + "\": no such variable"};
-    }
-    return ExprValue::parse(*value);
+    std::string value;
+    Result r = interp_.substitute(parts, nested, value);
+    if (r.is_error()) throw ExprError{r.value};
+    return ExprValue::parse(value);
   }
 
   ExprValue command_subst() {
-    ++pos_;  // '['
-    const std::size_t start = pos_;
-    int depth = 1;
-    while (pos_ < text_.size()) {
-      if (text_[pos_] == '[') ++depth;
-      if (text_[pos_] == ']') {
-        --depth;
-        if (depth == 0) break;
-      }
-      ++pos_;
+    const std::size_t close = parse::match_bracket(text_, pos_);
+    if (close == std::string_view::npos) {
+      throw ExprError{"missing close-bracket"};
     }
-    if (pos_ >= text_.size()) throw ExprError{"missing close-bracket"};
-    const std::string_view inner = text_.substr(start, pos_ - start);
-    ++pos_;  // ']'
+    const std::string_view inner = text_.substr(pos_ + 1, close - pos_ - 1);
+    pos_ = close + 1;
     Result r = interp_.eval(inner);
     if (r.is_error()) throw ExprError{r.value};
     return ExprValue::parse(r.value);
@@ -401,12 +375,9 @@ class ExprParser {
   }
 
   ExprValue word_or_function() {
-    std::string name;
-    while (pos_ < text_.size() &&
-           (std::isalnum(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '_')) {
-      name += text_[pos_++];
-    }
+    const std::size_t start = pos_;
+    pos_ = parse::name_end(text_, pos_);
+    std::string name{text_.substr(start, pos_ - start)};
     skip_ws();
     if (peek() == '(') {
       ++pos_;

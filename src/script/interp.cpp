@@ -8,235 +8,6 @@
 
 namespace pfi::script {
 
-namespace {
-
-bool is_word_sep(char c) { return c == ' ' || c == '\t'; }
-bool is_cmd_sep(char c) { return c == '\n' || c == '\r' || c == ';'; }
-bool is_name_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-
-char backslash_subst(char c) {
-  switch (c) {
-    case 'n': return '\n';
-    case 't': return '\t';
-    case 'r': return '\r';
-    case 'a': return '\a';
-    case '0': return '\0';
-    default: return c;  // \$ \[ \] \" \\ \{ \} ... -> literal
-  }
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Word parser
-// ---------------------------------------------------------------------------
-
-/// Scans one command's worth of words out of a script, performing variable,
-/// command and backslash substitution. One instance per eval() call.
-class WordParser {
- public:
-  WordParser(Interp& interp, std::string_view text)
-      : interp_(interp), text_(text) {}
-
-  [[nodiscard]] bool at_end() const { return pos_ >= text_.size(); }
-  [[nodiscard]] std::size_t pos() const { return pos_; }
-
-  /// Skip command separators, blank lines and comments. Returns false at EOF.
-  bool skip_to_command() {
-    while (!at_end()) {
-      const char c = text_[pos_];
-      if (is_word_sep(c) || is_cmd_sep(c)) {
-        ++pos_;
-      } else if (c == '#') {
-        while (!at_end() && text_[pos_] != '\n') ++pos_;
-      } else {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// Parse the words of a single command (stops at ; or newline or EOF).
-  /// On success fills `words`; on substitution error returns it.
-  Result parse_command(std::vector<std::string>& words) {
-    words.clear();
-    while (true) {
-      while (!at_end() && is_word_sep(text_[pos_])) ++pos_;
-      if (at_end() || is_cmd_sep(text_[pos_])) {
-        if (!at_end()) ++pos_;  // consume the separator
-        return Result::ok();
-      }
-      std::string word;
-      Result r = parse_word(word);
-      if (!r.is_ok()) return r;
-      words.push_back(std::move(word));
-    }
-  }
-
- private:
-  Result parse_word(std::string& out) {
-    if (text_[pos_] == '{') return parse_braced(out);
-    if (text_[pos_] == '"') return parse_quoted(out);
-    return parse_bare(out);
-  }
-
-  Result parse_braced(std::string& out) {
-    ++pos_;  // consume '{'
-    int depth = 1;
-    std::string body;
-    while (!at_end()) {
-      const char c = text_[pos_];
-      if (c == '\\' && pos_ + 1 < text_.size()) {
-        body += c;
-        body += text_[pos_ + 1];
-        pos_ += 2;
-        continue;
-      }
-      if (c == '{') ++depth;
-      if (c == '}') {
-        --depth;
-        if (depth == 0) {
-          ++pos_;
-          out = std::move(body);
-          // Trailing garbage after close brace is tolerated as a new word
-          // boundary requirement: next char must be a separator or EOF.
-          if (!at_end() && !is_word_sep(text_[pos_]) &&
-              !is_cmd_sep(text_[pos_]) && text_[pos_] != ']') {
-            return Result::error("extra characters after close-brace");
-          }
-          return Result::ok();
-        }
-      }
-      body += c;
-      ++pos_;
-    }
-    return Result::error("missing close-brace");
-  }
-
-  Result parse_quoted(std::string& out) {
-    ++pos_;  // consume '"'
-    std::string body;
-    while (!at_end()) {
-      const char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        out = std::move(body);
-        return Result::ok();
-      }
-      Result r = substitute_one(body);
-      if (!r.is_ok()) return r;
-    }
-    return Result::error("missing closing quote");
-  }
-
-  Result parse_bare(std::string& out) {
-    std::string body;
-    while (!at_end()) {
-      const char c = text_[pos_];
-      if (is_word_sep(c) || is_cmd_sep(c) || c == ']') break;
-      Result r = substitute_one(body);
-      if (!r.is_ok()) return r;
-    }
-    out = std::move(body);
-    return Result::ok();
-  }
-
-  /// Consume one character (or one $var / [cmd] / backslash group) from the
-  /// input, appending its substituted value to `body`.
-  Result substitute_one(std::string& body) {
-    const char c = text_[pos_];
-    if (c == '\\') {
-      ++pos_;
-      if (at_end()) {
-        body += '\\';
-        return Result::ok();
-      }
-      if (text_[pos_] == '\n') {  // line continuation -> single space
-        ++pos_;
-        body += ' ';
-        return Result::ok();
-      }
-      body += backslash_subst(text_[pos_]);
-      ++pos_;
-      return Result::ok();
-    }
-    if (c == '$') return substitute_var(body);
-    if (c == '[') return substitute_command(body);
-    body += c;
-    ++pos_;
-    return Result::ok();
-  }
-
-  Result substitute_var(std::string& body) {
-    ++pos_;  // consume '$'
-    std::string name;
-    if (!at_end() && text_[pos_] == '{') {
-      ++pos_;
-      while (!at_end() && text_[pos_] != '}') name += text_[pos_++];
-      if (at_end()) return Result::error("missing close-brace for ${name}");
-      ++pos_;  // consume '}'
-    } else {
-      while (!at_end() && is_name_char(text_[pos_])) name += text_[pos_++];
-      // Array element: $a(index), where the index itself may contain
-      // $var and [cmd] substitutions ($seen($seq) is the common pattern).
-      if (!name.empty() && !at_end() && text_[pos_] == '(') {
-        name += text_[pos_++];  // '('
-        std::string index;
-        while (!at_end() && text_[pos_] != ')') {
-          Result r = substitute_one(index);
-          if (!r.is_ok()) return r;
-        }
-        if (at_end()) return Result::error("missing ')' in array reference");
-        ++pos_;  // consume ')'
-        name += index;
-        name += ')';
-      }
-    }
-    if (name.empty()) {  // lone '$' is literal
-      body += '$';
-      return Result::ok();
-    }
-    auto value = interp_.get_var(name);
-    if (!value) {
-      return Result::error("can't read \"" + name + "\": no such variable");
-    }
-    body += *value;
-    return Result::ok();
-  }
-
-  Result substitute_command(std::string& body) {
-    ++pos_;  // consume '['
-    const std::size_t start = pos_;
-    int depth = 1;
-    while (!at_end()) {
-      const char c = text_[pos_];
-      if (c == '\\' && pos_ + 1 < text_.size()) {
-        pos_ += 2;
-        continue;
-      }
-      if (c == '[') ++depth;
-      if (c == ']') {
-        --depth;
-        if (depth == 0) break;
-      }
-      ++pos_;
-    }
-    if (at_end()) return Result::error("missing close-bracket");
-    const std::string_view inner = text_.substr(start, pos_ - start);
-    ++pos_;  // consume ']'
-    Result r = interp_.eval(inner);
-    if (r.code == Code::kError) return r;
-    body += r.value;
-    return Result::ok();
-  }
-
-  Interp& interp_;
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
 // ---------------------------------------------------------------------------
 // Interp
 // ---------------------------------------------------------------------------
@@ -247,44 +18,99 @@ Interp::Interp() {
 }
 
 Result Interp::eval(std::string_view script) {
+  auto it = parse_cache_.find(script);
+  if (it == parse_cache_.end()) {
+    if (parse_cache_.size() >= kParseCacheCapacity) parse_cache_.clear();
+    it = parse_cache_
+             .emplace(std::string{script},
+                      std::make_shared<const parse::Script>(
+                          parse::parse_script(script)))
+             .first;
+  }
+  // Hold a reference: a nested eval may clear the cache under this one.
+  const std::shared_ptr<const parse::Script> parsed = it->second;
+  return eval_script(*parsed);
+}
+
+Result Interp::eval_script(const parse::Script& script) {
   ++stats_.evals;
   if (++depth_ > max_depth_) {
     --depth_;
     return Result::error("too many nested evaluations (infinite recursion?)");
   }
-  WordParser parser{*this, script};
   Result last = Result::ok();
   std::vector<std::string> words;
-  // 1 + newlines before `pos`: the line a command starts on. Computed only
-  // on error paths, so the happy path stays allocation- and scan-free.
-  const auto line_at = [&script](std::size_t pos) {
-    int line = 1;
-    for (std::size_t i = 0; i < pos && i < script.size(); ++i) {
-      if (script[i] == '\n') ++line;
-    }
-    return line;
-  };
-  while (parser.skip_to_command()) {
-    const std::size_t cmd_start = parser.pos();
-    Result r = parser.parse_command(words);
-    if (!r.is_ok()) {
-      if (r.code == Code::kError) r.line = line_at(cmd_start);
-      --depth_;
-      return r;
-    }
-    if (words.empty()) continue;
-    last = invoke(words);
+  for (const parse::Command& cmd : script.commands) {
+    last = substitute_words(cmd, words);
+    if (last.is_ok()) last = invoke(words);
     if (last.code != Code::kOk) {
       // Re-stamp even when an inner eval already set a line: the innermost
       // number is relative to a body string the caller never saw, while
       // this one locates the failing top-level command in `script`.
-      if (last.code == Code::kError) last.line = line_at(cmd_start);
+      if (last.code == Code::kError) last.line = cmd.line;
       --depth_;
       return last;
     }
   }
+  if (!script.ok()) {
+    last = substitute_words(script.failed, words);
+    if (last.is_ok()) last = Result::error(script.error);
+    last.line = script.failed.line;
+  }
   --depth_;
   return last;
+}
+
+Result Interp::substitute_words(const parse::Command& cmd,
+                                std::vector<std::string>& words) {
+  words.resize(cmd.words.size());
+  for (std::size_t i = 0; i < cmd.words.size(); ++i) {
+    const parse::Word& w = cmd.words[i];
+    if (w.kind == parse::Word::Kind::kBraced) {
+      words[i] = w.text;
+      continue;
+    }
+    words[i].clear();
+    Result r = substitute(w.parts, w.nested, words[i]);
+    if (!r.is_ok()) return r;
+  }
+  return Result::ok();
+}
+
+Result Interp::substitute(const std::vector<parse::Part>& parts,
+                          const std::vector<parse::Script>& nested,
+                          std::string& out) {
+  for (const parse::Part& p : parts) {
+    switch (p.kind) {
+      case parse::Part::Kind::kLiteral:
+        out += p.text;
+        break;
+      case parse::Part::Kind::kVar: {
+        std::string element;
+        if (p.array) {
+          element = p.text + '(';
+          Result r = substitute(p.index, nested, element);
+          if (!r.is_ok()) return r;
+          element += ')';
+        }
+        const std::string& name = p.array ? element : p.text;
+        const std::string* value = find_var(name);
+        if (value == nullptr) {
+          return Result::error("can't read \"" + name +
+                               "\": no such variable");
+        }
+        out += *value;
+        break;
+      }
+      case parse::Part::Kind::kCommand: {
+        Result r = eval_script(nested[p.nested]);
+        if (r.code == Code::kError) return r;
+        out += r.value;
+        break;
+      }
+    }
+  }
+  return Result::ok();
 }
 
 Result Interp::invoke(const std::vector<std::string>& words) {
@@ -297,13 +123,6 @@ Result Interp::invoke(const std::vector<std::string>& words) {
     return Result::error("invalid command name \"" + words[0] + "\"");
   }
   return it->second(*this, words);
-}
-
-Result Interp::eval_body_mapping_loop_codes(std::string_view body) {
-  Result r = eval(body);
-  // Loop bodies translate Break/Continue at the loop; this helper is for
-  // callers that must surface them unchanged. Kept for symmetry.
-  return r;
 }
 
 void Interp::register_command(std::string name, Command fn) {
@@ -333,15 +152,19 @@ std::string global_alias_base(const std::string& name) {
 }
 }  // namespace
 
-std::optional<std::string> Interp::get_var(const std::string& name) const {
+const std::string* Interp::find_var(const std::string& name) const {
   const Frame& frame = frames_.back();
-  if (frames_.size() > 1 && (frame.globals.contains(name) ||
-                             frame.globals.contains(global_alias_base(name)))) {
-    return get_global(name);
-  }
-  if (auto it = frame.vars.find(name); it != frame.vars.end()) {
-    return it->second;
-  }
+  const Frame& owner =
+      frames_.size() > 1 && (frame.globals.contains(name) ||
+                             frame.globals.contains(global_alias_base(name)))
+          ? frames_.front()
+          : frame;
+  auto it = owner.vars.find(name);
+  return it == owner.vars.end() ? nullptr : &it->second;
+}
+
+std::optional<std::string> Interp::get_var(const std::string& name) const {
+  if (const std::string* value = find_var(name)) return *value;
   return std::nullopt;
 }
 
@@ -400,70 +223,8 @@ std::vector<std::string> Interp::var_names() const {
 std::string Interp::take_output() { return std::exchange(output_, {}); }
 
 // ---------------------------------------------------------------------------
-// List utilities
+// Glob matching
 // ---------------------------------------------------------------------------
-
-std::vector<std::string> parse_list(std::string_view text) {
-  std::vector<std::string> out;
-  std::size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[i])) != 0) {
-      ++i;
-    }
-    if (i >= text.size()) break;
-    std::string elem;
-    if (text[i] == '{') {
-      int depth = 1;
-      ++i;
-      while (i < text.size() && depth > 0) {
-        if (text[i] == '{') ++depth;
-        if (text[i] == '}') {
-          --depth;
-          if (depth == 0) break;
-        }
-        elem += text[i++];
-      }
-      if (i < text.size()) ++i;  // consume '}'
-    } else if (text[i] == '"') {
-      ++i;
-      while (i < text.size() && text[i] != '"') {
-        if (text[i] == '\\' && i + 1 < text.size()) {
-          elem += backslash_subst(text[i + 1]);
-          i += 2;
-          continue;
-        }
-        elem += text[i++];
-      }
-      if (i < text.size()) ++i;  // consume '"'
-    } else {
-      while (i < text.size() &&
-             std::isspace(static_cast<unsigned char>(text[i])) == 0) {
-        elem += text[i++];
-      }
-    }
-    out.push_back(std::move(elem));
-  }
-  return out;
-}
-
-std::string make_list(const std::vector<std::string>& elems) {
-  std::string out;
-  for (const auto& e : elems) {
-    if (!out.empty()) out += ' ';
-    const bool needs_brace =
-        e.empty() ||
-        e.find_first_of(" \t\n{}\"") != std::string::npos;
-    if (needs_brace) {
-      out += '{';
-      out += e;
-      out += '}';
-    } else {
-      out += e;
-    }
-  }
-  return out;
-}
 
 bool glob_match(std::string_view pattern, std::string_view text) {
   std::size_t p = 0;

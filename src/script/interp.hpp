@@ -19,16 +19,29 @@
 //
 // Interpreter state (variables, procs) persists across eval() calls, so a
 // filter script can keep counters across messages, exactly as §3 describes.
+//
+// Evaluation model: eval() parses a script text once per interpreter with
+// the one Tcl parser (parse.hpp) and caches the immutable command form by
+// text, so the per-message filter, loop and `if` arms, proc bodies and
+// `eval`ed strings are tokenized once, not on every call. The cache holds
+// syntax only — every evaluation reads variables and commands afresh — and
+// is bounded by kParseCacheCapacity. A syntax error surfaces at the failing
+// command: the commands before it, and the `[...]` substitutions the text
+// reaches before it, run first.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
+
+#include "script/parse.hpp"
 
 namespace pfi::script {
 
@@ -53,12 +66,6 @@ struct Result {
   [[nodiscard]] bool is_ok() const { return code == Code::kOk; }
   [[nodiscard]] bool is_error() const { return code == Code::kError; }
 };
-
-/// Parse a string as a Tcl list (whitespace-separated, braces group).
-std::vector<std::string> parse_list(std::string_view text);
-
-/// Join elements into a canonical Tcl list (bracing elements as needed).
-std::string make_list(const std::vector<std::string>& elems);
 
 /// Tcl-style glob match (`*`, `?`, `[a-z]`).
 bool glob_match(std::string_view pattern, std::string_view text);
@@ -146,6 +153,14 @@ class Interp {
   }
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
+
+  /// Distinct script texts whose parse is kept; reaching it empties the
+  /// cache, so generated texts (`eval "set x $i"` in a loop) stay bounded.
+  static constexpr std::size_t kParseCacheCapacity = 256;
+  [[nodiscard]] std::size_t parse_cache_size() const {
+    return parse_cache_.size();
+  }
+
   /// Loop builtins report each iteration (one add; the guard check already
   /// pays a comparison there).
   void note_loop_tick() { ++stats_.loop_ticks; }
@@ -156,7 +171,11 @@ class Interp {
     std::set<std::string> globals;  // names aliased to the global frame
   };
   Result invoke(const std::vector<std::string>& words);
-  Result eval_body_mapping_loop_codes(std::string_view body);
+  /// Append the value of a word's `parts` to `out`, reading variables and
+  /// running `[...]` bodies (positions in `nested`). Returns only errors.
+  Result substitute(const std::vector<parse::Part>& parts,
+                    const std::vector<parse::Script>& nested,
+                    std::string& out);
   void push_frame() { frames_.emplace_back(); }
   void pop_frame() {
     if (frames_.size() > 1) frames_.pop_back();
@@ -165,8 +184,18 @@ class Interp {
   void append_output(std::string_view text) { output_ += text; }
 
  private:
-  friend class WordParser;
+  struct TextHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view text) const {
+      return std::hash<std::string_view>{}(text);
+    }
+  };
+
   void install_builtins();
+  Result eval_script(const parse::Script& script);
+  Result substitute_words(const parse::Command& cmd,
+                          std::vector<std::string>& words);
+  [[nodiscard]] const std::string* find_var(const std::string& name) const;
 
   std::map<std::string, Command> commands_;
   std::vector<Frame> frames_;  // frames_[0] is the global frame
@@ -178,6 +207,9 @@ class Interp {
   std::uint64_t watchdog_probe_ = 0;
   bool watchdog_tripped_cache_ = false;
   Stats stats_;
+  std::unordered_map<std::string, std::shared_ptr<const parse::Script>,
+                     TextHash, std::equal_to<>>
+      parse_cache_;
 };
 
 /// Numeric/string value used by the expression engine; exposed for tests.

@@ -199,6 +199,30 @@ TEST(ExprValue, Truthiness) {
   EXPECT_TRUE(ExprValue::parse("yes-ish").truthy());
 }
 
+// `expr` lexes `$` references and `[...]` with the script parser's
+// scanners, so an expression reads them exactly as a command word does.
+TEST(Expr, SubstitutionMatchesWordForm) {
+  Interp in;
+  ASSERT_TRUE(in.eval("set a(x) 5; set k x").is_ok());
+  const struct {
+    const char* expr;
+    const char* word;
+  } cases[] = {
+      {"expr {$a([set k])}", "set y $a([set k])"},
+      {"expr {[string length \\]]}", "set y [string length \\]]"},
+      {"expr {$a($k)}", "set y $a($k)"},
+  };
+  for (const auto& c : cases) {
+    const Result e = in.eval(c.expr);
+    const Result w = in.eval(c.word);
+    ASSERT_TRUE(e.is_ok()) << c.expr << " -> " << e.value;
+    ASSERT_TRUE(w.is_ok()) << c.word << " -> " << w.value;
+    EXPECT_EQ(e.value, w.value) << c.expr;
+  }
+  EXPECT_EQ(in.eval("expr {$a([set k])}").value, "5");
+  EXPECT_EQ(ex(in, "[string length \\]] + 1"), "2");
+}
+
 // Property sweep: integer round-trip through the engine.
 class ExprIntRoundTrip : public ::testing::TestWithParam<std::int64_t> {};
 

@@ -93,6 +93,31 @@ TEST(LintScript, ParseError) {
   EXPECT_TRUE(check_script("set a {closed}\nmsg_log $a\n").empty());
 }
 
+// The interpreter and lint read one parse: a syntax error is raised with
+// lint's message, on the line of lint's diagnostic (each failing command
+// here sits on one line).
+TEST(LintScript, ParseErrorAgreesWithInterp) {
+  const char* scripts[] = {
+      "set a 1\nset b {unclosed\n",          // missing brace
+      "set a 1\nmsg_log [msg_type",          // missing bracket
+      "set a 1\n\nset b \"abc\n",            // missing quote
+      "set a 1\nset b ${abc",                // ${
+      "set a 1\nset b $a(x",                 // $a(
+      "set a 1\nset b [set c {x]\nset d 2",  // inside [...]
+      "set a {b}c\n",                        // extra characters
+  };
+  for (const char* text : scripts) {
+    const auto diags = check_script(text);
+    const Diagnostic* d = find_rule(diags, "parse-error");
+    ASSERT_NE(d, nullptr) << text;
+    script::Interp in;
+    const script::Result r = in.eval(text);
+    ASSERT_TRUE(r.is_error()) << text;
+    EXPECT_EQ(r.line, d->line) << text;
+    EXPECT_EQ(r.value, d->message) << text;
+  }
+}
+
 TEST(LintScript, UnknownCommandWithSuggestion) {
   const auto diags = check_script("msg_typ\n");
   const auto* d = find_rule(diags, "unknown-command");

@@ -508,6 +508,66 @@ TEST(Interp, MissingBraceIsError) {
   EXPECT_TRUE(in.eval("set x [unclosed").is_error());
 }
 
+TEST(Interp, SideEffectsBeforeSyntaxErrorStillRun) {
+  const struct {
+    const char* script;
+    const char* error;
+    const char* n;
+  } cases[] = {
+      // Top-level commands before the failing one.
+      {"set n 0; incr n; set z {unclosed", "missing close-brace", "1"},
+      // Substitutions earlier in the failing command's words.
+      {"set n 0; set a [incr n] \"x[incr n]", "missing closing quote", "2"},
+      {"set n 0; set a $b([incr n]", "missing ')' in array reference", "1"},
+      // Commands inside [...] before a syntax error there.
+      {"set n 0; set x [incr n; set z {unclosed]", "missing close-brace",
+       "1"},
+  };
+  for (const auto& c : cases) {
+    Interp in;
+    const Result r = in.eval(c.script);
+    ASSERT_TRUE(r.is_error()) << c.script;
+    EXPECT_EQ(r.value, c.error) << c.script;
+    EXPECT_EQ(r.line, 1) << c.script;
+    EXPECT_EQ(in.get_var("n").value_or("-"), c.n) << c.script;
+  }
+}
+
+TEST(Interp, StrayCloseBracketIsLiteral) {
+  Interp in;
+  EXPECT_EQ(eval_ok(in, "set a b]c"), "b]c");
+  EXPECT_EQ(eval_ok(in, "set n 0; set b [set n 1]]"), "1]");
+  EXPECT_EQ(in.eval("set a {b}]").value, "extra characters after close-brace");
+}
+
+TEST(Interp, StatsCountEvalsAndCommands) {
+  Interp in;
+  eval_ok(in, "set x [expr {1 + 1}]; if {$x} {incr x}");
+  // The script, the [...] and the if arm; set, expr, if and incr.
+  EXPECT_EQ(in.stats().evals, 3u);
+  EXPECT_EQ(in.stats().commands, 4u);
+}
+
+TEST(Interp, ParseCacheIsBounded) {
+  Interp in;
+  eval_ok(in, "for {set i 0} {$i < 10000} {incr i} { eval \"set x $i\" }");
+  EXPECT_EQ(eval_ok(in, "set x"), "9999");
+  EXPECT_LE(in.parse_cache_size(), Interp::kParseCacheCapacity);
+}
+
+TEST(Interp, ParseCacheHoldsSyntaxNotValues) {
+  Interp in;
+  const std::string filter = "set out [f $k]";
+  eval_ok(in, "proc f {v} { return a$v }; set k 1");
+  EXPECT_EQ(eval_ok(in, filter), "a1");
+  eval_ok(in, "proc f {v} { return b$v }");
+  EXPECT_EQ(eval_ok(in, filter), "b1");
+  eval_ok(in, "set k 2");
+  const std::size_t cached = in.parse_cache_size();
+  EXPECT_EQ(eval_ok(in, filter), "b2");
+  EXPECT_EQ(in.parse_cache_size(), cached);  // a hit, not a new entry
+}
+
 TEST(ParseList, HandlesBracesAndQuotes) {
   auto l = parse_list("a {b c} \"d e\" f");
   ASSERT_EQ(l.size(), 4u);
