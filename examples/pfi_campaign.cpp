@@ -42,6 +42,7 @@
 #include "campaign/journal.hpp"
 #include "campaign/json.hpp"
 #include "campaign/minimize.hpp"
+#include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
 #include "campaign/suite.hpp"
@@ -56,6 +57,7 @@
 #include "search/search.hpp"
 
 using namespace pfi::campaign;
+namespace fabric = pfi::fabric;
 
 namespace {
 
@@ -71,7 +73,7 @@ struct Args {
   std::string suite;        // conformance-suite directory (replaces the spec)
   std::string filter;
   std::string out;          // empty = stdout
-  std::string journal;      // empty = <spec>.journal when journaling
+  std::string journal;      // "" = off; --resume defaults it to <spec>.journal
   std::string metrics_out;  // merged metrics JSON (empty = off)
   std::string timeline;     // Chrome trace-event JSON (empty = off)
   std::string flight_out;   // fabric flight-recorder JSONL (empty = off)
@@ -80,7 +82,7 @@ struct Args {
   int max_minimize = 8;     // cap on cells minimised per campaign
   int timeout_ms = -1;      // -1 = keep the spec's value
   long long max_events = -1;
-  int retries = -1;
+  int retries = -1;         // -1 = the spec's value
   int lint = 0;  // 0 = off, 1 = --lint (errors), 2 = --lint=strict
   int explore = 0;          // > 0: coverage-guided search with this budget
   std::string corpus_out;   // --explore: write the corpus JSONL here
@@ -181,516 +183,287 @@ int usage(int code) {
   return code;
 }
 
-/// First integer after `"key":` in a JSON object (daemon DONE summaries).
-int probe_int_field(const std::string& doc, const std::string& key,
-                    int fallback) {
+/// First integer after `"key":` in a JSON object (daemon DONE summaries);
+/// 0 when the key is absent.
+int probe_int_field(const std::string& doc, const std::string& key) {
   const std::string needle = "\"" + key + "\":";
   const auto at = doc.find(needle);
-  if (at == std::string::npos) return fallback;
+  if (at == std::string::npos) return 0;
   return std::atoi(doc.c_str() + at + needle.size());
 }
 
-/// Write `bytes` to `path` ("" or "-" = stdout). False on I/O failure.
-bool write_file_or_stdout(const std::string& path, const std::string& bytes) {
-  if (path.empty() || path == "-") {
-    std::fwrite(bytes.data(), 1, bytes.size(), stdout);
-    return true;
+/// Print `error: <msg>`; returns 2, the usage/spec/setup exit code.
+int fail(const std::string& msg) {
+  std::fprintf(stderr, "error: %s\n", msg.c_str());
+  return 2;
+}
+
+/// A client connection to a pfi_fabricd daemon (--status, --submit).
+class DaemonLink {
+ public:
+  DaemonLink() = default;
+  ~DaemonLink() {
+    if (fd_ >= 0) close(fd_);
   }
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+  DaemonLink(const DaemonLink&) = delete;
+  DaemonLink& operator=(const DaemonLink&) = delete;
+
+  /// Dial `addr` and HELLO as client `name`. On failure prints why and
+  /// returns false.
+  bool open(const std::string& addr, const std::string& name,
+            const std::string& token) {
+    std::string err;
+    fd_ = fabric::dial(addr, &err);
+    if (fd_ >= 0) {
+      fabric::Hello hello;
+      hello.role = "client";
+      hello.name = name;
+      hello.token = token;
+      fabric::Frame f;
+      if (!send(fabric::FrameType::kHello, fabric::encode_hello(hello)) ||
+          !read(&f)) {
+        err = "daemon handshake failed";
+      } else if (f.type == fabric::FrameType::kBye) {
+        err = "daemon refused: " + fabric::decode_bye(f.payload);
+      } else {
+        return true;
+      }
+    }
+    fail(err);
     return false;
   }
-  std::fwrite(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  return true;
-}
 
-/// Verdict string of a raw record (fresh or journaled) for summary counts.
-std::string record_verdict(const std::string& record) {
-  return json::probe_string_field(record, "verdict").value_or("error");
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  Args args;
-  std::vector<std::string> positionals;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : "";
-    };
-    if (a == "--jobs") {
-      args.jobs = std::atoi(next());
-    } else if (a == "--suite") {
-      args.suite = next();
-    } else if (a == "--filter") {
-      args.filter = next();
-    } else if (a == "--timeout-ms") {
-      args.timeout_ms = std::atoi(next());
-    } else if (a == "--max-events") {
-      args.max_events = std::atoll(next());
-    } else if (a == "--isolate") {
-      args.isolate = true;
-    } else if (a == "--retries") {
-      args.retries = std::atoi(next());
-    } else if (a == "--resume") {
-      args.resume = true;
-    } else if (a == "--journal") {
-      args.journal = next();
-    } else if (a == "--lint") {
-      args.lint = 1;
-    } else if (a == "--lint=strict") {
-      args.lint = 2;
-    } else if (a.rfind("--explore=", 0) == 0) {
-      args.explore = std::atoi(a.c_str() + std::strlen("--explore="));
-    } else if (a == "--explore") {
-      args.explore = std::atoi(next());
-    } else if (a == "--corpus-out") {
-      args.corpus_out = next();
-    } else if (a == "--corpus-in") {
-      args.corpus_in = next();
-    } else if (a == "--minimize") {
-      args.minimize = true;
-    } else if (a == "--max-minimize") {
-      args.max_minimize = std::atoi(next());
-    } else if (a == "--out") {
-      args.out = next();
-    } else if (a == "--metrics-out") {
-      args.metrics_out = next();
-    } else if (a == "--timeline") {
-      args.timeline = next();
-    } else if (a == "--flight-out") {
-      args.flight_out = next();
-    } else if (a == "--status") {
-      args.status = next();
-    } else if (a == "--workers") {
-      args.workers = std::atoi(next());
-    } else if (a == "--listen") {
-      args.listen = next();
-    } else if (a == "--token") {
-      args.token = next();
-    } else if (a == "--heartbeat-ms") {
-      args.heartbeat_ms = std::atoi(next());
-    } else if (a == "--dead-after-ms") {
-      args.dead_after_ms = std::atoi(next());
-    } else if (a == "--reconnect-grace-ms") {
-      args.reconnect_grace_ms = std::atoi(next());
-    } else if (a == "--max-workers") {
-      args.max_workers = std::atoi(next());
-    } else if (a == "--workers-kill-one") {
-      // Test hook (CI worker-death smoke): SIGKILL one auto-spawned worker
-      // after the first result arrives; the survivors absorb its leases.
-      args.workers_kill_one = true;
-    } else if (a == "--workers-flap") {
-      // Test hook (CI/bench link-flap smoke): sever one worker's link every
-      // N results; the workers reconnect and the report must not change.
-      args.workers_flap = std::atoi(next());
-    } else if (a == "--submit") {
-      args.submit = next();
-    } else if (a == "--merge-journals") {
-      args.merge_journals = true;
-    } else if (a == "--list") {
-      args.list = true;
-    } else if (a == "--quiet") {
-      args.quiet = true;
-    } else if (a == "--help" || a == "-h") {
-      return usage(0);
-    } else if (!a.empty() && a[0] == '-') {
-      return usage(2);
-    } else {
-      positionals.push_back(a);
-    }
-  }
-  if (args.token.empty()) {
-    const char* env = std::getenv("PFI_FABRIC_TOKEN");
-    if (env != nullptr) args.token = env;
+  bool send(fabric::FrameType type, const std::string& payload) {
+    const std::string bytes = fabric::encode_frame(type, payload);
+    return fabric::send_all(fd_, bytes.data(), bytes.size());
   }
 
-  if (!args.status.empty()) {
-    // STATUS mode: one round trip to a pfi_fabricd daemon — HELLO as a
-    // client, send an empty STATUS frame, print the JSON reply. No spec.
-    std::string serr;
-    const int fd = pfi::fabric::dial(args.status, &serr);
-    if (fd < 0) {
-      std::fprintf(stderr, "error: %s\n", serr.c_str());
-      return 2;
+  /// Blocking read of the next frame; false on EOF, error or corruption.
+  bool read(fabric::Frame* out) {
+    char buf[65536];
+    while (!reader_.next(out)) {
+      if (reader_.corrupt()) return false;
+      const ssize_t n = recv(fd_, buf, sizeof buf, 0);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return false;
+      reader_.feed(buf, static_cast<std::size_t>(n));
     }
-    pfi::fabric::FrameReader reader;
-    auto read_frame = [&](pfi::fabric::Frame* out) {
-      for (;;) {
-        if (reader.next(out)) return true;
-        if (reader.corrupt()) return false;
-        char buf[65536];
-        const ssize_t n = recv(fd, buf, sizeof buf, 0);
-        if (n <= 0) {
-          if (n < 0 && errno == EINTR) continue;
-          return false;
-        }
-        reader.feed(buf, static_cast<std::size_t>(n));
-      }
-    };
-    pfi::fabric::Hello hello;
-    hello.role = "client";
-    hello.name = "pfi_campaign-status-" + std::to_string(getpid());
-    hello.token = args.token;
-    const std::string hf = pfi::fabric::encode_frame(
-        pfi::fabric::FrameType::kHello, pfi::fabric::encode_hello(hello));
-    pfi::fabric::Frame f;
-    if (!pfi::fabric::send_all(fd, hf.data(), hf.size()) || !read_frame(&f)) {
-      std::fprintf(stderr, "error: daemon handshake failed\n");
-      close(fd);
-      return 2;
+    return true;
+  }
+
+ private:
+  int fd_ = -1;
+  fabric::FrameReader reader_;
+};
+
+/// --status: one round trip to a pfi_fabricd daemon — HELLO as a client,
+/// send an empty STATUS frame, print the JSON reply. No spec.
+int run_status(const Args& args) {
+  DaemonLink link;
+  if (!link.open(args.status,
+                 "pfi_campaign-status-" + std::to_string(getpid()),
+                 args.token)) {
+    return 2;
+  }
+  if (!link.send(fabric::FrameType::kStatus, "")) {
+    return fail("status request failed");
+  }
+  fabric::Frame f;
+  while (link.read(&f)) {
+    if (f.type == fabric::FrameType::kStatus) {
+      write_file_or_stdout(args.out,
+                           fabric::decode_json_line(f.payload) + "\n");
+      return 0;
     }
-    if (f.type == pfi::fabric::FrameType::kBye) {
-      std::fprintf(stderr, "error: daemon refused: %s\n",
-                   pfi::fabric::decode_bye(f.payload).c_str());
-      close(fd);
-      return 2;
-    }
-    const std::string sf =
-        pfi::fabric::encode_frame(pfi::fabric::FrameType::kStatus, "");
-    if (!pfi::fabric::send_all(fd, sf.data(), sf.size())) {
-      std::fprintf(stderr, "error: status request failed\n");
-      close(fd);
-      return 2;
-    }
-    while (read_frame(&f)) {
-      if (f.type == pfi::fabric::FrameType::kStatus) {
-        write_file_or_stdout(args.out,
-                             pfi::fabric::decode_json_line(f.payload) + "\n");
-        close(fd);
-        return 0;
-      }
-      if (f.type == pfi::fabric::FrameType::kBye) break;
-    }
-    std::fprintf(stderr, "error: no STATUS reply (daemon too old?)\n");
-    close(fd);
+    if (f.type == fabric::FrameType::kBye) break;
+  }
+  return fail("no STATUS reply (daemon too old?)");
+}
+
+/// --merge-journals: offline recovery. Workers' (or interrupted runs')
+/// journals merge into one byte-deterministic normal form — dedupe by
+/// content key, sort.
+int run_merge(const Args& args, const std::vector<std::string>& journals) {
+  int conflicts = 0;
+  const auto merged = merge_journals(journals, &conflicts);
+  if (!write_file_or_stdout(args.out, journal_jsonl(merged))) return 2;
+  if (!args.quiet) {
+    std::fprintf(stderr, "merged %zu journal(s): %zu record(s)%s\n",
+                 journals.size(), merged.size(),
+                 conflicts > 0 ? (", " + std::to_string(conflicts) +
+                                  " conflicting record(s) dropped")
+                                     .c_str()
+                               : "");
+  }
+  return conflicts > 0 ? 1 : 0;
+}
+
+/// --submit: the daemon parses, plans and executes; we stream its progress
+/// and write the returned artifacts where the local flags would have put
+/// them.
+int run_submit(const Args& args) {
+  std::ostringstream text;
+  text << std::ifstream(args.spec_path).rdbuf();
+
+  DaemonLink link;
+  if (!link.open(args.submit, "pfi_campaign-" + std::to_string(getpid()),
+                 args.token)) {
     return 2;
   }
 
-  if (args.merge_journals) {
-    // Offline recovery: workers' (or interrupted runs') journals merge into
-    // one byte-deterministic normal form — dedupe by content key, sort.
-    if (positionals.empty()) return usage(2);
-    int conflicts = 0;
-    const auto merged = merge_journals(positionals, &conflicts);
-    if (!write_file_or_stdout(args.out, journal_jsonl(merged))) return 2;
-    if (!args.quiet) {
-      std::fprintf(stderr, "merged %zu journal(s): %zu record(s)%s\n",
-                   positionals.size(), merged.size(),
-                   conflicts > 0 ? (", " + std::to_string(conflicts) +
-                                    " conflicting record(s) dropped")
-                                       .c_str()
-                                 : "");
-    }
-    return conflicts > 0 ? 1 : 0;
-  }
-
-  if (!positionals.empty()) args.spec_path = positionals.front();
-  if (args.spec_path.empty() && args.suite.empty()) return usage(2);
-  if (!args.suite.empty() &&
-      (!args.spec_path.empty() || !args.submit.empty() || args.explore > 0)) {
-    std::fprintf(stderr,
-                 "error: --suite replaces the spec and runs locally; it "
-                 "combines with neither a spec file, --submit nor "
-                 "--explore\n");
-    return 2;
-  }
-
-  std::string err;
-  std::optional<CampaignSpec> spec;
-  if (!args.suite.empty()) {
-    spec = suite_spec(args.suite);
-  } else {
-    spec = load_spec_file(args.spec_path, &err);
-    if (!spec) {
-      std::fprintf(stderr, "error: %s\n", err.c_str());
-      return 2;
+  fabric::Submit s;
+  s.spec_text = text.str();
+  s.filter = args.filter;
+  s.timeout_ms = args.timeout_ms;
+  s.max_events = args.max_events;
+  s.retries = args.retries;
+  s.explore = args.explore;
+  s.max_workers = args.max_workers;
+  if (args.resume) {
+    // Hand the daemon what we already hold: it executes only the rest.
+    // (A previous submit killed mid-stream left its delivered records in
+    // the journal — exactly the chunks the daemon streamed to us.)
+    for (const auto& entry : load_journal(args.journal)) {
+      s.have.push_back(entry.first);
     }
   }
-  // CLI overrides win over the spec's own resilience knobs.
-  if (args.timeout_ms >= 0) spec->timeout_ms = args.timeout_ms;
-  if (args.max_events >= 0) {
-    spec->max_sim_events = static_cast<std::uint64_t>(args.max_events);
+  if (!link.send(fabric::FrameType::kSubmit, fabric::encode_submit(s))) {
+    return fail("submit failed");
   }
-  const int retries = args.retries >= 0 ? args.retries : spec->retries;
 
-  if (!args.submit.empty()) {
-    // Client mode: the daemon parses, plans and executes; we stream its
-    // progress and write the returned artifacts where the local flags
-    // would have put them.
-    std::ifstream in(args.spec_path);
-    std::ostringstream text;
-    text << in.rdbuf();
-
-    const int fd = pfi::fabric::dial(args.submit, &err);
-    if (fd < 0) {
-      std::fprintf(stderr, "error: %s\n", err.c_str());
-      return 2;
-    }
-    pfi::fabric::FrameReader reader;
-    auto read_frame = [&](pfi::fabric::Frame* out) {
-      for (;;) {
-        if (reader.next(out)) return true;
-        if (reader.corrupt()) return false;
-        char buf[65536];
-        const ssize_t n = recv(fd, buf, sizeof buf, 0);
-        if (n <= 0) {
-          if (n < 0 && errno == EINTR) continue;
-          return false;
-        }
-        reader.feed(buf, static_cast<std::size_t>(n));
-      }
-    };
-    auto send_frame = [&](const std::string& bytes) {
-      return pfi::fabric::send_all(fd, bytes.data(), bytes.size());
-    };
-
-    pfi::fabric::Hello hello;
-    hello.role = "client";
-    hello.name = "pfi_campaign-" + std::to_string(getpid());
-    hello.token = args.token;
-    pfi::fabric::Frame f;
-    if (!send_frame(pfi::fabric::encode_frame(
-            pfi::fabric::FrameType::kHello,
-            pfi::fabric::encode_hello(hello))) ||
-        !read_frame(&f)) {
-      std::fprintf(stderr, "error: daemon handshake failed\n");
-      close(fd);
-      return 2;
-    }
-    if (f.type == pfi::fabric::FrameType::kBye) {
-      std::fprintf(stderr, "error: daemon refused: %s\n",
-                   pfi::fabric::decode_bye(f.payload).c_str());
-      close(fd);
-      return 2;
-    }
-
-    const bool journaling = args.resume || !args.journal.empty();
-    const std::string journal_path =
-        args.journal.empty() ? args.spec_path + ".journal" : args.journal;
-
-    pfi::fabric::Submit s;
-    s.spec_text = text.str();
-    s.filter = args.filter;
-    s.timeout_ms = args.timeout_ms;
-    s.max_events = args.max_events;
-    s.retries = args.retries;
-    s.explore = args.explore;
-    s.max_workers = args.max_workers;
-    if (args.resume) {
-      // Hand the daemon what we already hold: it executes only the rest.
-      // (A previous submit killed mid-stream left its delivered records in
-      // the journal — exactly the chunks the daemon streamed to us.)
-      for (const auto& [key, record] : load_journal(journal_path)) {
-        (void)record;
-        s.have.push_back(key);
-      }
-    }
-    if (!send_frame(pfi::fabric::encode_frame(
-            pfi::fabric::FrameType::kSubmit, pfi::fabric::encode_submit(s)))) {
-      std::fprintf(stderr, "error: submit failed\n");
-      close(fd);
-      return 2;
-    }
-
-    // Live journal stream: each chunk is one flushed record line, so a
-    // client killed mid-run already holds every record that reached it and
-    // the next --resume submit skips those cells. Opened lazily (first
-    // chunk or the final artifact); --resume appends to the prior journal,
-    // a fresh run truncates it.
-    FILE* jf = nullptr;
-    auto journal_write = [&](const std::string& bytes) {
-      if (!journaling) return;
+  // Live journal stream: each chunk is one flushed record line, so a
+  // client killed mid-run already holds every record that reached it and
+  // the next --resume submit skips those cells. Opened lazily (first
+  // chunk or the final artifact); --resume appends to the prior journal,
+  // a fresh run truncates it.
+  FILE* jf = nullptr;
+  auto journal_write = [&](const std::string& bytes) {
+    if (args.journal.empty()) return;
+    if (jf == nullptr) {
+      jf = std::fopen(args.journal.c_str(), args.resume ? "a" : "w");
       if (jf == nullptr) {
-        jf = std::fopen(journal_path.c_str(), args.resume ? "a" : "w");
-        if (jf == nullptr) {
-          std::fprintf(stderr, "error: cannot write %s\n",
-                       journal_path.c_str());
-          return;
-        }
+        fail("cannot write " + args.journal);
+        return;
       }
-      std::fwrite(bytes.data(), 1, bytes.size(), jf);
-      std::fflush(jf);
+    }
+    std::fwrite(bytes.data(), 1, bytes.size(), jf);
+    std::fflush(jf);
+  };
+
+  int rc = 2;  // no DONE = daemon died on us
+  fabric::Frame f;
+  while (link.read(&f)) {
+    if (f.type == fabric::FrameType::kProgress) {
+      if (!args.quiet) {
+        std::fprintf(stderr, "  %s\n",
+                     fabric::decode_json_line(f.payload).c_str());
+      }
+    } else if (f.type == fabric::FrameType::kArtifact) {
+      std::string name, bytes, chunk;
+      if (!fabric::decode_artifact(f.payload, &name, &bytes, &chunk)) {
+        continue;
+      }
+      if (name == "report") {
+        if (!write_file_or_stdout(args.out, bytes)) rc = 2;
+      } else if (name == "journal") {
+        // Chunk or final document alike: append, dedupe on close. The
+        // final artifact re-sends this job's records, so a run whose
+        // chunks were lost still ends up with a complete journal.
+        journal_write(bytes);
+      } else if (name == "metrics" && !args.metrics_out.empty()) {
+        write_file_or_stdout(args.metrics_out, bytes);
+      } else if (name == "corpus" && !args.corpus_out.empty()) {
+        write_file_or_stdout(args.corpus_out, bytes);
+      }
+    } else if (f.type == fabric::FrameType::kDone) {
+      const std::string done = fabric::decode_json_line(f.payload);
+      const std::string status =
+          json::probe_string_field(done, "status").value_or("error");
+      if (!args.quiet) {
+        std::fprintf(stderr, "%s\n", done.c_str());
+      }
+      if (status == "error") {
+        const auto msg = json::probe_string_field(done, "error");
+        if (msg) std::fprintf(stderr, "error: %s\n", msg->c_str());
+        rc = 2;
+      } else if (status == "interrupted") {
+        rc = 130;
+      } else {
+        // A campaign DONE counts fail + error, a search DONE violations.
+        rc = probe_int_field(done, "fail") + probe_int_field(done, "error") +
+                 probe_int_field(done, "violations") >
+             0;
+      }
+      break;
+    } else if (f.type == fabric::FrameType::kBye) {
+      break;
+    }
+  }
+  if (jf != nullptr) {
+    std::fclose(jf);
+    // The file now holds overlapping sets (prior records on --resume,
+    // streamed chunks, the final artifact). Rewrite as the sorted,
+    // deduped normal form every other journal consumer emits.
+    write_file_or_stdout(args.journal,
+                         journal_jsonl(load_journal(args.journal)));
+  }
+  return rc;
+}
+
+/// --explore: the budget buys mutated schedules chasing unseen coverage
+/// digests instead of the planner's fixed matrix.
+int run_explore(const Args& args, const CampaignSpec& spec) {
+  pfi::search::SearchOptions sopts;
+  sopts.budget = args.explore;
+  sopts.jobs = args.jobs;
+  sopts.isolate = args.isolate;
+  sopts.retries = args.retries;
+  sopts.max_minimize = args.max_minimize;
+  sopts.corpus_in = args.corpus_in;
+  sopts.journal_path = args.journal;
+  if (!args.quiet) {
+    sopts.on_progress = [](const std::string& line) {
+      std::fprintf(stderr, "  %s\n", line.c_str());
     };
-
-    int rc = 2;  // no DONE = daemon died on us
-    while (read_frame(&f)) {
-      if (f.type == pfi::fabric::FrameType::kProgress) {
-        if (!args.quiet) {
-          std::fprintf(stderr, "  %s\n",
-                       pfi::fabric::decode_json_line(f.payload).c_str());
-        }
-      } else if (f.type == pfi::fabric::FrameType::kArtifact) {
-        std::string name, bytes, chunk;
-        if (!pfi::fabric::decode_artifact(f.payload, &name, &bytes, &chunk)) {
-          continue;
-        }
-        if (name == "report") {
-          if (!write_file_or_stdout(args.out, bytes)) rc = 2;
-        } else if (name == "journal") {
-          // Chunk or final document alike: append, dedupe on close. The
-          // final artifact re-sends this job's records, so a run whose
-          // chunks were lost still ends up with a complete journal.
-          journal_write(bytes);
-        } else if (name == "metrics" && !args.metrics_out.empty()) {
-          write_file_or_stdout(args.metrics_out, bytes);
-        } else if (name == "corpus" && !args.corpus_out.empty()) {
-          write_file_or_stdout(args.corpus_out, bytes);
-        }
-      } else if (f.type == pfi::fabric::FrameType::kDone) {
-        const std::string done = pfi::fabric::decode_json_line(f.payload);
-        const std::string status =
-            json::probe_string_field(done, "status").value_or("error");
-        if (!args.quiet) {
-          std::fprintf(stderr, "%s\n", done.c_str());
-        }
-        if (status == "error") {
-          const auto msg = json::probe_string_field(done, "error");
-          if (msg) std::fprintf(stderr, "error: %s\n", msg->c_str());
-          rc = 2;
-        } else if (status == "interrupted") {
-          rc = 130;
-        } else if (args.explore > 0) {
-          rc = probe_int_field(done, "violations", 0) > 0 ? 1 : 0;
-        } else {
-          rc = probe_int_field(done, "fail", 0) +
-                           probe_int_field(done, "error", 0) >
-                       0
-                   ? 1
-                   : 0;
-        }
-        break;
-      } else if (f.type == pfi::fabric::FrameType::kBye) {
-        break;
-      }
-    }
-    if (jf != nullptr) {
-      std::fclose(jf);
-      // The file now holds overlapping sets (prior records on --resume,
-      // streamed chunks, the final artifact). Rewrite as the sorted,
-      // deduped normal form every other journal consumer emits.
-      write_file_or_stdout(journal_path,
-                           journal_jsonl(load_journal(journal_path)));
-    }
-    close(fd);
-    return rc;
   }
-
-  if ((args.workers > 0 || !args.listen.empty()) && args.explore > 0) {
+  sopts.should_stop = [] { return g_interrupted != 0; };
+  std::signal(SIGINT, handle_sigint);
+  const auto t0 = std::chrono::steady_clock::now();
+  const pfi::search::SearchResult sres = pfi::search::explore(spec, sopts);
+  const double wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  std::signal(SIGINT, SIG_DFL);
+  if (!sres.error.empty()) {
+    std::fprintf(stderr, "error: %s\n", sres.error.c_str());
+    if (sres.executed == 0) return 2;
+  }
+  if (!args.corpus_out.empty() &&
+      !write_file_or_stdout(args.corpus_out, sres.corpus.to_jsonl())) {
+    return 2;
+  }
+  if (!write_file_or_stdout(
+          args.out, pfi::search::report_json(spec, sopts, sres) + "\n")) {
+    return 2;
+  }
+  if (!args.quiet) {
     std::fprintf(stderr,
-                 "error: --workers applies to the static matrix; distribute "
-                 "--explore through pfi_fabricd + --submit instead\n");
-    return 2;
+                 "explore %s: %d executed -> %zu digests, %zu violation(s) "
+                 "in %.0f ms\n",
+                 spec.name.c_str(), sres.executed, sres.corpus.size(),
+                 sres.violations.size(), wall_ms);
   }
+  if (sres.interrupted) return 130;
+  return sres.violations.empty() ? 0 : 1;
+}
 
-  if (args.explore > 0) {
-    // Coverage-guided mode: the budget buys mutated schedules chasing
-    // unseen coverage digests instead of the planner's fixed matrix.
-    pfi::search::SearchOptions sopts;
-    sopts.budget = args.explore;
-    sopts.jobs = args.jobs;
-    sopts.isolate = args.isolate;
-    sopts.retries = retries;
-    sopts.max_minimize = args.max_minimize;
-    sopts.corpus_in = args.corpus_in;
-    if (args.resume || !args.journal.empty()) {
-      sopts.journal_path =
-          args.journal.empty() ? args.spec_path + ".journal" : args.journal;
-    }
-    if (!args.quiet) {
-      sopts.on_progress = [](const std::string& line) {
-        std::fprintf(stderr, "  %s\n", line.c_str());
-      };
-    }
-    sopts.should_stop = [] { return g_interrupted != 0; };
-    std::signal(SIGINT, handle_sigint);
-    const auto t0 = std::chrono::steady_clock::now();
-    const pfi::search::SearchResult sres = pfi::search::explore(*spec, sopts);
-    const double wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-    std::signal(SIGINT, SIG_DFL);
-    if (!sres.error.empty()) {
-      std::fprintf(stderr, "error: %s\n", sres.error.c_str());
-      if (sres.executed == 0) return 2;
-    }
-    if (!args.corpus_out.empty()) {
-      FILE* f = std::fopen(args.corpus_out.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     args.corpus_out.c_str());
-        return 2;
-      }
-      const std::string jsonl = sres.corpus.to_jsonl();
-      std::fwrite(jsonl.data(), 1, jsonl.size(), f);
-      std::fclose(f);
-    }
-    const std::string doc = pfi::search::report_json(*spec, sopts, sres);
-    if (args.out.empty()) {
-      std::printf("%s\n", doc.c_str());
-    } else {
-      FILE* f = std::fopen(args.out.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "error: cannot write %s\n", args.out.c_str());
-        return 2;
-      }
-      std::fprintf(f, "%s\n", doc.c_str());
-      std::fclose(f);
-    }
-    if (!args.quiet) {
-      std::fprintf(stderr,
-                   "explore %s: %d executed -> %zu digests, %zu violation(s) "
-                   "in %.0f ms\n",
-                   spec->name.c_str(), sres.executed, sres.corpus.size(),
-                   sres.violations.size(), wall_ms);
-    }
-    if (sres.interrupted) return 130;
-    return sres.violations.empty() ? 0 : 1;
-  }
-
-  std::vector<RunCell> planned;
-  if (!args.suite.empty()) {
-    auto suite_cells = plan_suite(args.suite, &err);
-    if (!suite_cells) {
-      std::fprintf(stderr, "error: %s\n", err.c_str());
-      return 2;
-    }
-    planned = std::move(*suite_cells);
-  } else {
-    planned = plan(*spec);
-  }
-  const auto cells = filter_cells(std::move(planned), args.filter);
-  if (args.list) {
-    for (const auto& c : cells) std::printf("%s\n", c.id.c_str());
-    return 0;
-  }
-  if (cells.empty()) {
-    std::fprintf(stderr, "error: no cells match\n");
-    return 2;
-  }
-
-  // ---- journal: content keys, prior records, the todo subset --------------
-  const bool journaling = args.resume || !args.journal.empty();
-  const std::string journal_path =
-      !args.journal.empty()
-          ? args.journal
-          : (args.suite.empty() ? args.spec_path : args.suite) + ".journal";
-  std::vector<std::string> keys;
+/// Pre-fill `report` before execution: journaled records (--resume, keyed
+/// by `keys`) and lint-rejected cells' error records (--lint), reporting
+/// groups of provably equivalent cells.
+void prefill(const Args& args, const std::vector<RunCell>& cells,
+             const std::vector<std::string>& keys, CampaignReport* report) {
   std::map<std::string, std::string> prior;
-  if (journaling) {
-    keys.reserve(cells.size());
-    for (const auto& c : cells) keys.push_back(cell_key(c));
-    if (args.resume) prior = load_journal(journal_path);
-  }
-  // records[i] is plan slot i's JSON record; empty = not run (interrupted).
-  std::vector<std::string> records(cells.size());
-  std::vector<RunCell> todo;
-  int resumed = 0;
-  int lint_rejected = 0;
-  int equiv_cells = 0;
+  if (args.resume) prior = load_journal(args.journal);
   // Group key -> ids of planned schedule-mode cells in that class; groups
   // of 2+ are provably equivalent *runs*: cell_key over the canonicalized
   // schedule folds in every run parameter (seed, warmup, duration, jitter,
@@ -716,10 +489,9 @@ int main(int argc, char** argv) {
   };
   std::map<std::string, std::vector<std::string>> equiv_groups;
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    const auto hit = journaling ? prior.find(keys[i]) : prior.end();
+    const auto hit = prior.empty() ? prior.end() : prior.find(keys[i]);
     if (hit != prior.end()) {
-      records[i] = rewrite_index(hit->second, cells[i].index);
-      ++resumed;
+      report->resume(i, rewrite_index(hit->second, cells[i].index));
       continue;
     }
     if (args.lint > 0) {
@@ -730,9 +502,8 @@ int main(int argc, char** argv) {
       const bool reject = pfi::lint::has_errors(diags) ||
                           (args.lint == 2 && !diags.empty());
       if (reject) {
-        records[i] =
-            record_json(pfi::lint::lint_error_result(cells[i], diags));
-        ++lint_rejected;
+        report->reject(
+            i, record_json(pfi::lint::lint_error_result(cells[i], diags)));
         if (!args.quiet) {
           std::fprintf(stderr, "  lint %-40s %s\n", cells[i].id.c_str(),
                        pfi::lint::format_text(diags.front()).c_str());
@@ -743,9 +514,9 @@ int main(int argc, char** argv) {
         equiv_groups[equiv_group_key(cells[i])].push_back(cells[i].id);
       }
     }
-    todo.push_back(cells[i]);  // keeps its plan index
   }
   if (args.lint > 0) {
+    int equiv_cells = 0;
     for (const auto& [key, ids] : equiv_groups) {
       if (ids.size() < 2) continue;
       equiv_cells += static_cast<int>(ids.size()) - 1;
@@ -759,18 +530,102 @@ int main(int argc, char** argv) {
                      ids.size(), list.c_str());
       }
     }
+    report->set_equiv_cells(equiv_cells);
   }
-  if (!args.timeline.empty()) {
-    // Only freshly-executed cells can contribute timeline fragments —
-    // journaled records don't carry one.
-    for (RunCell& c : todo) c.capture_timeline = true;
+}
+
+/// --minimize: delta-debug freshly-executed failures (todo[k] ran as
+/// results[k]) to 1-minimal reproductions; returns the report's "minimized"
+/// array. A journaled failure was (or can be) minimised by the run that
+/// produced it.
+std::string minimize_failures(const Args& args,
+                              const std::vector<RunCell>& todo,
+                              const std::vector<RunResult>& results,
+                              bool interrupted, Journal* journal) {
+  // When journaling, warm ddmin's probe cache from the journal file (it
+  // already holds this run's flushed records plus any prior runs') and
+  // keep appending fresh probe records, so re-minimising after --resume
+  // answers repeated subsets without re-executing them.
+  std::map<std::string, std::string> mincache;
+  if (!args.journal.empty()) mincache = load_journal(args.journal);
+  MinimizeOptions mopts;
+  mopts.cache = &mincache;
+  if (journal->is_open()) mopts.journal = journal;
+  int count = 0;
+  json::Writer w;
+  w.begin_array();
+  for (std::size_t k = 0; k < results.size(); ++k) {
+    if (interrupted || count >= args.max_minimize) break;
+    const RunResult& r = results[k];
+    // Not run, passing, or an infrastructure error: nothing to reproduce.
+    if (r.index < 0 || r.pass || r.errored()) continue;
+    const RunCell& cell = todo[k];
+    if (cell.schedule.empty()) continue;  // literal .tcl: nothing to cut
+    if (!args.quiet) {
+      std::fprintf(stderr, "  minimizing %s (%zu events)...\n",
+                   cell.id.c_str(), cell.schedule.size());
+    }
+    const MinimizeResult m = minimize_schedule(cell, mopts);
+    ++count;
+    w.begin_object();
+    w.kv("id", cell.id);
+    w.kv("original_events", static_cast<std::uint64_t>(m.original_events));
+    w.kv("minimal_events", static_cast<std::uint64_t>(m.minimal_events));
+    w.kv("probe_runs", m.runs);
+    w.kv("probe_cache_hits", m.cache_hits);
+    w.kv("reproduced", m.reproduced);
+    w.kv("schedule_summary", m.schedule.summary());
+    w.key("schedule");
+    m.schedule.to_json(w);
+    if (!m.verification.reason.empty()) {
+      w.kv("failure", m.verification.reason);
+    }
+    w.end_object();
+    if (!args.quiet) {
+      std::fprintf(stderr, "    -> %zu event(s), reproduced=%s: %s\n",
+                   m.minimal_events, m.reproduced ? "yes" : "NO",
+                   m.schedule.summary().c_str());
+    }
   }
+  w.end_array();
+  return w.str();
+}
+
+/// The static matrix: plan, pre-fill journaled and lint-rejected slots,
+/// execute the rest in-process or over the fabric, write the documents.
+int run_matrix(const Args& args, const CampaignSpec& spec) {
+  std::string err;
+  auto planned = args.suite.empty() ? std::optional(plan(spec))
+                                    : plan_suite(args.suite, &err);
+  if (!planned) return fail(err);
+  const auto cells = filter_cells(std::move(*planned), args.filter);
+  if (args.list) {
+    for (const auto& c : cells) std::printf("%s\n", c.id.c_str());
+    return 0;
+  }
+  if (cells.empty()) return fail("no cells match");
+
+  // ---- journal keys, pre-filled slots, the todo subset --------------------
+  std::vector<std::string> keys;
+  if (!args.journal.empty()) {
+    keys.reserve(cells.size());
+    for (const auto& c : cells) keys.push_back(cell_key(c));
+  }
+  // Slot i is plan cell i; journaled and lint-rejected cells are pre-filled,
+  // the rest execute below.
+  CampaignReport report(cells.size());
+  prefill(args, cells, keys, &report);
+  // The executors return results[k] for todo[k]. Only freshly-executed
+  // cells can contribute timeline fragments; journaled records carry none.
+  std::vector<RunCell> todo = report.pending(cells);
+  for (RunCell& c : todo) c.capture_timeline = !args.timeline.empty();
 
   if (!args.quiet) {
     std::fprintf(stderr, "campaign %s: %zu cells, %d job(s)%s%s\n",
-                 spec->name.c_str(), cells.size(), std::max(1, args.jobs),
+                 spec.name.c_str(), cells.size(), std::max(1, args.jobs),
                  args.isolate ? ", isolated" : "",
-                 args.resume ? (", " + std::to_string(resumed) +
+                 args.resume ? (", " +
+                                std::to_string(report.summary().resumed) +
                                 " journaled, " + std::to_string(todo.size()) +
                                 " to run")
                                    .c_str()
@@ -778,16 +633,8 @@ int main(int argc, char** argv) {
   }
 
   Journal journal;
-  if (journaling && !todo.empty() && !journal.open(journal_path)) {
-    std::fprintf(stderr, "error: cannot append to journal %s\n",
-                 journal_path.c_str());
-    return 2;
-  }
-  std::map<int, const std::string*> key_of_index;  // plan index -> cell key
-  if (journaling) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      key_of_index[cells[i].index] = &keys[i];
-    }
+  if (!args.journal.empty() && !todo.empty() && !journal.open(args.journal)) {
+    return fail("cannot append to journal " + args.journal);
   }
 
   const bool use_fabric = args.workers > 0 || !args.listen.empty();
@@ -818,9 +665,7 @@ int main(int argc, char** argv) {
     std::string line = buf;
     if (use_fabric && !fleet_done.empty() && el > 0) {
       double best = 0.0;
-      for (const auto& [id, n] : fleet_done) {
-        best = std::max(best, n / el);
-      }
+      for (const auto& [id, n] : fleet_done) best = std::max(best, n / el);
       line += " |";
       int shown = 0;
       for (const auto& [id, n] : fleet_done) {
@@ -839,22 +684,15 @@ int main(int argc, char** argv) {
   ExecutorOptions opts;
   opts.jobs = args.jobs;
   opts.isolate = args.isolate;
-  opts.retries = retries;
+  opts.retries = args.retries;
   opts.should_stop = [] { return g_interrupted != 0; };
   opts.on_result = [&](const RunResult& r) {
     ++done;
-    if (r.errored()) {
-      ++live_err;
-    } else if (r.pass) {
-      ++live_pass;
-    } else {
-      ++live_fail;
-    }
+    ++(r.errored() ? live_err : r.pass ? live_pass : live_fail);
     if (journal.is_open()) {
-      const auto it = key_of_index.find(r.index);
-      if (it != key_of_index.end()) {
-        journal.append(*it->second, record_json(r));
-      }
+      // A cell's plan index is its slot (plan, plan_suite and filter_cells
+      // number cells by position), and the fabric refuses foreign indices.
+      journal.append(keys[static_cast<std::size_t>(r.index)], record_json(r));
     }
     if (args.quiet) return;
     if (!r.pass || r.errored()) {
@@ -882,34 +720,32 @@ int main(int argc, char** argv) {
   // ---- execution: in-process pool, or the distributed fabric --------------
   // Either way `results` comes back slot-ordered, so everything downstream
   // (records, journal, metrics, summary) is byte-identical.
-  pfi::fabric::Listener listener;
-  pfi::fabric::LocalWorkerPool pool;
+  fabric::Listener listener;
+  fabric::LocalWorkerPool pool;
   if (use_fabric) {
     std::string ferr;
     // --listen publishes a real address for external pfi_worker processes;
     // plain --workers keeps the fabric on an ephemeral loopback port.
     if (!listener.open(args.listen.empty() ? "127.0.0.1:0" : args.listen,
                        &ferr)) {
-      std::fprintf(stderr, "error: %s\n", ferr.c_str());
-      return 2;
+      return fail(ferr);
     }
     if (!args.quiet && !args.listen.empty()) {
       std::fprintf(stderr, "fabric: listening on %s\n",
                    listener.address().c_str());
     }
     if (args.workers > 0) {
-      pfi::fabric::WorkerOptions wopts;
+      fabric::WorkerOptions wopts;
       wopts.connect = listener.address();
       wopts.isolate = args.isolate;
-      wopts.retries = retries;
+      wopts.retries = args.retries;
       wopts.heartbeat_ms = args.heartbeat_ms;
       wopts.token = args.token;  // the local fleet authenticates like anyone
       // Spawned before any threads exist (the poll-loop coordinator never
       // spawns its own): fork() from a single-threaded parent only.
-      if (!pfi::fabric::spawn_local_workers(wopts, args.workers,
-                                            listener.fd(), &pool, &ferr)) {
-        std::fprintf(stderr, "error: %s\n", ferr.c_str());
-        return 2;
+      if (!fabric::spawn_local_workers(wopts, args.workers, listener.fd(),
+                                       &pool, &ferr)) {
+        return fail(ferr);
       }
     }
   }
@@ -920,12 +756,11 @@ int main(int argc, char** argv) {
   // Fleet observability state (side channel only — feeds --flight-out,
   // --metrics-out's fabric/fleet sections and the --timeline flight lane,
   // never the report or journal).
-  pfi::fabric::FlightRecorder flight;
+  fabric::FlightRecorder flight;
   pfi::obs::Registry fabric_obs;
-  std::map<std::string, std::vector<pfi::obs::MetricSample>> worker_stats;
-  pfi::fabric::FabricStats fstats;
+  FleetMetrics fleet;
   if (use_fabric) {
-    pfi::fabric::FabricOptions fopts;
+    fabric::FabricOptions fopts;
     fopts.no_worker_timeout_ms = 60000;
     fopts.dead_after_ms = args.dead_after_ms;
     fopts.reconnect_grace_ms = args.reconnect_grace_ms;
@@ -936,7 +771,7 @@ int main(int argc, char** argv) {
     fopts.on_result = opts.on_result;
     fopts.flight = &flight;
     fopts.obs = &fabric_obs;
-    if (!args.metrics_out.empty()) fopts.worker_stats_out = &worker_stats;
+    if (!args.metrics_out.empty()) fopts.worker_stats_out = &fleet.workers;
     fopts.on_result_worker = [&](const std::string& id) {
       ++fleet_done[id];
     };
@@ -956,26 +791,12 @@ int main(int argc, char** argv) {
                      msg.c_str());
       };
     }
-    results = pfi::fabric::run_fabric(&listener, todo, fopts, &fstats);
-    pfi::fabric::reap_local_workers(&pool);
-    if (!args.quiet) {
-      std::fprintf(stderr,
-                   "fabric: %d worker(s) joined, %d lost, %d lease(s), "
-                   "%d cell(s) requeued\n",
-                   fstats.workers_joined, fstats.workers_lost,
-                   fstats.leases_granted, fstats.cells_requeued);
-      if (fstats.links_dropped > 0) {
-        std::fprintf(stderr,
-                     "fabric: %d link(s) dropped, %d reattach(es), "
-                     "%d stale result(s)\n",
-                     fstats.links_dropped, fstats.workers_reattached,
-                     fstats.stale_results);
-      }
-      if (fstats.unknown_frames > 0) {
-        std::fprintf(stderr, "fabric: %d unknown frame(s) ignored\n",
-                     fstats.unknown_frames);
-      }
-    }
+    fabric::FabricStats fstats;
+    results = fabric::run_fabric(&listener, todo, fopts, &fstats);
+    fabric::reap_local_workers(&pool);
+    fleet.fabric = fstats.to_json();
+    fleet.coordinator = fabric_obs.snapshot();
+    if (!args.quiet) std::fprintf(stderr, "fabric: %s\n", fleet.fabric.c_str());
   } else {
     results = run_cells(todo, opts);
   }
@@ -984,62 +805,22 @@ int main(int argc, char** argv) {
           std::chrono::steady_clock::now() - t0)
           .count();
   std::signal(SIGINT, SIG_DFL);
-  const bool interrupted = g_interrupted != 0;
   if (!args.quiet && tty && done != static_cast<int>(todo.size())) {
     std::fputc('\n', stderr);  // leave the partial progress line intact
   }
 
+  report.splice(results);
+  if (g_interrupted != 0) report.mark_interrupted();
+  const ReportSummary sum = report.summary();
+
   // ---- observability outputs ----------------------------------------------
   // Results come back in cell order, so both documents are deterministic
   // whatever --jobs or --isolate was.
-  if (!args.metrics_out.empty()) {
-    std::map<std::string, pfi::obs::MetricSample> merged;
-    int measured = 0;
-    for (const RunResult& r : results) {
-      if (r.index < 0 || r.metrics.empty()) continue;
-      ++measured;
-      pfi::obs::merge_samples(&merged, r.metrics);
-    }
-    json::Writer mw;
-    mw.begin_object();
-    mw.kv("campaign", spec->name);
-    mw.kv("cells", static_cast<int>(cells.size()));
-    mw.kv("cells_measured", measured);
-    // The "metrics" object is built solely from per-result records, so its
-    // bytes match a --jobs 1 run whatever the worker count. The fabric and
-    // fleet sections below are the wall-clock side channel.
-    mw.key("metrics").begin_object();
-    for (const auto& [name, m] : merged) mw.kv(name, m.value);
-    mw.end_object();
-    if (use_fabric) {
-      mw.key("fabric").value_raw(fstats.to_json());
-      std::map<std::string, pfi::obs::MetricSample> fleet;
-      for (const auto& [id, samples] : worker_stats) {
-        pfi::obs::merge_samples(&fleet, samples);
-      }
-      pfi::obs::merge_samples(&fleet, fabric_obs.snapshot());
-      mw.key("fleet").begin_object();
-      mw.key("merged").begin_object();
-      for (const auto& [name, m] : fleet) mw.kv(name, m.value);
-      mw.end_object();
-      mw.key("workers").begin_object();
-      for (const auto& [id, samples] : worker_stats) {
-        mw.key(id).begin_object();
-        for (const auto& m : samples) mw.kv(m.name, m.value);
-        mw.end_object();
-      }
-      mw.end_object();
-      mw.end_object();
-    }
-    mw.end_object();
-    FILE* f = std::fopen(args.metrics_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n",
-                   args.metrics_out.c_str());
-      return 2;
-    }
-    std::fprintf(f, "%s\n", mw.str().c_str());
-    std::fclose(f);
+  if (!args.metrics_out.empty() &&
+      !write_file_or_stdout(
+          args.metrics_out,
+          report.metrics_json(spec.name, use_fabric ? &fleet : nullptr))) {
+    return 2;
   }
   if (!args.flight_out.empty()) {
     // Always written (empty ring = just the flight-meta line) so consumers
@@ -1058,153 +839,140 @@ int main(int argc, char** argv) {
           "fabric", static_cast<int>(cells.size()));
       if (!ft.empty()) fragments.push_back(ft);
     }
-    FILE* f = std::fopen(args.timeline.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", args.timeline.c_str());
+    if (!write_file_or_stdout(
+            args.timeline, pfi::obs::timeline_document(fragments) + "\n")) {
       return 2;
     }
-    std::fprintf(f, "%s\n",
-                 pfi::obs::timeline_document(fragments).c_str());
-    std::fclose(f);
   }
 
-  // Splice freshly-executed records into their plan slots. Skipped cells
-  // (index -1: claimed by nobody before the interrupt) leave the slot empty.
-  std::map<int, std::size_t> slot_of_index;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    slot_of_index[cells[i].index] = i;
-  }
-  for (const RunResult& r : results) {
-    if (r.index < 0) continue;
-    records[slot_of_index[r.index]] = record_json(r);
-  }
-
-  // Summary over the merged set — journaled and fresh records count alike.
-  Summary sum;
-  sum.total = static_cast<int>(cells.size());
-  for (const RunResult& r : results) {
-    if (r.index >= 0 && (r.errored() || !r.pass)) sum.failures.push_back(&r);
-  }
-  std::vector<std::string> failing_ids;
-  for (const std::string& rec : records) {
-    if (rec.empty()) {
-      ++sum.skipped;
-      continue;
-    }
-    const std::string verdict = record_verdict(rec);
-    if (verdict == "pass") {
-      ++sum.passed;
-    } else {
-      if (verdict == "error") {
-        ++sum.errored;
-      } else {
-        ++sum.failed;
-      }
-      failing_ids.push_back(
-          json::probe_string_field(rec, "id").value_or(""));
-    }
-  }
-
-  pfi::campaign::json::Writer w;
-  w.begin_object();
-  w.kv("campaign", spec->name);
-  w.kv("protocol", spec->protocol);
-  w.kv("oracle", spec->oracle);
-  w.kv("cells", sum.total);
-  w.key("runs").begin_array();
-  for (const std::string& rec : records) {
-    if (!rec.empty()) w.value_raw(rec);
-  }
-  w.end_array();
-  w.key("summary").begin_object();
-  w.kv("pass", sum.passed);
-  w.kv("fail", sum.failed);
-  w.kv("error", sum.errored);
-  if (sum.skipped > 0) w.kv("skipped", sum.skipped);
-  if (lint_rejected > 0) w.kv("lint_rejected", lint_rejected);
-  if (equiv_cells > 0) w.kv("equiv_cells", equiv_cells);
-  if (resumed > 0) w.kv("resumed", resumed);
-  if (interrupted) w.kv("interrupted", true);
-  w.kv("jobs", std::max(1, args.jobs));
-  w.kv("wall_ms", wall_ms);
-  w.key("failing_ids").begin_array();
-  for (const std::string& id : failing_ids) w.value(id);
-  w.end_array();
-  w.end_object();
-
-  if (args.minimize) {
-    // Only freshly-executed failures are minimised: a journaled failure was
-    // (or can be) minimised by the run that produced it.
-    //
-    // When journaling, warm ddmin's probe cache from the journal file (it
-    // already holds this run's flushed records plus any prior runs') and
-    // keep appending fresh probe records, so re-minimising after --resume
-    // answers repeated subsets without re-executing them.
-    std::map<std::string, std::string> mincache;
-    if (journaling) mincache = load_journal(journal_path);
-    MinimizeOptions mopts;
-    mopts.cache = &mincache;
-    if (journal.is_open()) mopts.journal = &journal;
-    int minimized = 0;
-    w.key("minimized").begin_array();
-    for (const RunResult* f : sum.failures) {
-      if (interrupted || minimized >= args.max_minimize) break;
-      if (f->errored()) continue;  // infrastructure error, not a repro
-      const std::size_t slot = slot_of_index[f->index];
-      const RunCell& cell = cells[slot];
-      if (cell.schedule.empty()) continue;  // literal .tcl: nothing to cut
-      if (!args.quiet) {
-        std::fprintf(stderr, "  minimizing %s (%zu events)...\n",
-                     cell.id.c_str(), cell.schedule.size());
-      }
-      const MinimizeResult m = minimize_schedule(cell, mopts);
-      ++minimized;
-      w.begin_object();
-      w.kv("id", cell.id);
-      w.kv("original_events", static_cast<std::uint64_t>(m.original_events));
-      w.kv("minimal_events", static_cast<std::uint64_t>(m.minimal_events));
-      w.kv("probe_runs", m.runs);
-      w.kv("probe_cache_hits", m.cache_hits);
-      w.kv("reproduced", m.reproduced);
-      w.kv("schedule_summary", m.schedule.summary());
-      w.key("schedule");
-      m.schedule.to_json(w);
-      if (!m.verification.reason.empty()) {
-        w.kv("failure", m.verification.reason);
-      }
-      w.end_object();
-      if (!args.quiet) {
-        std::fprintf(stderr, "    -> %zu event(s), reproduced=%s: %s\n",
-                     m.minimal_events, m.reproduced ? "yes" : "NO",
-                     m.schedule.summary().c_str());
-      }
-    }
-    w.end_array();
-  }
-  w.end_object();
+  const std::string minimized =
+      args.minimize ? minimize_failures(args, todo, results, sum.interrupted,
+                                        &journal)
+                    : "";
   journal.close();
 
-  const std::string& doc = w.str();
-  if (args.out.empty()) {
-    std::printf("%s\n", doc.c_str());
-  } else {
-    FILE* f = std::fopen(args.out.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "error: cannot write %s\n", args.out.c_str());
-      return 2;
-    }
-    std::fprintf(f, "%s\n", doc.c_str());
-    std::fclose(f);
+  const HostFields host{std::max(1, args.jobs), wall_ms};
+  if (!write_file_or_stdout(args.out,
+                            report.report_json(spec, &host, minimized))) {
+    return 2;
   }
   if (!args.quiet) {
-    std::fprintf(stderr, "%d/%d pass, %d fail, %d error%s in %.0f ms\n",
-                 sum.passed, sum.total, sum.failed, sum.errored,
+    std::fprintf(stderr, "%d/%zu pass, %d fail, %d error%s in %.0f ms\n",
+                 sum.pass, cells.size(), sum.fail, sum.error,
                  sum.skipped > 0
                      ? (", " + std::to_string(sum.skipped) + " skipped")
                            .c_str()
                      : "",
                  wall_ms);
   }
-  if (interrupted) return 130;
-  return sum.failed + sum.errored > 0 ? 1 : 0;
+  if (sum.interrupted) return 130;
+  return sum.fail + sum.error > 0 ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Args args;
+  // --workers-kill-one and --workers-flap are test hooks for the CI smokes:
+  // SIGKILL one auto-spawned worker after the first result, or sever one
+  // worker's link every N results; the report must not change either way.
+  const std::map<std::string, std::string*> strings = {
+      {"--suite", &args.suite},         {"--filter", &args.filter},
+      {"--out", &args.out},             {"--journal", &args.journal},
+      {"--metrics-out", &args.metrics_out},
+      {"--timeline", &args.timeline},   {"--flight-out", &args.flight_out},
+      {"--status", &args.status},       {"--corpus-out", &args.corpus_out},
+      {"--corpus-in", &args.corpus_in}, {"--listen", &args.listen},
+      {"--token", &args.token},         {"--submit", &args.submit}};
+  const std::map<std::string, int*> ints = {
+      {"--jobs", &args.jobs},
+      {"--timeout-ms", &args.timeout_ms},
+      {"--retries", &args.retries},
+      {"--explore", &args.explore},
+      {"--max-minimize", &args.max_minimize},
+      {"--workers", &args.workers},
+      {"--heartbeat-ms", &args.heartbeat_ms},
+      {"--dead-after-ms", &args.dead_after_ms},
+      {"--reconnect-grace-ms", &args.reconnect_grace_ms},
+      {"--max-workers", &args.max_workers},
+      {"--workers-flap", &args.workers_flap}};
+  const std::map<std::string, bool*> flags = {
+      {"--isolate", &args.isolate},
+      {"--resume", &args.resume},
+      {"--minimize", &args.minimize},
+      {"--list", &args.list},
+      {"--quiet", &args.quiet},
+      {"--merge-journals", &args.merge_journals},
+      {"--workers-kill-one", &args.workers_kill_one}};
+  std::vector<std::string> positionals;
+  for (int i = 1; i < argc; ++i) {
+    const std::string a = argv[i];
+    const char* value = i + 1 < argc ? argv[i + 1] : "";
+    if (const auto s = strings.find(a); s != strings.end()) {
+      *s->second = value;
+      ++i;
+    } else if (const auto n = ints.find(a); n != ints.end()) {
+      *n->second = std::atoi(value);
+      ++i;
+    } else if (const auto f = flags.find(a); f != flags.end()) {
+      *f->second = true;
+    } else if (a == "--max-events") {
+      args.max_events = std::atoll(value);
+      ++i;
+    } else if (a == "--lint" || a == "--lint=strict") {
+      args.lint = a == "--lint" ? 1 : 2;
+    } else if (a.rfind("--explore=", 0) == 0) {
+      args.explore = std::atoi(a.c_str() + std::strlen("--explore="));
+    } else if (a == "--help" || a == "-h") {
+      return usage(0);
+    } else if (!a.empty() && a[0] == '-') {
+      return usage(2);
+    } else {
+      positionals.push_back(a);
+    }
+  }
+  args.token = fabric::token_or_env(args.token);
+
+  if (!args.status.empty()) return run_status(args);
+
+  if (args.merge_journals) {
+    return positionals.empty() ? usage(2) : run_merge(args, positionals);
+  }
+
+  if (!positionals.empty()) args.spec_path = positionals.front();
+  if (args.spec_path.empty() && args.suite.empty()) return usage(2);
+  if (!args.suite.empty() &&
+      (!args.spec_path.empty() || !args.submit.empty() || args.explore > 0)) {
+    return fail(
+        "--suite replaces the spec and runs locally; it combines with "
+        "neither a spec file, --submit nor --explore");
+  }
+
+  std::string err;
+  auto spec = args.suite.empty() ? load_spec_file(args.spec_path, &err)
+                                 : std::optional(suite_spec(args.suite));
+  if (!spec) return fail(err);
+  // CLI overrides win over the spec's own resilience knobs.
+  if (args.timeout_ms >= 0) spec->timeout_ms = args.timeout_ms;
+  if (args.max_events >= 0) {
+    spec->max_sim_events = static_cast<std::uint64_t>(args.max_events);
+  }
+  // --resume implies journaling to <spec>.journal (or <suite>.journal).
+  if (args.resume && args.journal.empty()) {
+    args.journal =
+        (args.suite.empty() ? args.spec_path : args.suite) + ".journal";
+  }
+
+  if (!args.submit.empty()) return run_submit(args);
+  if (args.retries < 0) args.retries = spec->retries;
+
+  if ((args.workers > 0 || !args.listen.empty()) && args.explore > 0) {
+    return fail(
+        "--workers applies to the static matrix; distribute --explore "
+        "through pfi_fabricd + --submit instead");
+  }
+
+  if (args.explore > 0) return run_explore(args, *spec);
+
+  return run_matrix(args, *spec);
 }

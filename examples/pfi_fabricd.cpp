@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "campaign/report.hpp"
 #include "fabric/service.hpp"
 #include "fabric/socket.hpp"
 #include "fabric/worker.hpp"
@@ -105,10 +106,7 @@ int main(int argc, char** argv) {
     }
   }
   if (listen.empty()) return usage(2);
-  if (sopts.token.empty()) {
-    const char* env = std::getenv("PFI_FABRIC_TOKEN");
-    if (env != nullptr) sopts.token = env;
-  }
+  sopts.token = pfi::fabric::token_or_env(sopts.token);
   wopts.token = sopts.token;  // the local fleet authenticates like anyone
 
   std::string err;
@@ -150,14 +148,7 @@ int main(int argc, char** argv) {
   const int rc = pfi::fabric::run_service(&listener, sopts, &stats);
   pfi::fabric::reap_local_workers(&pool);
   if (!flight_out.empty()) {
-    FILE* f = std::fopen(flight_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", flight_out.c_str());
-    } else {
-      const std::string jsonl = flight.to_jsonl();
-      std::fwrite(jsonl.data(), 1, jsonl.size(), f);
-      std::fclose(f);
-    }
+    pfi::campaign::write_file_or_stdout(flight_out, flight.to_jsonl());
   }
   if (!quiet) {
     std::fprintf(stderr,

@@ -20,6 +20,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "campaign/report.hpp"
 #include "campaign/spec.hpp"
 #include "pfi/script_file.hpp"
 #include "search/search.hpp"
@@ -147,20 +148,14 @@ int main(int argc, char** argv) {
     if (res.executed == 0) return 2;
   }
 
-  if (!corpus_out.empty()) {
-    FILE* f = std::fopen(corpus_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", corpus_out.c_str());
-      return 2;
-    }
-    const std::string jsonl = res.corpus.to_jsonl();
-    std::fwrite(jsonl.data(), 1, jsonl.size(), f);
-    std::fclose(f);
+  if (!corpus_out.empty() &&
+      !campaign::write_file_or_stdout(corpus_out, res.corpus.to_jsonl())) {
+    return 2;
   }
   if (!emit_scripts.empty()) {
     // Each corpus schedule as a sectioned .tcl file: lintable with
     // `pfi_lint --strict` and re-runnable through a literal-script spec.
-    mkdir(emit_scripts.c_str(), 0777);  // best effort; fopen reports failure
+    mkdir(emit_scripts.c_str(), 0777);  // best effort: writes report errors
     int emitted = 0;
     for (std::size_t i = 0; i < res.corpus.entries().size(); ++i) {
       const search::CorpusEntry& e = res.corpus.entries()[i];
@@ -173,14 +168,10 @@ int main(int argc, char** argv) {
       const std::string path = emit_scripts + "/corpus_" +
                                std::to_string(i) + "_" +
                                e.digest.substr(0, 8) + ".tcl";
-      FILE* f = std::fopen(path.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+      if (!campaign::write_file_or_stdout(
+              path, core::render_script_sections(file))) {
         return 2;
       }
-      const std::string text = core::render_script_sections(file);
-      std::fwrite(text.data(), 1, text.size(), f);
-      std::fclose(f);
       ++emitted;
     }
     if (!quiet) {
@@ -189,17 +180,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string doc = search::report_json(*spec, opts, res);
-  if (out.empty()) {
-    std::printf("%s\n", doc.c_str());
-  } else {
-    FILE* f = std::fopen(out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", out.c_str());
-      return 2;
-    }
-    std::fprintf(f, "%s\n", doc.c_str());
-    std::fclose(f);
+  if (!campaign::write_file_or_stdout(
+          out, search::report_json(*spec, opts, res) + "\n")) {
+    return 2;
   }
   if (!quiet) {
     std::fprintf(stderr,

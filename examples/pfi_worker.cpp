@@ -17,6 +17,8 @@
 #include <cstring>
 #include <string>
 
+#include "campaign/report.hpp"
+#include "fabric/wire.hpp"
 #include "fabric/worker.hpp"
 
 namespace {
@@ -90,10 +92,7 @@ int main(int argc, char** argv) {
     }
   }
   if (opts.connect.empty()) return usage(2);
-  if (opts.token.empty()) {
-    const char* env = std::getenv("PFI_FABRIC_TOKEN");
-    if (env != nullptr) opts.token = env;
-  }
+  opts.token = pfi::fabric::token_or_env(opts.token);
   if (!quiet) {
     opts.on_log = [](const std::string& msg) {
       std::fprintf(stderr, "pfi_worker: %s\n", msg.c_str());
@@ -102,15 +101,9 @@ int main(int argc, char** argv) {
   pfi::fabric::FlightRecorder flight;
   if (!flight_out.empty()) opts.flight = &flight;
   const int rc = pfi::fabric::run_worker(opts);
-  if (!flight_out.empty()) {
-    FILE* f = std::fopen(flight_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", flight_out.c_str());
-      return rc != 0 ? rc : 2;
-    }
-    const std::string jsonl = flight.to_jsonl();
-    std::fwrite(jsonl.data(), 1, jsonl.size(), f);
-    std::fclose(f);
+  if (!flight_out.empty() &&
+      !pfi::campaign::write_file_or_stdout(flight_out, flight.to_jsonl())) {
+    return rc != 0 ? rc : 2;
   }
   return rc;
 }

@@ -23,32 +23,6 @@ bool stop_requested(const ExecutorOptions& opts) {
   return opts.should_stop && opts.should_stop();
 }
 
-/// Slot-order streaming for on_result_ordered: results may land in any
-/// completion order; emit() advances the maximal filled prefix and fires
-/// the callback once per slot, in order. Callers serialise calls (the
-/// threaded path holds cb_mutex; the other paths are single-threaded).
-class OrderedEmitter {
- public:
-  OrderedEmitter(const std::vector<RunResult>* results,
-                 const ExecutorOptions& opts)
-      : results_(results), opts_(opts), filled_(results->size(), false) {}
-
-  void emit(std::size_t slot) {
-    if (!opts_.on_result_ordered) return;
-    filled_[slot] = true;
-    while (next_ < filled_.size() && filled_[next_]) {
-      opts_.on_result_ordered((*results_)[next_]);
-      ++next_;
-    }
-  }
-
- private:
-  const std::vector<RunResult>* results_;
-  const ExecutorOptions& opts_;
-  std::vector<bool> filled_;
-  std::size_t next_ = 0;
-};
-
 int backoff_ms(const ExecutorOptions& opts, int attempt) {
   long ms = std::max(1, opts.retry_backoff_ms);
   for (int k = 1; k < attempt && ms < 2000; ++k) ms *= 2;
@@ -66,12 +40,9 @@ RunResult run_one_with_retries(const RunCell& cell,
     if (!r.errored() || attempt >= max_attempts) return r;
     if (stop_requested(opts)) return r;  // don't burn backoff on shutdown
     if (opts.on_retry) {
-      if (cb_mutex != nullptr) {
-        std::lock_guard<std::mutex> lock(*cb_mutex);
-        opts.on_retry(r, attempt, max_attempts);
-      } else {
-        opts.on_retry(r, attempt, max_attempts);
-      }
+      std::unique_lock<std::mutex> lock;
+      if (cb_mutex != nullptr) lock = std::unique_lock<std::mutex>(*cb_mutex);
+      opts.on_retry(r, attempt, max_attempts);
     }
     std::this_thread::sleep_for(
         std::chrono::milliseconds(backoff_ms(opts, attempt)));
@@ -118,7 +89,6 @@ std::vector<RunResult> run_cells_isolated(const std::vector<RunCell>& cells,
   std::vector<Active> active;
   active.reserve(static_cast<std::size_t>(capacity));
   bool stopped = false;
-  OrderedEmitter ordered(&results, opts);
 
   auto complete = [&](const Active& a, RunResult r) {
     r.attempts = a.attempt;
@@ -134,7 +104,6 @@ std::vector<RunResult> run_cells_isolated(const std::vector<RunCell>& cells,
     }
     results[a.slot] = std::move(r);
     if (opts.on_result) opts.on_result(results[a.slot]);
-    ordered.emit(a.slot);
   };
 
   while (!queue.empty() || !active.empty()) {
@@ -260,14 +229,11 @@ std::vector<RunResult> run_cells(const std::vector<RunCell>& cells,
   const int jobs =
       std::max(1, std::min<int>(opts.jobs, static_cast<int>(cells.size())));
 
-  OrderedEmitter ordered(&results, opts);
-
   if (jobs == 1) {
     for (std::size_t i = 0; i < cells.size(); ++i) {
       if (stop_requested(opts)) break;
       results[i] = run_one_with_retries(cells[i], opts, nullptr);
       if (opts.on_result) opts.on_result(results[i]);
-      ordered.emit(i);
     }
     return results;
   }
@@ -280,10 +246,9 @@ std::vector<RunResult> run_cells(const std::vector<RunCell>& cells,
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= cells.size()) return;
       results[i] = run_one_with_retries(cells[i], opts, &cb_mutex);
-      if (opts.on_result || opts.on_result_ordered) {
+      if (opts.on_result) {
         std::lock_guard<std::mutex> lock(cb_mutex);
-        if (opts.on_result) opts.on_result(results[i]);
-        ordered.emit(i);
+        opts.on_result(results[i]);
       }
     }
   };
@@ -293,25 +258,6 @@ std::vector<RunResult> run_cells(const std::vector<RunCell>& cells,
   for (int t = 0; t < jobs; ++t) pool.emplace_back(worker);
   for (auto& th : pool) th.join();
   return results;
-}
-
-Summary summarize(const std::vector<RunResult>& results) {
-  Summary s;
-  s.total = static_cast<int>(results.size());
-  for (const RunResult& r : results) {
-    if (r.index < 0) {
-      ++s.skipped;
-    } else if (r.errored()) {
-      ++s.errored;
-      s.failures.push_back(&r);
-    } else if (r.pass) {
-      ++s.passed;
-    } else {
-      ++s.failed;
-      s.failures.push_back(&r);
-    }
-  }
-  return s;
 }
 
 }  // namespace pfi::campaign

@@ -44,13 +44,6 @@ struct ExecutorOptions {
   /// internal mutex). Completion order is nondeterministic — only use this
   /// for progress display, never for result assembly.
   std::function<void(const RunResult&)> on_result;
-  /// Called in *slot order* (results[0], results[1], ...) as the maximal
-  /// completed prefix grows: deterministic streaming at any `jobs`, the
-  /// same contract the fabric coordinator's ordered stream keeps, so live
-  /// consumers (report writers, the daemon's progress feed) share one code
-  /// path in-process and distributed. On interruption, emission stops at
-  /// the first gap; the returned vector still holds everything that ran.
-  std::function<void(const RunResult&)> on_result_ordered;
   /// Called (serialised, like on_result) before each retry of an errored
   /// cell — campaign-side logging of attempts.
   std::function<void(const RunResult&, int attempt, int max_attempts)>
@@ -63,18 +56,5 @@ struct ExecutorOptions {
 /// When should_stop fires mid-campaign, skipped cells keep index == -1.
 std::vector<RunResult> run_cells(const std::vector<RunCell>& cells,
                                  const ExecutorOptions& opts = {});
-
-/// Aggregate counts over a finished campaign. Skipped cells (index == -1,
-/// from a should_stop interruption) are counted in `skipped` only.
-struct Summary {
-  int total = 0;
-  int passed = 0;
-  int failed = 0;
-  int errored = 0;
-  int skipped = 0;
-  std::vector<const RunResult*> failures;  // fail + error, cell order
-};
-
-Summary summarize(const std::vector<RunResult>& results);
 
 }  // namespace pfi::campaign

@@ -200,12 +200,11 @@ bool Engine::handle_hello(std::size_t i, const Hello& h) {
     const std::string out = encode_frame(FrameType::kBye, encode_bye(reason));
     send_all(c.fd, out.data(), out.size());
   };
-  if (h.version < kMinProtocolVersion || h.version > kProtocolVersion) {
+  if (h.version != kProtocolVersion) {
     ++stats.version_rejected;
     if (opts_.flight) opts_.flight->record(FlightEvent::kVersionReject);
     bye("version mismatch: peer v" + std::to_string(h.version) +
-        ", expected v" + std::to_string(kMinProtocolVersion) + "-v" +
-        std::to_string(kProtocolVersion));
+        ", expected v" + std::to_string(kProtocolVersion));
     return false;
   }
   if (!opts_.token.empty() && !tokens_equal(h.token, opts_.token)) {
@@ -217,9 +216,6 @@ bool Engine::handle_hello(std::size_t i, const Hello& h) {
     bye("auth failed");
     return false;
   }
-  // The connection speaks the lower of the two versions; v3-only frames
-  // (STATS) simply never flow on a v2 link.
-  c.version = h.version;
   if (h.role == "worker") {
     std::string id = h.id;
     auto it = id.empty() ? workers_.end() : workers_.find(id);
@@ -309,22 +305,29 @@ bool Engine::handle_frame(std::size_t i, const Frame& f) {
         opts_.flight->record(FlightEvent::kResult, c.worker_id, job, slot,
                              epoch);
       }
+      auto bt = batches_.find(job);
+      const auto s = static_cast<std::size_t>(slot);
+      const bool known = bt != batches_.end() && slot >= 0 &&
+                         s < bt->second.filled.size();
+      if (known && r.index != (*bt->second.cells)[s].index) {
+        // A record for another cell than the one this slot leased would
+        // overwrite that cell's record downstream. Drop the link like a
+        // malformed frame; the worker's leases, this one included, requeue.
+        return false;
+      }
       auto wt = workers_.find(c.worker_id);
       if (wt != workers_.end()) wt->second.outstanding.erase({job, slot});
-      auto bt = batches_.find(job);
-      if (bt == batches_.end() || slot < 0 ||
-          static_cast<std::size_t>(slot) >= bt->second.filled.size() ||
-          bt->second.filled[static_cast<std::size_t>(slot)] != 0) {
+      if (!known || bt->second.filled[s] != 0) {
         ++stats.duplicate_results;  // raced, re-sent, or stale: first won
         return true;
       }
       Batch& b = bt->second;
-      if (b.epoch[static_cast<std::size_t>(slot)] != epoch) {
+      if (b.epoch[s] != epoch) {
         // A superseded grant's result — still byte-identical (records are
         // pure functions of the cell), so accept it and just count.
         ++stats.stale_results;
       }
-      b.filled[static_cast<std::size_t>(slot)] = 1;
+      b.filled[s] = 1;
       --b.remaining;
       if (opts_.on_worker_result) opts_.on_worker_result(c.worker_id);
       if (b.on_cell) b.on_cell(slot, std::move(r));
@@ -659,20 +662,6 @@ std::vector<WorkerSnapshot> Engine::worker_snapshots() const {
   return out;
 }
 
-std::vector<obs::MetricSample> Engine::fleet_samples() const {
-  std::map<std::string, obs::MetricSample> merged;
-  for (const auto& [id, samples] : worker_stats_) {
-    obs::merge_samples(&merged, samples);
-  }
-  if (opts_.obs != nullptr) {
-    obs::merge_samples(&merged, opts_.obs->snapshot());
-  }
-  std::vector<obs::MetricSample> out;
-  out.reserve(merged.size());
-  for (auto& [name, sample] : merged) out.push_back(std::move(sample));
-  return out;
-}
-
 bool Engine::send_to_client(int fd, const std::string& frame_bytes) {
   const std::size_t i = find_conn(fd);
   if (i == kNone || conns_[i].role != Conn::Role::kClient) return false;
@@ -698,24 +687,15 @@ std::vector<campaign::RunResult> run_fabric(
   Engine eng(listener, eopts);
 
   bool done = cells.empty();
-  std::vector<char> have(cells.size(), 0);
-  std::size_t next_ordered = 0;
   std::size_t results_seen = 0;
   if (!done) {
-    eng.set_batch(
+    eng.add_batch(
         &cells,
         [&](int slot, campaign::RunResult r) {
           const auto s = static_cast<std::size_t>(slot);
           results[s] = std::move(r);
-          have[s] = 1;
           ++results_seen;
           if (opts.on_result) opts.on_result(results[s]);
-          if (opts.on_result_ordered) {
-            while (next_ordered < have.size() && have[next_ordered] != 0) {
-              opts.on_result_ordered(results[next_ordered]);
-              ++next_ordered;
-            }
-          }
         },
         [&] { done = true; });
   }

@@ -23,7 +23,9 @@
 //     worker.
 //   * results are deduped by slot — if a "dead" worker's results race its
 //     replacement's, the first to arrive wins; since records are pure
-//     functions of the cell, both copies are byte-identical anyway.
+//     functions of the cell, both copies are byte-identical anyway. A
+//     result whose record index is not its leased cell's drops the link
+//     (like a malformed frame) and the worker's leases requeue.
 //
 // Determinism: the coordinator never reorders anything that reaches a
 // report. Results land in their dispatch slot; run_fabric() returns the
@@ -61,11 +63,11 @@ struct FabricStats {
   int cells_requeued = 0;      // slots re-queued from lost workers
   int duplicate_results = 0;   // raced/re-sent results dropped by dedupe
   int stale_results = 0;       // accepted results from a superseded epoch
-  int version_rejected = 0;    // HELLOs refused by version negotiation
+  int version_rejected = 0;    // HELLOs not speaking kProtocolVersion
   int auth_rejected = 0;       // HELLOs refused by token mismatch
   int addr_rejected = 0;       // TCP peers refused by the allowlist
   int handshake_timeouts = 0;  // pre-HELLO connections dropped as stalled
-  int unknown_frames = 0;      // well-framed types we ignored (v2/v4 peers)
+  int unknown_frames = 0;      // well-framed types we ignored (newer peers)
 
   /// One flat JSON object, keys sorted by name — the form `--metrics-out`
   /// and the daemon's metrics artifact embed under "fabric".
@@ -144,18 +146,6 @@ class Engine {
                 std::function<void(int slot, campaign::RunResult)> on_cell,
                 std::function<void()> on_done, int max_workers = 0);
 
-  /// Single-batch compatibility shim over add_batch().
-  void set_batch(const std::vector<campaign::RunCell>* cells,
-                 std::function<void(int slot, campaign::RunResult)> on_cell,
-                 std::function<void()> on_done) {
-    add_batch(cells, std::move(on_cell), std::move(on_done));
-  }
-
-  [[nodiscard]] bool batch_active() const { return !batches_.empty(); }
-  [[nodiscard]] int active_batches() const {
-    return static_cast<int>(batches_.size());
-  }
-
   /// Drop every still-queued (never leased, not requeue-pending) slot of
   /// `job`: the slots are marked filled with no on_cell call, so the job
   /// completes with those results absent (index == -1 downstream). Cells
@@ -186,7 +176,7 @@ class Engine {
 
   /// Latest STATS snapshot per worker id. Snapshots are cumulative, so
   /// each entry *replaces* its predecessor; a worker that never shipped
-  /// one (v2 peer, or died early) is simply absent.
+  /// one (it died early) is simply absent.
   [[nodiscard]] const std::map<std::string, std::vector<obs::MetricSample>>&
   worker_stats() const {
     return worker_stats_;
@@ -195,11 +185,6 @@ class Engine {
   /// Valid STATS frames accepted, ever. run_fabric's end-of-run drain
   /// steps until this stops advancing (the fleet's last snapshots landed).
   [[nodiscard]] std::uint64_t stats_frames() const { return stats_frames_; }
-
-  /// Fleet-wide merge: every worker's latest STATS folded together with
-  /// the coordinator's own registry (when Options.obs is set) via
-  /// merge_samples, sorted by name.
-  [[nodiscard]] std::vector<obs::MetricSample> fleet_samples() const;
 
   FabricStats stats;
 
@@ -210,8 +195,7 @@ class Engine {
     enum class Role { kUnknown, kWorker, kClient } role = Role::kUnknown;
     std::string name;
     std::string worker_id;         // key into workers_ once handshaken
-    std::uint32_t version = kProtocolVersion;  // negotiated on HELLO
-    int pending_want = 0;          // parked LEASE request
+    int pending_want = 0;         // parked LEASE request
     std::chrono::steady_clock::time_point last_seen;
     /// Accept time: the handshake deadline anchors here, so a pre-auth
     /// peer trickling bytes cannot keep resetting its clock.
@@ -265,7 +249,7 @@ class Engine {
 
   std::map<int, Batch> batches_;             // job id -> dispatch state
   std::map<std::string, WorkerState> workers_;
-  /// worker id -> latest cumulative STATS snapshot (v3 workers only).
+  /// worker id -> latest cumulative STATS snapshot.
   std::map<std::string, std::vector<obs::MetricSample>> worker_stats_;
   std::uint64_t stats_frames_ = 0;
   std::vector<int> rr_jobs_;                 // round-robin ring of job ids
@@ -295,8 +279,6 @@ struct FabricOptions {
   int flap_every = 0;
   /// Completion-order stream, same contract as ExecutorOptions::on_result.
   std::function<void(const campaign::RunResult&)> on_result;
-  /// Slot-order stream, same contract as ExecutorOptions::on_result_ordered.
-  std::function<void(const campaign::RunResult&)> on_result_ordered;
   std::function<bool()> should_stop;
   std::function<void(const std::string&)> on_log;
   /// Observability plane (all optional, all side-channel): control-plane

@@ -39,7 +39,7 @@ namespace pfi::fabric {
 enum class FlightEvent : std::uint8_t {
   kConnect,           // a peer connected (coordinator: accept; worker: dial)
   kAddrReject,        // TCP peer refused by the allowlist
-  kVersionReject,     // HELLO refused by version negotiation
+  kVersionReject,     // HELLO refused: not kProtocolVersion
   kAuthReject,        // HELLO refused by token mismatch
   kHandshakeTimeout,  // pre-HELLO connection dropped as stalled
   kJoin,              // worker completed a fresh HELLO handshake

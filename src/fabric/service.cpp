@@ -16,6 +16,7 @@
 #include "campaign/executor.hpp"
 #include "campaign/journal.hpp"
 #include "campaign/json.hpp"
+#include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
 #include "fabric/wire.hpp"
@@ -78,13 +79,10 @@ struct Job {
   std::vector<std::pair<std::string, std::string>> artifacts;
   std::string done_json;
   bool finished = false;
-  /// Campaign jobs only: the deterministic per-cell metrics merge, handed
-  /// to the event loop so finish_job can assemble the metrics artifact
-  /// *with* the engine's fleet sections (the job thread has no engine).
-  std::map<std::string, pfi::obs::MetricSample> cell_metrics;
-  int cells_measured = 0;
-  int cells_planned = 0;
-  bool wants_metrics = false;  // campaign jobs emit a metrics artifact
+  /// Campaign jobs only: the assembled report, handed to the event loop so
+  /// finish_job can write the metrics artifact *with* the engine's fleet
+  /// sections (the job thread has no engine).
+  std::optional<campaign::CampaignReport> report;
 
   // Event-loop-side dispatch state for the batch in flight.
   bool dispatching = false;
@@ -122,120 +120,56 @@ std::string done_error_json(const std::string& job_id,
 }
 
 /// The campaign job body (runs on the job thread). One bridge.run() call
-/// executes the whole plan over the fabric; everything before and after is
-/// the same deterministic assembly pfi_campaign does. Cells whose content
-/// key appears in Submit.have are the client's resume set: they are never
-/// executed, never re-transferred, and counted as "resumed".
+/// executes the whole plan over the fabric; the report is assembled by the
+/// same CampaignReport pfi_campaign uses, minus the host fields. Cells
+/// whose content key appears in Submit.have are the client's resume set:
+/// they are never executed, never re-transferred, and counted as
+/// "resumed".
 void run_campaign_job(Job* job) {
-  const auto planned =
+  const auto cells =
       campaign::filter_cells(campaign::plan(job->spec), job->submit.filter);
   const std::set<std::string> have(job->submit.have.begin(),
                                    job->submit.have.end());
-  std::vector<campaign::RunCell> cells;
-  std::vector<std::string> keys;
-  int resumed = 0;
-  for (const auto& c : planned) {
-    std::string key = campaign::cell_key(c);
-    if (have.count(key) != 0) {
-      ++resumed;
-      continue;
-    }
-    cells.push_back(c);
-    keys.push_back(std::move(key));
-  }
-
-  const auto results = job->bridge.run(cells, &keys);
-
-  std::vector<std::string> records(cells.size());
-  std::map<std::string, std::string> journal;
-  std::map<std::string, pfi::obs::MetricSample> metrics;
-  int measured = 0;
-  std::map<int, std::size_t> slot_of_index;
+  campaign::CampaignReport report(cells.size());
+  std::vector<std::string> keys;  // of the cells to run, in run order
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    slot_of_index[cells[i].index] = i;
-  }
-  for (const auto& r : results) {
-    if (r.index < 0) continue;  // drained on shutdown before it ran
-    // find(), never operator[]: a result whose index matches no dispatched
-    // cell (a buggy or malicious worker echoing the wrong one) must be
-    // dropped, not default-inserted into slot 0 over a real record.
-    const auto st = slot_of_index.find(r.index);
-    if (st == slot_of_index.end()) continue;
-    const std::size_t slot = st->second;
-    records[slot] = campaign::record_json(r);
-    journal[keys[slot]] = records[slot];
-    if (!r.metrics.empty()) {
-      ++measured;
-      pfi::obs::merge_samples(&metrics, r.metrics);
-    }
-  }
-
-  int pass = 0, fail = 0, error = 0, skipped = 0;
-  std::vector<std::string> failing_ids;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    if (records[i].empty()) {
-      ++skipped;
-      continue;
-    }
-    if (results[i].errored()) {
-      ++error;
-    } else if (results[i].pass) {
-      ++pass;
+    std::string key = campaign::cell_key(cells[i]);
+    if (have.count(key) != 0) {
+      report.resume(i);
     } else {
-      ++fail;
-    }
-    if (results[i].errored() || !results[i].pass) {
-      failing_ids.push_back(results[i].id);
+      keys.push_back(std::move(key));
     }
   }
+  const std::vector<campaign::RunCell> todo = report.pending(cells);
+  const auto results = job->bridge.run(todo, &keys);
+  report.splice(results);
 
-  // The report: same shape as pfi_campaign's, minus the wall-clock and
-  // host-execution fields (jobs, wall_ms) that a service must not leak
-  // into a deterministic document.
-  campaign::json::Writer w;
-  w.begin_object();
-  w.kv("campaign", job->spec.name);
-  w.kv("protocol", job->spec.protocol);
-  w.kv("oracle", job->spec.oracle);
-  w.kv("cells", static_cast<int>(cells.size()));
-  w.key("runs").begin_array();
-  for (const std::string& rec : records) {
-    if (!rec.empty()) w.value_raw(rec);
+  std::map<std::string, std::string> journal;
+  for (std::size_t k = 0; k < results.size(); ++k) {
+    if (results[k].index >= 0) {
+      journal[keys[k]] = campaign::record_json(results[k]);
+    }
   }
-  w.end_array();
-  w.key("summary").begin_object();
-  w.kv("pass", pass);
-  w.kv("fail", fail);
-  w.kv("error", error);
-  if (skipped > 0) w.kv("skipped", skipped);
-  if (resumed > 0) w.kv("resumed", resumed);
-  w.end_object();
-  w.key("failing_ids").begin_array();
-  for (const std::string& id : failing_ids) w.value(id);
-  w.end_array();
-  w.end_object();
+  const campaign::ReportSummary sum = report.summary();
 
   campaign::json::Writer dw;
   dw.begin_object();
   dw.kv("job", job->id);
-  dw.kv("status", skipped > 0 ? "interrupted" : "ok");
+  dw.kv("status", sum.interrupted ? "interrupted" : "ok");
   dw.kv("cells", static_cast<int>(cells.size()));
-  dw.kv("pass", pass);
-  dw.kv("fail", fail);
-  dw.kv("error", error);
-  if (skipped > 0) dw.kv("skipped", skipped);
-  if (resumed > 0) dw.kv("resumed", resumed);
+  dw.kv("pass", sum.pass);
+  dw.kv("fail", sum.fail);
+  dw.kv("error", sum.error);
+  if (sum.skipped > 0) dw.kv("skipped", sum.skipped);
+  if (sum.resumed > 0) dw.kv("resumed", sum.resumed);
   dw.end_object();
 
   std::lock_guard<std::mutex> lock(job->bridge.mu);
-  job->artifacts.emplace_back("report", w.str() + "\n");
+  job->artifacts.emplace_back("report", report.report_json(job->spec));
   job->artifacts.emplace_back("journal", campaign::journal_jsonl(journal));
   // The metrics artifact is assembled by the event loop (finish_job): its
   // fleet sections come from the Engine, which this thread must not touch.
-  job->cell_metrics = std::move(metrics);
-  job->cells_measured = measured;
-  job->cells_planned = static_cast<int>(cells.size());
-  job->wants_metrics = true;
+  job->report = std::move(report);
   job->done_json = dw.str();
   job->finished = true;
 }
@@ -381,7 +315,7 @@ class Service {
     w.end_array();
     w.key("fabric").value_raw(engine_->stats.to_json());
     w.key("fleet_metrics").begin_object();
-    for (const auto& m : engine_->fleet_samples()) w.kv(m.name, m.value);
+    for (const auto& [name, m] : fleet().merged()) w.kv(name, m.value);
     w.end_object();
     w.end_object();
     return w.str();
@@ -537,9 +471,8 @@ class Service {
           // already holds this record and can resume past it.
           if (job->keys != nullptr && job->client_fd >= 0) {
             const std::string& key = (*job->keys)[s];
-            const std::string line = "{\"key\":\"" + key + "\",\"record\":" +
-                                     campaign::record_json(job->staged[s]) +
-                                     "}\n";
+            const std::string line = campaign::journal_jsonl(
+                {{key, campaign::record_json(job->staged[s])}});
             engine_->send_to_client(
                 job->client_fd,
                 encode_frame(FrameType::kArtifact,
@@ -558,41 +491,24 @@ class Service {
         job->submit.max_workers);
   }
 
-  /// The metrics artifact, fleet edition: the job's deterministic per-cell
-  /// merge (byte-identical to any single-process run of the same cells)
-  /// plus side-channel sections only the engine knows — FabricStats, the
-  /// fleet-merged worker registries, and a per-worker breakdown.
-  [[nodiscard]] std::string metrics_artifact(const Job& job) const {
-    campaign::json::Writer mw;
-    mw.begin_object();
-    mw.kv("campaign", job.spec.name);
-    mw.kv("cells", job.cells_planned);
-    mw.kv("cells_measured", job.cells_measured);
-    mw.key("metrics").begin_object();
-    for (const auto& [name, m] : job.cell_metrics) mw.kv(name, m.value);
-    mw.end_object();
-    mw.key("fabric").value_raw(engine_->stats.to_json());
-    mw.key("fleet").begin_object();
-    mw.key("merged").begin_object();
-    for (const auto& m : engine_->fleet_samples()) mw.kv(m.name, m.value);
-    mw.end_object();
-    mw.key("workers").begin_object();
-    for (const auto& [id, samples] : engine_->worker_stats()) {
-      mw.key(id).begin_object();
-      for (const auto& m : samples) mw.kv(m.name, m.value);
-      mw.end_object();
-    }
-    mw.end_object();
-    mw.end_object();
-    mw.end_object();
-    return mw.str() + "\n";
+  /// The fleet side channel only the engine knows: FabricStats, every
+  /// worker's latest STATS, and the daemon's own registry.
+  [[nodiscard]] campaign::FleetMetrics fleet() const {
+    campaign::FleetMetrics f;
+    f.fabric = engine_->stats.to_json();
+    f.workers = engine_->worker_stats();
+    if (opts_.obs != nullptr) f.coordinator = opts_.obs->snapshot();
+    return f;
   }
 
   void finish_job(std::size_t i) {
     Job* job = active_[i].get();
     job->thread.join();
-    if (job->wants_metrics) {
-      job->artifacts.emplace_back("metrics", metrics_artifact(*job));
+    if (job->report) {
+      // The job's deterministic per-cell merge plus the fleet sections.
+      const campaign::FleetMetrics f = fleet();
+      job->artifacts.emplace_back(
+          "metrics", job->report->metrics_json(job->spec.name, &f));
     }
     for (const auto& [name, bytes] : job->artifacts) {
       if (job->client_fd >= 0) {

@@ -1,5 +1,6 @@
 #include "fabric/wire.hpp"
 
+#include <cstdlib>
 #include <cstring>
 
 #include "campaign/sandbox.hpp"
@@ -131,6 +132,11 @@ bool tokens_equal(std::string_view a, std::string_view b) {
                 static_cast<unsigned char>(b[i])));
   }
   return diff == 0;
+}
+
+std::string token_or_env(const std::string& flag) {
+  const char* env = std::getenv("PFI_FABRIC_TOKEN");
+  return flag.empty() && env != nullptr ? env : flag;
 }
 
 // --- leases ----------------------------------------------------------------

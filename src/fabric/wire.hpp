@@ -28,7 +28,9 @@
 //   worker -> coordinator   RESULT {job, slot, epoch, res}  one per cell,
 //                           streamed as the executor completes them; after
 //                           a reconnect the whole batch is re-sent and the
-//                           coordinator dedupes by (job, slot, epoch)
+//                           coordinator dedupes by (job, slot, epoch); a
+//                           record whose index is not the leased cell's
+//                           drops the link
 //   worker -> coordinator   HEARTBEAT {}          liveness while computing
 //   either direction        BYE {reason}          graceful close; from the
 //                           coordinator it means "campaign finished" (or
@@ -53,13 +55,10 @@
 //                           replies with a STATUS frame carrying one JSON
 //                           document (queue depth, jobs, per-worker state)
 //
-// and relaxes two v2 rules so mixed fleets degrade instead of dying:
-// HELLO version negotiation accepts [kMinProtocolVersion,
-// kProtocolVersion] (the connection speaks the lower of the two), and a
-// well-framed but unknown frame type in the reserved window is ignored
-// with a counter bump instead of corrupting the stream — a v2 peer that
-// never sends STATS, or a v4 peer that sends something newer, keeps its
-// link either way.
+// HELLO must carry exactly kProtocolVersion; anything else earns a BYE.
+// A well-framed but unknown frame type in the reserved window is ignored
+// with a counter bump instead of corrupting the stream, so a peer that
+// sends something newer keeps its link.
 //
 // Cells and results travel as kv payloads; RunResult reuses the fork
 // sandbox's exact serialisation (campaign/sandbox.hpp wire_encode), so a
@@ -81,12 +80,9 @@ namespace pfi::fabric {
 
 /// Bumped on any incompatible change to frames or payloads (v2 added auth
 /// tokens, worker ids, lease epochs, job-scoped leases, artifact chunks;
-/// v3 added STATS/STATUS and ranged negotiation). A listener accepts any
-/// HELLO version in [kMinProtocolVersion, kProtocolVersion] and the
-/// connection speaks the lower of the two — v3-only frames simply never
-/// flow on a v2 link. Anything older earns a BYE naming both versions.
+/// v3 added STATS/STATUS). A listener accepts exactly this HELLO version;
+/// any other earns a BYE naming both versions.
 constexpr std::uint32_t kProtocolVersion = 3;
-constexpr std::uint32_t kMinProtocolVersion = 2;
 
 /// Frames above this are garbage (or an attack), not campaigns.
 constexpr std::uint32_t kMaxFramePayload = 64u << 20;
@@ -170,6 +166,9 @@ bool decode_hello(std::string_view payload, Hello* out);
 
 /// Constant-time token equality (length still leaks; contents do not).
 bool tokens_equal(std::string_view a, std::string_view b);
+
+/// The --token flag's value, or $PFI_FABRIC_TOKEN when the flag is empty.
+std::string token_or_env(const std::string& flag);
 
 // --- leases ----------------------------------------------------------------
 

@@ -132,12 +132,10 @@ class Heartbeat {
 };
 
 /// Send HELLO, read the reply. 0 = handshaken (and *worker_id holds the
-/// coordinator-assigned id, *coord_version the coordinator's protocol
-/// version — the link speaks the lower of the two), 1 = IO/protocol
-/// failure, 2 = version rejected, 3 = auth rejected.
+/// coordinator-assigned id), 1 = IO/protocol failure, 2 = version
+/// rejected, 3 = auth rejected.
 int handshake(int fd, const WorkerOptions& opts, FrameReader* reader,
-              std::string* worker_id, int idle_timeout_ms,
-              std::uint32_t* coord_version = nullptr) {
+              std::string* worker_id, int idle_timeout_ms) {
   Hello hello;
   hello.role = "worker";
   hello.name =
@@ -161,7 +159,6 @@ int handshake(int fd, const WorkerOptions& opts, FrameReader* reader,
     return 1;
   }
   if (!reply.id.empty()) *worker_id = reply.id;
-  if (coord_version != nullptr) *coord_version = reply.version;
   return 0;
 }
 
@@ -198,10 +195,8 @@ int run_worker(const WorkerOptions& opts) {
   if (opts.flight) opts.flight->record(FlightEvent::kConnect);
   FrameReader reader;
   std::string worker_id;
-  std::uint32_t coord_version = 0;
   {
-    const int hs = handshake(fd, opts, &reader, &worker_id, idle_timeout,
-                             &coord_version);
+    const int hs = handshake(fd, opts, &reader, &worker_id, idle_timeout);
     if (hs != 0) {
       close(fd);
       return hs;
@@ -251,11 +246,10 @@ int run_worker(const WorkerOptions& opts) {
 
     /// Ship a cumulative registry snapshot. Main thread only — the encode
     /// allocates, which the (forking) executor and the heartbeat thread
-    /// must never do. Only flows on a v3+ link; a failed send is left for
-    /// the next read to notice (STATS is a side channel, never worth a
-    /// reconnect of its own).
+    /// must never do. A failed send is left for the next read to notice
+    /// (STATS is a side channel, never worth a reconnect of its own).
     auto send_stats = [&] {
-      if (!opts.ship_stats || coord_version < 3) return;
+      if (!opts.ship_stats) return;
       const std::string bytes =
           encode_frame(FrameType::kStats, encode_stats(reg.snapshot()));
       if (send_locked(bytes) && opts.flight) {
@@ -287,8 +281,7 @@ int run_worker(const WorkerOptions& opts) {
         if (nfd < 0) continue;
         FrameReader fresh;
         std::string id = worker_id;
-        std::uint32_t cv = coord_version;
-        const int hs = handshake(nfd, opts, &fresh, &id, idle_timeout, &cv);
+        const int hs = handshake(nfd, opts, &fresh, &id, idle_timeout);
         if (hs == 2 || hs == 3) {
           close(nfd);
           return hs;  // deliberate rejection: no point retrying
@@ -313,7 +306,6 @@ int run_worker(const WorkerOptions& opts) {
         fd = nfd;
         reader = std::move(fresh);
         worker_id = id;
-        coord_version = cv;
         reconnects->inc();
         results_resent->inc(unacked.size());
         hb_failed.store(false, std::memory_order_relaxed);

@@ -52,9 +52,8 @@ struct WorkerOptions {
   std::function<void(const std::string&)> on_log;
   /// Ship cumulative obs::Registry snapshots (stage histograms, lease/cell
   /// counters) as STATS frames after each grant and each finished batch.
-  /// Only flows when the coordinator negotiated wire v3+; encoded on the
-  /// main thread (the heartbeat thread stays pre-encoded and
-  /// allocation-free).
+  /// Encoded on the main thread (the heartbeat thread stays pre-encoded
+  /// and allocation-free).
   bool ship_stats = true;
   /// Optional flight recorder for this worker's own control-plane view
   /// (connects, grants, results, detaches, reattaches, idle timeouts).

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "script/interp.hpp"
+#include "script/parse.hpp"
 
 namespace pfi::lint::flow {
 
@@ -18,6 +19,7 @@ using cfg::Block;
 using cfg::CpKind;
 using cfg::Stmt;
 using cfg::Unit;
+namespace sp = script::parse;
 
 constexpr std::uint64_t kInfiniteTrips =
     std::numeric_limits<std::uint64_t>::max();
@@ -128,26 +130,19 @@ Fold fold_guard(const cfg::Guard& g, const ConstEnv* ce, const Env& env) {
       ++i;
       continue;
     }
-    std::size_t j = i + 1;
-    std::string name;
-    if (j < t.size() && t[j] == '{') {
-      ++j;
-      while (j < t.size() && t[j] != '}') name += t[j++];
-      if (j >= t.size()) return f;  // unterminated ${...}
-      ++j;
-    } else {
-      while (j < t.size() &&
-             (std::isalnum(static_cast<unsigned char>(t[j])) != 0 ||
-              t[j] == '_')) {
-        name += t[j++];
-      }
-    }
-    if (name.empty()) {  // bare '$': leave it to the engine
-      sub += t[i];
-      ++i;
+    std::vector<sp::Part> parts;
+    std::vector<sp::Script> nested;
+    std::string err;
+    const std::size_t j = sp::lex_var_ref(t, i, parts, nested, err);
+    if (j == std::string::npos) return f;  // unterminated ${...} or $a(...
+    const sp::Part& ref = parts.front();
+    if (ref.kind == sp::Part::Kind::kLiteral) {
+      sub.append(t, i, j - i);  // bare '$': leave it to the engine
+      i = j;
       continue;
     }
-    if (j < t.size() && t[j] == '(') return f;  // array element
+    if (ref.array) return f;  // array element
+    const std::string& name = ref.text;
     if (ce == nullptr || !ce->valid) return f;
     const auto it = ce->vals.find(name);
     long long v = 0;
@@ -221,17 +216,12 @@ bool parse_cmp(const std::string& text, Cmp* c) {
     skip_ws();
     if (i >= text.size()) return false;
     if (text[i] == '$') {
-      ++i;
-      std::string name;
-      while (i < text.size() &&
-             (std::isalnum(static_cast<unsigned char>(text[i])) != 0 ||
-              text[i] == '_')) {
-        name += text[i++];
-      }
-      if (name.empty()) return false;
-      if (i < text.size() && text[i] == '(') return false;  // array element
-      *out = name;
+      const std::size_t end = sp::name_end(text, i + 1);
+      if (end == i + 1) return false;
+      if (end < text.size() && text[end] == '(') return false;  // array
+      *out = text.substr(i + 1, end - i - 1);
       *is_var = true;
+      i = end;
       return true;
     }
     std::string lit;

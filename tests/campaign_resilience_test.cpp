@@ -15,6 +15,7 @@
 
 #include "campaign/executor.hpp"
 #include "campaign/journal.hpp"
+#include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/sandbox.hpp"
 #include "campaign/schedule.hpp"
@@ -181,10 +182,11 @@ TEST(ResilienceExecutor, IsolatedCampaignSurvivesHangAndCrash) {
   EXPECT_EQ(record_json(r1[0]), record_json(run_cell(cells[0])));
   EXPECT_EQ(record_json(r1[3]), record_json(run_cell(cells[3])));
 
-  const Summary sum = summarize(r1);
-  EXPECT_EQ(sum.total, 4);
-  EXPECT_EQ(sum.passed, 2);
-  EXPECT_EQ(sum.errored, 2);
+  CampaignReport report(r1.size());
+  report.splice(r1);
+  const ReportSummary sum = report.summary();
+  EXPECT_EQ(sum.pass, 2);
+  EXPECT_EQ(sum.error, 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -291,10 +293,12 @@ TEST(ResilienceExecutor, ShouldStopSkipsRemainingCells) {
   opts.on_result = [&](const RunResult&) { stop = true; };
   opts.should_stop = [&] { return stop; };
   const auto results = run_cells(cells, opts);
-  const Summary sum = summarize(results);
-  EXPECT_EQ(sum.total, 6);
-  EXPECT_EQ(sum.passed, 1);
+  CampaignReport report(results.size());
+  report.splice(results);
+  const ReportSummary sum = report.summary();
+  EXPECT_EQ(sum.pass, 1);
   EXPECT_EQ(sum.skipped, 5);
+  EXPECT_TRUE(sum.interrupted);
   EXPECT_EQ(results[5].index, -1);  // never claimed
 }
 

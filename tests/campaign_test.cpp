@@ -1,13 +1,15 @@
 // Campaign engine tests: spec parsing, matrix planning, schedule
 // compilation, the determinism-under-parallelism invariant (identical
-// per-run JSON records at --jobs 1 and --jobs 4), and failing-schedule
-// minimisation down to a verified 1-minimal reproduction.
+// per-run JSON records at --jobs 1 and --jobs 4), failing-schedule
+// minimisation down to a verified 1-minimal reproduction, and the report
+// assembly (plan-slot splicing, summary, report and metrics documents).
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "campaign/executor.hpp"
 #include "campaign/minimize.hpp"
+#include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/schedule.hpp"
 #include "campaign/spec.hpp"
@@ -166,9 +168,10 @@ TEST(CampaignExecutor, CallbackSeesEveryCell) {
   opts.on_result = [&](const RunResult& r) { seen.insert(r.index); };
   const auto results = run_cells(cells, opts);
   EXPECT_EQ(seen.size(), cells.size());
-  const Summary sum = summarize(results);
-  EXPECT_EQ(sum.total, static_cast<int>(cells.size()));
-  EXPECT_EQ(sum.passed + sum.failed + sum.errored, sum.total);
+  CampaignReport report(results.size());
+  report.splice(results);
+  const ReportSummary sum = report.summary();
+  EXPECT_EQ(sum.pass + sum.fail + sum.error, static_cast<int>(cells.size()));
 }
 
 TEST(CampaignRunner, LiteralScriptFileCellReportsMissingFile) {
@@ -262,6 +265,114 @@ TEST(CampaignRunner, TcpAndTpcProtocolsExecute) {
   const RunResult pr = run_cell(tpc_cell);
   EXPECT_TRUE(pr.error.empty()) << pr.error;
   EXPECT_TRUE(pr.pass) << pr.reason;  // unfaulted 2PC commits atomically
+}
+
+// --- report assembly ---------------------------------------------------------
+
+RunResult verdict(int index, const std::string& id, bool pass,
+                  const std::string& error = "") {
+  RunResult r;
+  r.index = index;
+  r.id = id;
+  r.oracle = "quiet";
+  r.pass = pass;
+  r.error = error;
+  return r;
+}
+
+TEST(CampaignReport, PrefilledSlotsKeepPlanOrderAndCountAsResumed) {
+  CampaignReport report(3);
+  report.resume(1, record_json(verdict(1, "b", true)));
+  std::vector<RunCell> cells(3);
+  for (int i = 0; i < 3; ++i) cells[i].index = i;
+  const auto todo = report.pending(cells);
+  ASSERT_EQ(todo.size(), 2u);
+  EXPECT_EQ(todo[0].index, 0);
+  EXPECT_EQ(todo[1].index, 2);
+  // Spliced by position: results[k] fills todo[k]'s slot, whatever r.index
+  // says.
+  report.splice({verdict(7, "a", true), verdict(7, "c", true)});
+  const std::string doc = report.report_json(small_gmp_spec());
+  const auto a = doc.find("\"id\":\"a\"");
+  const auto b = doc.find("\"id\":\"b\"");
+  const auto c = doc.find("\"id\":\"c\"");
+  ASSERT_NE(a, std::string::npos);
+  ASSERT_NE(b, std::string::npos);
+  ASSERT_NE(c, std::string::npos);
+  EXPECT_LT(a, b);
+  EXPECT_LT(b, c);
+  const ReportSummary sum = report.summary();
+  EXPECT_EQ(sum.pass, 3);
+  EXPECT_EQ(sum.resumed, 1);
+  EXPECT_NE(doc.find("\"resumed\":1"), std::string::npos) << doc;
+}
+
+TEST(CampaignReport, HeldSlotCountsAsResumedButEmitsNoRun) {
+  CampaignReport report(2);
+  report.resume(0);
+  report.splice({verdict(1, "b", true)});
+  const ReportSummary sum = report.summary();
+  EXPECT_EQ(sum.resumed, 1);
+  EXPECT_EQ(sum.pass, 1);
+  EXPECT_EQ(sum.skipped, 0);
+  EXPECT_FALSE(sum.interrupted);
+  const std::string doc = report.report_json(small_gmp_spec());
+  EXPECT_NE(doc.find("\"cells\":2,\"runs\":[{\"index\":1,"),
+            std::string::npos)
+      << doc;
+  EXPECT_EQ(doc.find("\"index\":0"), std::string::npos) << doc;
+}
+
+TEST(CampaignReport, InterruptedBatchYieldsSkippedAndInterrupted) {
+  CampaignReport report(3);
+  RunResult never_ran;  // index == -1: the executor never claimed it
+  report.splice({verdict(0, "a", true), never_ran, verdict(2, "c", true)});
+  const ReportSummary sum = report.summary();
+  EXPECT_EQ(sum.pass, 2);
+  EXPECT_EQ(sum.skipped, 1);
+  EXPECT_TRUE(sum.interrupted);
+  const std::string doc = report.report_json(small_gmp_spec());
+  EXPECT_NE(doc.find("\"skipped\":1,\"interrupted\":true"),
+            std::string::npos)
+      << doc;
+}
+
+TEST(CampaignReport, FailingIdsSitInsideSummaryInPlanOrder) {
+  CampaignReport report(4);
+  report.reject(2, record_json(verdict(2, "lint", false, "lint: bad")));
+  report.splice({verdict(0, "x", false), verdict(1, "y", true),
+                 verdict(3, "z", false, "boom")});
+  const std::string doc = report.report_json(small_gmp_spec());
+  EXPECT_NE(doc.find("\"summary\":{\"pass\":1,\"fail\":1,\"error\":2,"
+                     "\"lint_rejected\":1,"
+                     "\"failing_ids\":[\"x\",\"lint\",\"z\"]}}"),
+            std::string::npos)
+      << doc;
+}
+
+TEST(CampaignReport, HostFieldsOnlyWhenAskedFor) {
+  CampaignReport report(1);
+  report.splice({verdict(0, "a", true)});
+  const std::string service = report.report_json(small_gmp_spec());
+  EXPECT_EQ(service.find("\"jobs\""), std::string::npos) << service;
+  EXPECT_EQ(service.find("\"wall_ms\""), std::string::npos) << service;
+  const HostFields host{4, 12.5};
+  const std::string local = report.report_json(small_gmp_spec(), &host);
+  EXPECT_NE(local.find("\"jobs\":4,\"wall_ms\":12.500,\"failing_ids\""),
+            std::string::npos)
+      << local;
+
+  // Likewise the metrics document grows fabric/fleet only when given them.
+  EXPECT_EQ(report.metrics_json("unit"),
+            "{\"campaign\":\"unit\",\"cells\":1,\"cells_measured\":0,"
+            "\"metrics\":{}}\n");
+  FleetMetrics fleet;
+  fleet.fabric = "{}";
+  const std::string fm = report.metrics_json("unit", &fleet);
+  EXPECT_NE(
+      fm.find("\"fabric\":{},\"fleet\":{\"merged\":{},\"workers\":{}}"),
+      std::string::npos)
+      << fm;
 }
 
 }  // namespace

@@ -2,10 +2,10 @@
 // fidelity, corruption/version/auth rejection), coordinator/worker
 // distribution (byte-identical records at any worker count, link flaps
 // included), lease requeueing when a worker dies mid-lease, reconnect and
-// result re-send dedupe, journal merging, the executor's slot-ordered
-// streaming callback, and the campaign-as-a-service daemon end to end —
-// including two jobs running concurrently over one worker pool and the
-// live journal chunk stream.
+// result re-send dedupe, a forged result index dropping the link, journal
+// merging, and the campaign-as-a-service daemon end to end — including its
+// report matching the in-process document, two jobs running concurrently
+// over one worker pool, and the live journal chunk stream.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,6 +23,7 @@
 
 #include "campaign/executor.hpp"
 #include "campaign/journal.hpp"
+#include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/schedule.hpp"
 #include "campaign/spec.hpp"
@@ -63,6 +64,50 @@ std::vector<std::string> record_strings(const std::vector<RunResult>& rs) {
   out.reserve(rs.size());
   for (const auto& r : rs) out.push_back(campaign::record_json(r));
   return out;
+}
+
+struct Grant {
+  int job = -1;
+  std::vector<int> slots;
+  std::vector<std::int64_t> epochs;
+  std::vector<RunCell> cells;
+};
+
+/// A scripted worker: HELLO, LEASE, then step `engine` until the grant
+/// arrives. Returns the (nonblocking) socket, or -1 when no grant came.
+int lease_as_scripted_worker(Engine* engine, const std::string& address,
+                             const char* name, Grant* grant) {
+  std::string err;
+  const int fd = dial(address, &err);
+  if (fd < 0) return -1;
+  fcntl(fd, F_SETFL, O_NONBLOCK);
+  Hello hello;
+  hello.role = "worker";
+  hello.name = name;
+  std::string bytes = encode_frame(FrameType::kHello, encode_hello(hello));
+  bool ok = send_all(fd, bytes.data(), bytes.size());
+  bytes = encode_frame(FrameType::kLease, encode_lease_request(4));
+  ok = ok && send_all(fd, bytes.data(), bytes.size());
+  FrameReader reader;
+  Frame f;
+  for (int i = 0; ok && i < 400; ++i) {
+    engine->step(10);
+    char buf[65536];
+    for (;;) {
+      const ssize_t n = recv(fd, buf, sizeof buf, 0);
+      if (n <= 0) break;
+      reader.feed(buf, static_cast<std::size_t>(n));
+    }
+    while (reader.next(&f)) {
+      if (f.type == FrameType::kLease &&
+          decode_lease_grant(f.payload, &grant->job, &grant->slots,
+                             &grant->epochs, &grant->cells)) {
+        return fd;
+      }
+    }
+  }
+  close(fd);
+  return -1;
 }
 
 // --- framing ---------------------------------------------------------------
@@ -290,7 +335,7 @@ TEST(Fabric, VersionMismatchIsRejectedWithByeReason) {
   EXPECT_NE(reason.find("version mismatch"), std::string::npos) << reason;
   // The BYE names the version the coordinator wanted, so a stale binary's
   // operator knows what to rebuild.
-  EXPECT_NE(reason.find("expected v2"), std::string::npos) << reason;
+  EXPECT_NE(reason.find("expected v3"), std::string::npos) << reason;
   close(fd);
 
   stop.store(true);
@@ -383,21 +428,12 @@ TEST(Fabric, MatchesInProcessRecordsAtAnyWorkerCount) {
 
   FabricOptions fopts;
   fopts.no_worker_timeout_ms = 30000;
-  std::vector<int> ordered_indices;
-  fopts.on_result_ordered = [&](const RunResult& r) {
-    ordered_indices.push_back(r.index);
-  };
   FabricStats stats;
   const auto results = run_fabric(&listener, cells, fopts, &stats);
   reap_local_workers(&pool);
 
   EXPECT_EQ(record_strings(results), baseline);
   EXPECT_GE(stats.workers_joined, 1);
-  // The ordered stream saw every slot, in slot order.
-  ASSERT_EQ(ordered_indices.size(), cells.size());
-  for (std::size_t i = 0; i < ordered_indices.size(); ++i) {
-    EXPECT_EQ(ordered_indices[i], static_cast<int>(i));
-  }
 }
 
 TEST(Fabric, DeadWorkerLeasesRequeueToSurvivors) {
@@ -418,7 +454,7 @@ TEST(Fabric, DeadWorkerLeasesRequeueToSurvivors) {
   Engine engine(&listener, eopts);
   std::vector<RunResult> results(cells.size());
   bool done = false;
-  engine.set_batch(
+  engine.add_batch(
       &cells,
       [&](int slot, RunResult r) {
         results[static_cast<std::size_t>(slot)] = std::move(r);
@@ -426,42 +462,12 @@ TEST(Fabric, DeadWorkerLeasesRequeueToSurvivors) {
       [&] { done = true; });
 
   // Vampire: handshake, lease, disappear.
-  const int fd = dial(listener.address(), &err);
-  ASSERT_GE(fd, 0) << err;
-  fcntl(fd, F_SETFL, O_NONBLOCK);
-  Hello hello;
-  hello.role = "worker";
-  hello.name = "vampire";
-  std::string bytes = encode_frame(FrameType::kHello, encode_hello(hello));
-  ASSERT_TRUE(send_all(fd, bytes.data(), bytes.size()));
-  bytes = encode_frame(FrameType::kLease, encode_lease_request(4));
-  ASSERT_TRUE(send_all(fd, bytes.data(), bytes.size()));
-
-  FrameReader reader;
-  Frame f;
-  bool leased = false;
-  for (int i = 0; i < 400 && !leased; ++i) {
-    engine.step(10);
-    char buf[65536];
-    for (;;) {
-      const ssize_t n = recv(fd, buf, sizeof buf, 0);
-      if (n <= 0) break;
-      reader.feed(buf, static_cast<std::size_t>(n));
-    }
-    while (reader.next(&f)) {
-      if (f.type != FrameType::kLease) continue;
-      int job = -1;
-      std::vector<int> slots;
-      std::vector<std::int64_t> epochs;
-      std::vector<RunCell> granted;
-      ASSERT_TRUE(decode_lease_grant(f.payload, &job, &slots, &epochs,
-                                     &granted));
-      EXPECT_FALSE(slots.empty());
-      EXPECT_EQ(epochs.size(), slots.size());
-      leased = true;
-    }
-  }
-  ASSERT_TRUE(leased) << "vampire never got a lease";
+  Grant grant;
+  const int fd =
+      lease_as_scripted_worker(&engine, listener.address(), "vampire", &grant);
+  ASSERT_GE(fd, 0) << "vampire never got a lease";
+  EXPECT_FALSE(grant.slots.empty());
+  EXPECT_EQ(grant.epochs.size(), grant.slots.size());
   close(fd);  // dies holding its lease
 
   // Now a real worker (forked; the Engine itself spawns no threads).
@@ -478,6 +484,73 @@ TEST(Fabric, DeadWorkerLeasesRequeueToSurvivors) {
   EXPECT_EQ(record_strings(results), baseline);
   EXPECT_GE(engine.stats.cells_requeued, 1);
   EXPECT_GE(engine.stats.workers_lost, 1);
+}
+
+TEST(Fabric, ResultForAnotherCellDropsLinkAndRequeues) {
+  // A scripted worker answers its lease with a record claiming to be a
+  // different cell. The engine must refuse it outright — drop the link,
+  // requeue the lease — so the forged record never reaches any slot, and a
+  // real worker finishes the campaign byte-identically.
+  const auto cells = campaign::plan(small_gmp_spec());
+  const auto baseline = record_strings(campaign::run_cells(cells, {}));
+
+  Listener listener;
+  std::string err;
+  ASSERT_TRUE(listener.open("127.0.0.1:0", &err)) << err;
+  Engine::Options eopts;
+  Engine engine(&listener, eopts);
+  std::vector<RunResult> results(cells.size());
+  int delivered = 0;
+  bool done = false;
+  engine.add_batch(
+      &cells,
+      [&](int slot, RunResult r) {
+        ++delivered;
+        results[static_cast<std::size_t>(slot)] = std::move(r);
+      },
+      [&] { done = true; });
+
+  Grant grant;
+  const int fd =
+      lease_as_scripted_worker(&engine, listener.address(), "forger", &grant);
+  ASSERT_GE(fd, 0) << "forger never got a lease";
+  ASSERT_FALSE(grant.slots.empty());
+  const RunCell& other =
+      cells[(static_cast<std::size_t>(grant.slots[0]) + 1) % cells.size()];
+  RunResult forged;
+  forged.index = other.index;
+  forged.id = other.id;
+  forged.oracle = other.oracle;
+  forged.pass = true;
+  const std::string bytes = encode_frame(
+      FrameType::kResult,
+      encode_result(grant.job, grant.slots[0], grant.epochs[0], forged));
+  ASSERT_TRUE(send_all(fd, bytes.data(), bytes.size()));
+
+  // The engine closes the forger's link.
+  bool closed = false;
+  for (int i = 0; i < 400 && !closed; ++i) {
+    engine.step(10);
+    char buf[4096];
+    closed = recv(fd, buf, sizeof buf, 0) == 0;
+  }
+  close(fd);
+  ASSERT_TRUE(closed) << "forger's link stayed up";
+  EXPECT_EQ(delivered, 0);
+  EXPECT_GE(engine.stats.cells_requeued, 1);
+
+  WorkerOptions wopts;
+  wopts.connect = listener.address();
+  LocalWorkerPool pool;
+  ASSERT_TRUE(spawn_local_workers(wopts, 1, listener.fd(), &pool, &err))
+      << err;
+  for (int i = 0; i < 3000 && !done; ++i) engine.step(20);
+  ASSERT_TRUE(done);
+  engine.shutdown("test complete");
+  reap_local_workers(&pool);
+
+  EXPECT_EQ(delivered, static_cast<int>(cells.size()));
+  EXPECT_EQ(record_strings(results), baseline);
 }
 
 TEST(Fabric, LinkFlapsKeepRecordsByteIdentical) {
@@ -700,26 +773,6 @@ TEST(FabricJournal, MergeDedupesSortsAndIgnoresInputOrder) {
   std::remove(b.c_str());
 }
 
-// --- executor ordered streaming --------------------------------------------
-
-TEST(Executor, OrderedCallbackStreamsSlotOrderUnderParallelism) {
-  const auto cells = campaign::plan(small_gmp_spec());
-  campaign::ExecutorOptions opts;
-  opts.jobs = 4;
-  std::vector<int> completion, ordered;
-  opts.on_result = [&](const RunResult& r) { completion.push_back(r.index); };
-  opts.on_result_ordered = [&](const RunResult& r) {
-    ordered.push_back(r.index);
-  };
-  const auto results = campaign::run_cells(cells, opts);
-  ASSERT_EQ(results.size(), cells.size());
-  EXPECT_EQ(completion.size(), cells.size());
-  ASSERT_EQ(ordered.size(), cells.size());
-  for (std::size_t i = 0; i < ordered.size(); ++i) {
-    EXPECT_EQ(ordered[i], static_cast<int>(i));
-  }
-}
-
 // --- the daemon ------------------------------------------------------------
 
 TEST(FabricService, RunsSubmittedJobAndReturnsByteIdenticalArtifacts) {
@@ -803,12 +856,11 @@ TEST(FabricService, RunsSubmittedJobAndReturnsByteIdenticalArtifacts) {
 
   EXPECT_GE(progress_frames, static_cast<int>(cells.size()));
   EXPECT_NE(done.find("\"status\":\"ok\""), std::string::npos) << done;
-  // Every baseline record appears, byte-identical, in the daemon's report.
-  ASSERT_FALSE(report.empty());
-  for (const RunResult& r : baseline) {
-    EXPECT_NE(report.find(campaign::record_json(r)), std::string::npos)
-        << r.id;
-  }
+  // The daemon's report is the in-process report document for the same
+  // cells, host fields (jobs, wall_ms) omitted.
+  campaign::CampaignReport local(cells.size());
+  local.splice(baseline);
+  EXPECT_EQ(report, local.report_json(*spec));
   // The journal artifact is the sorted normal form keyed by content hash.
   ASSERT_FALSE(journal.empty());
   std::size_t lines = 0;
@@ -1015,7 +1067,7 @@ TEST(Fabric, StatsToJsonIsSortedAndComplete) {
             "\"workers_reattached\":0}");
 }
 
-TEST(Fabric, MixedVersionPeersAndUnknownFramesDegradeGracefully) {
+TEST(Fabric, UnknownFramesDegradeGracefullyAndV2PeersAreRejected) {
   const auto cells = campaign::plan(small_gmp_spec());
   Listener listener;
   std::string err;
@@ -1024,22 +1076,19 @@ TEST(Fabric, MixedVersionPeersAndUnknownFramesDegradeGracefully) {
   Engine engine(&listener, eopts);
   std::vector<RunResult> results(cells.size());
   bool done = false;
-  engine.set_batch(
+  engine.add_batch(
       &cells,
       [&](int slot, RunResult r) {
         results[static_cast<std::size_t>(slot)] = std::move(r);
       },
       [&] { done = true; });
 
-  // A previous-revision (v2) worker joins fine: negotiation is a range,
-  // not an exact match.
   const int fd = dial(listener.address(), &err);
   ASSERT_GE(fd, 0) << err;
   fcntl(fd, F_SETFL, O_NONBLOCK);
   Hello hello;
-  hello.version = 2;
   hello.role = "worker";
-  hello.name = "legacy";
+  hello.name = "current";
   std::string bytes = encode_frame(FrameType::kHello, encode_hello(hello));
   ASSERT_TRUE(send_all(fd, bytes.data(), bytes.size()));
 
@@ -1078,18 +1127,20 @@ TEST(Fabric, MixedVersionPeersAndUnknownFramesDegradeGracefully) {
   EXPECT_EQ(engine.stats.workers_joined, 1);
   close(fd);
 
-  // A v1 peer is below the negotiation floor: BYE names the whole range.
+  // A previous-revision (v2) peer is refused: the wire speaks v3 only,
+  // and the BYE names the version expected.
   const int fd2 = dial(listener.address(), &err);
   ASSERT_GE(fd2, 0) << err;
   fcntl(fd2, F_SETFL, O_NONBLOCK);
-  hello.version = 1;
-  hello.name = "ancient";
+  hello.version = 2;
+  hello.name = "legacy";
   bytes = encode_frame(FrameType::kHello, encode_hello(hello));
   ASSERT_TRUE(send_all(fd2, bytes.data(), bytes.size()));
   FrameReader reader2;
   ASSERT_TRUE(pump_until(fd2, &reader2, FrameType::kBye, 200));
   const std::string reason = decode_bye(f.payload);
-  EXPECT_NE(reason.find("expected v2-v3"), std::string::npos) << reason;
+  EXPECT_NE(reason.find("peer v2, expected v3"), std::string::npos) << reason;
+  EXPECT_EQ(engine.stats.workers_joined, 1);
   EXPECT_EQ(engine.stats.version_rejected, 1);
   close(fd2);
   engine.shutdown("test complete");

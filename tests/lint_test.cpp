@@ -220,6 +220,26 @@ TEST(LintScript, ConstantCondition) {
                   .empty());
 }
 
+TEST(LintScript, FoldedGuardReadsEveryVariableForm) {
+  // `${name}` folds exactly like `$name`.
+  const auto braced =
+      check_script("set a 1\nif {${a} > 0} { msg_log hit }\n");
+  const auto* f = find_rule(braced, "constant-condition");
+  ASSERT_NE(f, nullptr);
+  EXPECT_NE(f->hint.find("a = 1"), std::string::npos) << f->hint;
+  // An array element is never a tracked constant: no fold.
+  EXPECT_FALSE(has_rule(
+      check_script("set a(i) 1\nif {$a(i) > 0} { msg_log hit }\n"),
+      "constant-condition"));
+  // A bare `$` is literal text for the expression engine, not a read;
+  // substitution carries on past it.
+  const auto bare =
+      check_script("set a 1\nif {$a == 1 && {$} eq {$}} { msg_log hit }\n");
+  f = find_rule(bare, "constant-condition");
+  ASSERT_NE(f, nullptr);
+  EXPECT_EQ(f->hint, "folded with a = 1");
+}
+
 TEST(LintScript, BadExpr) {
   EXPECT_TRUE(has_rule(check_script("if {1 +} { msg_log hit }\n"),
                        "bad-expr"));
