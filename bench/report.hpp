@@ -8,7 +8,6 @@
 // results share one machine-readable format.
 #pragma once
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <initializer_list>
@@ -40,15 +39,6 @@ inline void json_row(
   for (const auto& [k, v] : fields) w.kv(k, v);
   w.end_object();
   std::printf("%s\n", w.str().c_str());
-}
-
-/// Worker counts for a scaling table: 1, 2, 4 and the host's `hw`, each
-/// once and in order.
-inline std::vector<int> job_counts(unsigned hw) {
-  std::vector<int> jobs{1, 2, 4, static_cast<int>(hw)};
-  std::sort(jobs.begin(), jobs.end());
-  jobs.erase(std::unique(jobs.begin(), jobs.end()), jobs.end());
-  return jobs;
 }
 
 inline void title(const std::string& t) {

@@ -20,8 +20,8 @@ int main() {
   // A taste of host-registered commands (the real PFI layer registers the
   // msg_*/x*/dst_* families the same way).
   interp.register_command(
-      "hello", [](pfi::script::Interp&,
-                  const std::vector<std::string>& args) {
+      {"hello", 0, 1, "hello ?name?"},
+      [](pfi::script::Interp&, const std::vector<std::string>& args) {
         std::string who = args.size() > 1 ? args[1] : "world";
         return pfi::script::Result::ok("hello, " + who);
       });

@@ -1,11 +1,13 @@
-// Length-prefixed key/value entries — the fabric's payload idiom.
+// Length-prefixed key/value entries — the campaign's wire idiom.
 //
-// Every frame payload is a flat sequence of `key len\nbytes\n` entries, the
-// same self-delimiting format the fork sandbox streams RunResults through
-// (campaign/sandbox.hpp): trivially lossless (values may contain any byte,
-// including newlines), trivially skippable (unknown keys are forward
-// compatibility, not errors), and with doubles travelling as C99 hex floats
-// there is no precision policy to keep in sync across machines.
+// The fork sandbox streams RunResults as a flat sequence of
+// `key len\nbytes\n` entries (campaign/sandbox.hpp), and every fabric frame
+// payload uses the same self-delimiting format: trivially lossless (values
+// may contain any byte, including newlines), trivially skippable (unknown
+// keys are forward compatibility, not errors), and with doubles travelling
+// as C99 hex floats there is no precision policy to keep in sync across
+// machines. Both decode bytes from another process, so every parse here
+// fails closed.
 #pragma once
 
 #include <cerrno>
@@ -16,7 +18,7 @@
 #include <string>
 #include <string_view>
 
-namespace pfi::fabric::kv {
+namespace pfi::campaign::kv {
 
 inline void put(std::string* out, const char* key, std::string_view v) {
   *out += key;
@@ -102,8 +104,40 @@ inline std::uint64_t to_u64(const std::string& v, bool* ok = nullptr) {
   return good ? static_cast<std::uint64_t>(r) : 0;
 }
 
-inline double to_double(const std::string& v) {
-  return std::strtod(v.c_str(), nullptr);
+inline double to_double(const std::string& v, bool* ok = nullptr) {
+  char* end = nullptr;
+  const double r = std::strtod(v.c_str(), &end);
+  const bool good = !v.empty() && end != nullptr && *end == '\0';
+  if (ok != nullptr) *ok = good;
+  return good ? r : 0.0;
 }
 
-}  // namespace pfi::fabric::kv
+/// Accumulates numeric-parse health across one decoder: any token that
+/// over/underflows or carries trailing bytes poisons `ok`, and the decoder
+/// rejects the whole payload instead of acting on a misparsed value.
+struct Num {
+  bool ok = true;
+
+  std::int64_t i64(const std::string& v) {
+    bool good = true;
+    const std::int64_t r = to_i64(v, &good);
+    ok = ok && good;
+    return r;
+  }
+
+  std::uint64_t u64(const std::string& v) {
+    bool good = true;
+    const std::uint64_t r = to_u64(v, &good);
+    ok = ok && good;
+    return r;
+  }
+
+  double f64(const std::string& v) {
+    bool good = true;
+    const double r = to_double(v, &good);
+    ok = ok && good;
+    return r;
+  }
+};
+
+}  // namespace pfi::campaign::kv

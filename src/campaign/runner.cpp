@@ -32,14 +32,8 @@ using experiments::oracles::Verdict;
 /// error record, not a silent fallback to the default oracle.
 bool known_oracle(const std::string& protocol, const std::string& oracle) {
   if (oracle.empty()) return true;
-  if (protocol == "gmp") {
-    return oracle == "agreement" || oracle == "liveness" || oracle == "quiet";
-  }
-  if (protocol == "tcp") {
-    return oracle == "spec" || oracle == "alive" || oracle == "conformance";
-  }
-  if (protocol == "tpc") return oracle == "atomic";
-  return false;
+  const auto& known = protocol_oracles(protocol);
+  return std::find(known.begin(), known.end(), oracle) != known.end();
 }
 
 /// Driver workload shapes (conformance::known_scenarios) are a tcp-only

@@ -1,66 +1,18 @@
 #include "campaign/sandbox.hpp"
 
 #include <cerrno>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
-#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "campaign/kv.hpp"
 #include "campaign/watchdog.hpp"
 
 namespace pfi::campaign {
 
 namespace {
-
-void put(std::string* out, const char* key, const std::string& v) {
-  *out += key;
-  *out += ' ';
-  *out += std::to_string(v.size());
-  *out += '\n';
-  *out += v;
-  *out += '\n';
-}
-
-void put_u64(std::string* out, const char* key, std::uint64_t v) {
-  put(out, key, std::to_string(v));
-}
-
-/// Doubles travel as C99 hex floats: exact round-trip, no locale, no
-/// precision policy to keep in sync with record_json.
-void put_double(std::string* out, const char* key, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  put(out, key, buf);
-}
-
-/// Cursor over `key len\nbytes\n` entries.
-struct WireReader {
-  const std::string& bytes;
-  std::size_t pos = 0;
-
-  bool next(std::string* key, std::string* value) {
-    if (pos >= bytes.size()) return false;
-    const std::size_t sp = bytes.find(' ', pos);
-    if (sp == std::string::npos) return false;
-    *key = bytes.substr(pos, sp - pos);
-    const std::size_t nl = bytes.find('\n', sp + 1);
-    if (nl == std::string::npos) return false;
-    char* end = nullptr;
-    const unsigned long long len =
-        std::strtoull(bytes.c_str() + sp + 1, &end, 10);
-    if (end != bytes.c_str() + nl) return false;
-    if (nl + 1 + len + 1 > bytes.size()) return false;
-    *value = bytes.substr(nl + 1, len);
-    if (bytes[nl + 1 + len] != '\n') return false;
-    pos = nl + 1 + len + 1;
-    return true;
-  }
-};
 
 std::string signal_name(int sig) {
   switch (sig) {
@@ -91,51 +43,53 @@ RunResult skeleton(const RunCell& cell) {
 
 std::string wire_encode(const RunResult& r) {
   std::string out;
-  put(&out, "index", std::to_string(r.index));
-  put(&out, "id", r.id);
-  put(&out, "pass", r.pass ? "1" : "0");
-  put(&out, "reason", r.reason);
-  put(&out, "oracle", r.oracle);
-  put_u64(&out, "seed", r.seed);
-  put_u64(&out, "faults", r.faults_injected);
-  put_u64(&out, "msgs", r.messages_seen);
-  put_u64(&out, "serr", r.script_errors);
-  put_u64(&out, "trace", r.trace_records);
-  put_double(&out, "sim", r.sim_seconds);
-  put(&out, "error", r.error);
-  put_u64(&out, "nviol", r.violations.size());
-  for (const std::string& v : r.violations) put(&out, "viol", v);
-  for (const std::string& s : r.steps) put(&out, "step", s);
+  kv::put_i64(&out, "index", r.index);
+  kv::put(&out, "id", r.id);
+  kv::put(&out, "pass", r.pass ? "1" : "0");
+  kv::put(&out, "reason", r.reason);
+  kv::put(&out, "oracle", r.oracle);
+  kv::put_u64(&out, "seed", r.seed);
+  kv::put_u64(&out, "faults", r.faults_injected);
+  kv::put_u64(&out, "msgs", r.messages_seen);
+  kv::put_u64(&out, "serr", r.script_errors);
+  kv::put_u64(&out, "trace", r.trace_records);
+  kv::put_double(&out, "sim", r.sim_seconds);
+  kv::put(&out, "error", r.error);
+  kv::put_u64(&out, "nviol", r.violations.size());
+  for (const std::string& v : r.violations) kv::put(&out, "viol", v);
+  for (const std::string& s : r.steps) kv::put(&out, "step", s);
   // Coverage fingerprint: digest + the three sets. Counted pairs travel as
   // "<count> <name>" so names may contain spaces.
   if (!r.coverage.empty()) {
-    put(&out, "cvd", r.coverage.digest);
+    kv::put(&out, "cvd", r.coverage.digest);
     for (const auto& [type, n] : r.coverage.msg_types) {
-      put(&out, "cvt", std::to_string(n) + " " + type);
+      kv::put(&out, "cvt", std::to_string(n) + " " + type);
     }
     for (const auto& [action, n] : r.coverage.actions) {
-      put(&out, "cva", std::to_string(n) + " " + action);
+      kv::put(&out, "cva", std::to_string(n) + " " + action);
     }
-    for (const std::string& t : r.coverage.transitions) put(&out, "cvx", t);
+    for (const std::string& t : r.coverage.transitions) kv::put(&out, "cvx", t);
   }
   // Metric snapshot: "<kind> <value> <name>".
   for (const obs::MetricSample& m : r.metrics) {
-    put(&out, "met",
-        std::string(1, m.kind) + " " + std::to_string(m.value) + " " + m.name);
+    kv::put(&out, "met",
+            std::string(1, m.kind) + " " + std::to_string(m.value) + " " +
+                m.name);
   }
-  if (!r.timeline.empty()) put(&out, "tl", r.timeline);
-  put(&out, "end", "");
+  if (!r.timeline.empty()) kv::put(&out, "tl", r.timeline);
+  kv::put(&out, "end", "");
   return out;
 }
 
-bool wire_decode(const std::string& bytes, RunResult* out) {
-  WireReader rd{bytes};
+bool wire_decode(std::string_view bytes, RunResult* out) {
+  kv::Scan scan{bytes};
+  kv::Num num;
   RunResult r;
   std::string key, value;
   bool complete = false;
-  while (rd.next(&key, &value)) {
+  while (scan.next(&key, &value)) {
     if (key == "index") {
-      r.index = std::atoi(value.c_str());
+      r.index = static_cast<int>(num.i64(value));
     } else if (key == "id") {
       r.id = value;
     } else if (key == "pass") {
@@ -145,17 +99,17 @@ bool wire_decode(const std::string& bytes, RunResult* out) {
     } else if (key == "oracle") {
       r.oracle = value;
     } else if (key == "seed") {
-      r.seed = std::strtoull(value.c_str(), nullptr, 10);
+      r.seed = num.u64(value);
     } else if (key == "faults") {
-      r.faults_injected = std::strtoull(value.c_str(), nullptr, 10);
+      r.faults_injected = num.u64(value);
     } else if (key == "msgs") {
-      r.messages_seen = std::strtoull(value.c_str(), nullptr, 10);
+      r.messages_seen = num.u64(value);
     } else if (key == "serr") {
-      r.script_errors = std::strtoull(value.c_str(), nullptr, 10);
+      r.script_errors = num.u64(value);
     } else if (key == "trace") {
-      r.trace_records = std::strtoull(value.c_str(), nullptr, 10);
+      r.trace_records = num.u64(value);
     } else if (key == "sim") {
-      r.sim_seconds = std::strtod(value.c_str(), nullptr);
+      r.sim_seconds = num.f64(value);
     } else if (key == "error") {
       r.error = value;
     } else if (key == "viol") {
@@ -165,26 +119,24 @@ bool wire_decode(const std::string& bytes, RunResult* out) {
     } else if (key == "cvd") {
       r.coverage.digest = value;
     } else if (key == "cvt" || key == "cva") {
+      // "<count> <name>"
       const std::size_t sp = value.find(' ');
-      if (sp != std::string::npos) {
-        const std::uint64_t n = std::strtoull(value.c_str(), nullptr, 10);
-        auto& dst = key == "cvt" ? r.coverage.msg_types : r.coverage.actions;
-        dst.emplace_back(value.substr(sp + 1), n);
-      }
+      if (sp == std::string::npos) return false;
+      auto& dst = key == "cvt" ? r.coverage.msg_types : r.coverage.actions;
+      dst.emplace_back(value.substr(sp + 1), num.u64(value.substr(0, sp)));
     } else if (key == "cvx") {
       r.coverage.transitions.push_back(value);
     } else if (key == "met") {
       // "<kind> <value> <name>"
-      const std::size_t sp1 = value.find(' ');
       const std::size_t sp2 =
-          sp1 == std::string::npos ? sp1 : value.find(' ', sp1 + 1);
-      if (sp1 == 1 && sp2 != std::string::npos) {
-        obs::MetricSample m;
-        m.kind = value[0];
-        m.value = std::strtoull(value.c_str() + sp1 + 1, nullptr, 10);
-        m.name = value.substr(sp2 + 1);
-        r.metrics.push_back(std::move(m));
-      }
+          value.size() > 2 && value[1] == ' ' ? value.find(' ', 2)
+                                              : std::string::npos;
+      if (sp2 == std::string::npos) return false;
+      obs::MetricSample m;
+      m.kind = value[0];
+      m.value = num.u64(value.substr(2, sp2 - 2));
+      m.name = value.substr(sp2 + 1);
+      r.metrics.push_back(std::move(m));
     } else if (key == "tl") {
       r.timeline = value;
     } else if (key == "end") {
@@ -192,7 +144,7 @@ bool wire_decode(const std::string& bytes, RunResult* out) {
     }
     // Unknown keys (incl. "nviol") are skipped: forward compatibility.
   }
-  if (!complete) return false;
+  if (!complete || !num.ok) return false;
   *out = std::move(r);
   return true;
 }
@@ -263,60 +215,6 @@ RunResult sandbox_finish(const RunCell& cell, int wait_status,
             std::to_string(WIFEXITED(wait_status) ? WEXITSTATUS(wait_status)
                                                   : wait_status);
   return r;
-}
-
-RunResult run_cell_sandboxed(const RunCell& cell) {
-  SandboxChild child;
-  std::string err;
-  if (!sandbox_spawn(cell, &child, &err)) {
-    RunResult r = skeleton(cell);
-    r.error = err;
-    return r;
-  }
-
-  // Grace past the cell's own budget: the child's cooperative watchdog gets
-  // first claim on reporting the timeout; SIGKILL is for wedged children.
-  constexpr int kGraceMs = 2000;
-  const bool has_deadline = cell.timeout_ms > 0;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(cell.timeout_ms + kGraceMs);
-
-  std::string bytes;
-  bool killed = false;
-  char buf[4096];
-  for (;;) {
-    int wait_ms = -1;
-    if (has_deadline && !killed) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            deadline - std::chrono::steady_clock::now())
-                            .count();
-      wait_ms = left > 0 ? static_cast<int>(left) : 0;
-    }
-    struct pollfd pfd{child.fd, POLLIN, 0};
-    const int pr = poll(&pfd, 1, wait_ms);
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (pr == 0) {  // deadline: the child is wedged
-      kill(child.pid, SIGKILL);
-      killed = true;
-      continue;  // drain until EOF so waitpid can't block forever
-    }
-    const ssize_t n = read(child.fd, buf, sizeof buf);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (n == 0) break;  // EOF: child exited (or died)
-    bytes.append(buf, static_cast<std::size_t>(n));
-  }
-  close(child.fd);
-
-  int status = 0;
-  while (waitpid(child.pid, &status, 0) < 0 && errno == EINTR) {
-  }
-  return sandbox_finish(cell, status, bytes, killed);
 }
 
 }  // namespace pfi::campaign

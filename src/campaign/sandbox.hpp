@@ -23,6 +23,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include <sys/types.h>
 
@@ -31,10 +32,11 @@
 
 namespace pfi::campaign {
 
-/// Exact, self-delimiting serialisation of a RunResult (`key len\nbytes\n`
-/// entries). Not JSON on purpose: decoding must be trivial and lossless.
+/// Exact, self-delimiting serialisation of a RunResult (kv.hpp entries).
+/// Not JSON on purpose: decoding must be trivial and lossless. A decode
+/// fails on a malformed entry or number, or without the closing `end`.
 std::string wire_encode(const RunResult& r);
-bool wire_decode(const std::string& bytes, RunResult* out);
+bool wire_decode(std::string_view bytes, RunResult* out);
 
 struct SandboxChild {
   pid_t pid = -1;
@@ -50,10 +52,5 @@ bool sandbox_spawn(const RunCell& cell, SandboxChild* child, std::string* err);
 /// SIGKILLed the child for exceeding the cell's wall-clock budget.
 RunResult sandbox_finish(const RunCell& cell, int wait_status,
                          const std::string& bytes, bool killed_on_timeout);
-
-/// Blocking one-cell convenience (tests, --jobs 1): spawn, enforce the
-/// cell's wall budget (+ grace, so the child's cooperative watchdog gets
-/// first claim on producing the timeout record), reap, decode.
-RunResult run_cell_sandboxed(const RunCell& cell);
 
 }  // namespace pfi::campaign

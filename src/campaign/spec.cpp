@@ -59,13 +59,43 @@ std::string basename_no_ext(const std::string& path) {
   return base;
 }
 
-std::string default_oracle(const std::string& protocol) {
-  if (protocol == "tcp") return "spec";
-  if (protocol == "tpc") return "atomic";
-  return "agreement";
+struct ProtocolOracles {
+  std::string_view protocol;
+  std::string_view fallback;         // a spec without an `oracle` line
+  std::vector<std::string> oracles;  // sorted
+};
+
+const std::vector<ProtocolOracles>& oracle_table() {
+  static const std::vector<ProtocolOracles> table = {
+      {"gmp", "agreement", {"agreement", "liveness", "quiet"}},
+      {"tcp", "spec", {"alive", "conformance", "spec"}},
+      {"tpc", "atomic", {"atomic"}},
+  };
+  return table;
+}
+
+const ProtocolOracles* find_protocol(std::string_view protocol) {
+  for (const ProtocolOracles& p : oracle_table()) {
+    if (p.protocol == protocol) return &p;
+  }
+  return nullptr;
+}
+
+/// An unknown protocol gets the default protocol's (gmp's) oracle, which
+/// run_cell then rejects for it.
+std::string default_oracle(std::string_view protocol) {
+  const ProtocolOracles* p = find_protocol(protocol);
+  return std::string{p != nullptr ? p->fallback
+                                  : oracle_table().front().fallback};
 }
 
 }  // namespace
+
+const std::vector<std::string>& protocol_oracles(std::string_view protocol) {
+  static const std::vector<std::string> none;
+  const ProtocolOracles* p = find_protocol(protocol);
+  return p != nullptr ? p->oracles : none;
+}
 
 std::optional<CampaignSpec> parse_spec(const std::string& text,
                                        std::string* err) {

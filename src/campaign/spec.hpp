@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/schedule.hpp"
@@ -28,9 +29,8 @@ namespace pfi::campaign {
 struct CampaignSpec {
   std::string name = "campaign";
   std::string protocol = "gmp";  // gmp | tcp | tpc
-  /// Oracle deciding pass/fail (see experiments/oracles.hpp):
-  ///   gmp: agreement | liveness | quiet        tcp: spec | alive
-  ///   tpc: atomic
+  /// Oracle deciding pass/fail (see experiments/oracles.hpp), one of
+  /// protocol_oracles(protocol).
   std::string oracle;  // empty = protocol default
 
   // --- fault axes -----------------------------------------------------------
@@ -66,6 +66,11 @@ struct CampaignSpec {
   std::uint64_t max_sim_events = 0;  // sim-event watchdog per cell (0 = off)
   int retries = 0;     // executor re-runs of *errored* cells (0 = off)
 };
+
+/// The oracles the runner accepts for a protocol, sorted; empty for an
+/// unknown protocol. This is the one protocol -> oracle table: run_cell,
+/// the spec's default oracle and pfi_lint all read it.
+const std::vector<std::string>& protocol_oracles(std::string_view protocol);
 
 /// Parse the text form. Returns nullopt and sets *err on malformed input.
 std::optional<CampaignSpec> parse_spec(const std::string& text,

@@ -3,12 +3,16 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "campaign/kv.hpp"
 #include "campaign/sandbox.hpp"
-#include "fabric/kv.hpp"
 
 namespace pfi::fabric {
 
+namespace kv = campaign::kv;
+
 namespace {
+
+using kv::Num;
 
 bool known_type(std::uint8_t t) {
   // The whole reserved window frames cleanly; handlers ignore (and count)
@@ -17,27 +21,6 @@ bool known_type(std::uint8_t t) {
   return t >= static_cast<std::uint8_t>(FrameType::kHello) &&
          t <= kMaxReservedFrameType;
 }
-
-/// Accumulates numeric-parse health across one decoder: any token that
-/// over/underflows or carries trailing bytes poisons `ok`, and the decoder
-/// rejects the whole frame instead of acting on a misparsed value.
-struct Num {
-  bool ok = true;
-
-  std::int64_t i64(const std::string& v) {
-    bool good = true;
-    const std::int64_t r = kv::to_i64(v, &good);
-    ok = ok && good;
-    return r;
-  }
-
-  std::uint64_t u64(const std::string& v) {
-    bool good = true;
-    const std::uint64_t r = kv::to_u64(v, &good);
-    ok = ok && good;
-    return r;
-  }
-};
 
 }  // namespace
 

@@ -4,7 +4,7 @@
 //
 //   uint32 length   (big endian; length = 1 + payload size)
 //   uint8  type     (FrameType)
-//   bytes  payload  (kv entries, see kv.hpp)
+//   bytes  payload  (kv entries, see campaign/kv.hpp)
 //
 // The conversation (docs/FABRIC.md has the full state machine):
 //

@@ -642,20 +642,14 @@ class Builder {
     def.line = cmd.line;
     def.col = cmd.col;
     const auto params = script::parse_list(sp::literal_value(params_w));
-    int required = 0;
-    bool varargs = false;
-    for (std::size_t p = 0; p < params.size(); ++p) {
-      const auto parts = script::parse_list(params[p]);
-      const std::string pname = parts.empty() ? params[p] : parts[0];
-      if (pname == "args" && p + 1 == params.size()) {
-        varargs = true;
-      } else if (parts.size() < 2) {
-        ++required;
-      }
-      def.params.push_back({pname, params_w.line, params_w.col});
+    for (const std::string& param : params) {
+      const auto parts = script::parse_list(param);
+      def.params.push_back(
+          {parts.empty() ? param : parts[0], params_w.line, params_w.col});
     }
-    def.min_args = required;
-    def.max_args = varargs ? -1 : static_cast<int>(params.size());
+    const script::ProcSignature sig = script::proc_signature(def.name, params);
+    def.min_args = sig.min_args;
+    def.max_args = sig.max_args;
     if (body_w.kind == sp::Word::Kind::kBraced) {
       def.body = body_w.text;
       def.body_line = body_w.line;

@@ -27,7 +27,7 @@ namespace {
 namespace sp = script::parse;
 
 /// Edit distance capped at 3 (enough to decide "is it within 2?").
-int edit_distance(const std::string& a, const std::string& b) {
+int edit_distance(std::string_view a, std::string_view b) {
   if (a.size() > b.size() + 2 || b.size() > a.size() + 2) return 3;
   std::vector<int> prev(b.size() + 1);
   std::vector<int> cur(b.size() + 1);
@@ -451,7 +451,7 @@ class Analyzer {
                     "proc \"" + u.name + "\"");
         continue;
       }
-      const CommandSig* sig = find_command(u.name);
+      const RegisteredCommand* sig = find_command(u.name);
       const bool allowed =
           sig != nullptr &&
           (sig->origin == Origin::kCore ||
@@ -462,7 +462,8 @@ class Analyzer {
              "invalid command name \"" + u.name + "\"", suggest(u.name));
         continue;
       }
-      check_arity(u, sig->min_args, sig->max_args, "usage: " + sig->usage);
+      check_arity(u, sig->min_args, sig->max_args,
+                  "usage: " + std::string{sig->usage});
     }
   }
 
@@ -479,7 +480,7 @@ class Analyzer {
   std::string suggest(const std::string& name) {
     std::string best;
     int best_d = 3;
-    for (const CommandSig& sig : builtin_registry()) {
+    for (const RegisteredCommand& sig : builtin_registry()) {
       const int d = edit_distance(name, sig.name);
       if (d < best_d) {
         best_d = d;

@@ -1,18 +1,16 @@
-// Machine-readable registry of every command a filter script may call.
-//
-// The interpreter's builtins (src/script/builtins.cpp) and the host
-// commands the PFI layer / scripted driver register
-// (src/pfi/pfi_layer.cpp, src/pfi/scripted_driver.cpp) only exist as C++
-// registration calls — fine for execution, useless for analysis. This
-// table mirrors them: name, arity bounds where the implementation checks
-// them, and which host registers the command. tests/lint_test.cpp asserts
-// the table covers exactly what live interpreters expose, so it cannot
-// drift silently.
+// Machine-readable registry of every command a filter script may call,
+// read once from what three live hosts register: a fresh Interp (the
+// builtins), a PfiLayer filter interpreter and a ScriptedDriver. Each entry
+// is the signature the interpreter enforces (script::CommandSig), so lint
+// and the interpreter agree on every argument count.
 #pragma once
 
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "campaign/spec.hpp"
+#include "script/interp.hpp"
 
 namespace pfi::lint {
 
@@ -22,28 +20,26 @@ enum class Origin {
   kDriver,  // registered by ScriptedDriver (drv_* scripts)
 };
 
-struct CommandSig {
-  std::string name;
-  int min_args = 0;   // arguments after the command word
-  int max_args = -1;  // -1 = unbounded
+/// A registered command and the first host (in the order above) that
+/// registers it.
+struct RegisteredCommand : script::CommandSig {
   Origin origin = Origin::kCore;
-  std::string usage;  // the implementation's usage string, for hints
 };
 
 /// The full registry, sorted by name.
-const std::vector<CommandSig>& builtin_registry();
+const std::vector<RegisteredCommand>& builtin_registry();
 
 /// Lookup by command name; nullptr when unknown.
-const CommandSig* find_command(std::string_view name);
+const RegisteredCommand* find_command(std::string_view name);
 
 /// Message types a protocol's packet stub recognises (plus "*" wildcard
 /// and the stub's "unknown" bucket). Empty for unknown protocols.
 const std::vector<std::string>& protocol_message_types(
     std::string_view protocol);
 
-/// Oracles the campaign runner accepts for a protocol (mirrors
-/// runner.cpp's known_oracle table). Empty for unknown protocols.
-const std::vector<std::string>& protocol_oracles(std::string_view protocol);
+/// Oracles the campaign runner accepts for a protocol: the campaign's one
+/// oracle table.
+using campaign::protocol_oracles;
 
 /// One lint rule: the stable id suppressions name and a one-line
 /// description. The catalog feeds SARIF tool metadata and docs/LINT.md.

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <utility>
 
+#include "pfi/host_commands.hpp"
+
 namespace pfi::core {
 
 namespace {
@@ -85,10 +87,10 @@ script::Result PfiLayer::run_setup(const std::string& script, int first_line) {
   return out;
 }
 
-void PfiLayer::register_command(const std::string& name,
+void PfiLayer::register_command(const script::CommandSig& sig,
                                 script::Interp::Command fn) {
-  send_interp_->register_command(name, fn);
-  receive_interp_->register_command(name, std::move(fn));
+  send_interp_->register_command(sig, fn);
+  receive_interp_->register_command(sig, std::move(fn));
 }
 
 void PfiLayer::push(xk::Message msg) {
@@ -215,33 +217,34 @@ void PfiLayer::trace_packet(const MsgCtx& ctx, const std::string& verb,
 
 void PfiLayer::install_commands(script::Interp& interp, Direction dir) {
   using Args = std::vector<std::string>;
+  using script::CommandSig;
   const char* dir_name = dir == Direction::kDown ? "send" : "recv";
-
-  auto need_msg = [this]() -> MsgCtx* { return current_; };
 
   // The paper's scripts pass a `cur_msg` handle ("msg_type cur_msg"); there
   // is exactly one current message per filter run, so the handle argument is
   // accepted and ignored.
 
-  interp.register_command("msg_type", [this, need_msg](script::Interp&,
-                                                       const Args&) -> Result {
-    MsgCtx* ctx = need_msg();
-    if (ctx == nullptr) return Result::error("msg_type: no current message");
-    return Result::ok(type_of(ctx->msg));
+  interp.register_command(host_sig::kMsgType,
+                          [this](script::Interp&, const Args&) -> Result {
+    if (current_ == nullptr) {
+      return Result::error("msg_type: no current message");
+    }
+    return Result::ok(type_of(current_->msg));
   });
 
-  interp.register_command("msg_len", [need_msg](script::Interp&,
-                                                const Args&) -> Result {
-    MsgCtx* ctx = need_msg();
-    if (ctx == nullptr) return Result::error("msg_len: no current message");
-    return Result::ok(std::to_string(ctx->msg.size()));
+  interp.register_command(host_sig::kMsgLen,
+                          [this](script::Interp&, const Args&) -> Result {
+    if (current_ == nullptr) {
+      return Result::error("msg_len: no current message");
+    }
+    return Result::ok(std::to_string(current_->msg.size()));
   });
 
   interp.register_command(
-      "msg_byte", [need_msg](script::Interp&, const Args& a) -> Result {
-        MsgCtx* ctx = need_msg();
+      {"msg_byte", 1, 1, "msg_byte index"},
+      [this](script::Interp&, const Args& a) -> Result {
+        MsgCtx* ctx = current_;
         if (ctx == nullptr) return Result::error("msg_byte: no current message");
-        if (a.size() != 2) return Result::error("usage: msg_byte index");
         auto i = to_int(a[1]);
         if (!i || *i < 0) return Result::error("msg_byte: bad index");
         return Result::ok(
@@ -249,12 +252,12 @@ void PfiLayer::install_commands(script::Interp& interp, Direction dir) {
       });
 
   interp.register_command(
-      "msg_set_byte", [need_msg](script::Interp&, const Args& a) -> Result {
-        MsgCtx* ctx = need_msg();
+      {"msg_set_byte", 2, 2, "msg_set_byte index value"},
+      [this](script::Interp&, const Args& a) -> Result {
+        MsgCtx* ctx = current_;
         if (ctx == nullptr) {
           return Result::error("msg_set_byte: no current message");
         }
-        if (a.size() != 3) return Result::error("usage: msg_set_byte index value");
         auto i = to_int(a[1]);
         auto v = to_int(a[2]);
         if (!i || !v || *i < 0) return Result::error("msg_set_byte: bad args");
@@ -265,12 +268,12 @@ void PfiLayer::install_commands(script::Interp& interp, Direction dir) {
       });
 
   interp.register_command(
-      "msg_truncate", [need_msg](script::Interp&, const Args& a) -> Result {
-        MsgCtx* ctx = need_msg();
+      {"msg_truncate", 1, 1, "msg_truncate length"},
+      [this](script::Interp&, const Args& a) -> Result {
+        MsgCtx* ctx = current_;
         if (ctx == nullptr) {
           return Result::error("msg_truncate: no current message");
         }
-        if (a.size() != 2) return Result::error("usage: msg_truncate length");
         auto n = to_int(a[1]);
         if (!n || *n < 0) return Result::error("msg_truncate: bad length");
         ctx->msg.truncate(static_cast<std::size_t>(*n));
@@ -279,10 +282,9 @@ void PfiLayer::install_commands(script::Interp& interp, Direction dir) {
       });
 
   interp.register_command(
-      "msg_field", [this, need_msg](script::Interp&, const Args& a) -> Result {
-        MsgCtx* ctx = need_msg();
+      host_sig::kMsgField, [this](script::Interp&, const Args& a) -> Result {
+        MsgCtx* ctx = current_;
         if (ctx == nullptr) return Result::error("msg_field: no current message");
-        if (a.size() != 2) return Result::error("usage: msg_field name");
         if (cfg_.stub == nullptr) return Result::error("msg_field: no stub");
         auto v = cfg_.stub->field(ctx->msg, a[1]);
         if (!v) return Result::error("msg_field: no field \"" + a[1] + "\"");
@@ -290,13 +292,12 @@ void PfiLayer::install_commands(script::Interp& interp, Direction dir) {
       });
 
   interp.register_command(
-      "msg_set_field",
-      [this, need_msg](script::Interp&, const Args& a) -> Result {
-        MsgCtx* ctx = need_msg();
+      {"msg_set_field", 2, 2, "msg_set_field name value"},
+      [this](script::Interp&, const Args& a) -> Result {
+        MsgCtx* ctx = current_;
         if (ctx == nullptr) {
           return Result::error("msg_set_field: no current message");
         }
-        if (a.size() != 3) return Result::error("usage: msg_set_field name value");
         if (cfg_.stub == nullptr) return Result::error("msg_set_field: no stub");
         auto v = to_int(a[2]);
         if (!v) return Result::error("msg_set_field: bad value");
@@ -307,17 +308,18 @@ void PfiLayer::install_commands(script::Interp& interp, Direction dir) {
         return Result::ok();
       });
 
-  interp.register_command("msg_hex", [need_msg](script::Interp&,
-                                                const Args&) -> Result {
-    MsgCtx* ctx = need_msg();
-    if (ctx == nullptr) return Result::error("msg_hex: no current message");
-    return Result::ok(to_hex(ctx->msg));
+  interp.register_command({"msg_hex", 0, 1, "msg_hex ?cur_msg?"},
+                          [this](script::Interp&, const Args&) -> Result {
+    if (current_ == nullptr) {
+      return Result::error("msg_hex: no current message");
+    }
+    return Result::ok(to_hex(current_->msg));
   });
 
   interp.register_command(
-      "msg_log",
-      [this, need_msg, dir_name](script::Interp&, const Args& a) -> Result {
-        MsgCtx* ctx = need_msg();
+      host_sig::kMsgLog,
+      [this, dir_name](script::Interp&, const Args& a) -> Result {
+        MsgCtx* ctx = current_;
         if (ctx == nullptr) return Result::error("msg_log: no current message");
         std::string note;
         // Skip a `cur_msg` handle argument; anything else is a note.
@@ -332,20 +334,21 @@ void PfiLayer::install_commands(script::Interp& interp, Direction dir) {
 
   // --- manipulation ---------------------------------------------------------
 
-  interp.register_command("xDrop", [need_msg](script::Interp&,
-                                              const Args&) -> Result {
-    MsgCtx* ctx = need_msg();
-    if (ctx == nullptr) return Result::error("xDrop: no current message");
-    ctx->dropped = true;
+  interp.register_command({"xDrop", 0, 1, "xDrop ?cur_msg?"},
+                          [this](script::Interp&, const Args&) -> Result {
+    if (current_ == nullptr) return Result::error("xDrop: no current message");
+    current_->dropped = true;
     return Result::ok();
   });
 
+  static constexpr CommandSig kXDelay{"xDelay", 1, 2,
+                                      "xDelay ?cur_msg? milliseconds"};
   interp.register_command(
-      "xDelay", [need_msg](script::Interp&, const Args& a) -> Result {
-        MsgCtx* ctx = need_msg();
+      kXDelay, [this](script::Interp&, const Args& a) -> Result {
+        MsgCtx* ctx = current_;
         if (ctx == nullptr) return Result::error("xDelay: no current message");
-        if (a.size() != 2 && !(a.size() == 3 && a[1] == "cur_msg")) {
-          return Result::error("usage: xDelay ?cur_msg? milliseconds");
+        if (a.size() == 3 && a[1] != "cur_msg") {
+          return script::wrong_args(kXDelay.usage);
         }
         auto ms = to_int(a.back());
         if (!ms || *ms < 0) return Result::error("xDelay: bad delay");
@@ -353,13 +356,20 @@ void PfiLayer::install_commands(script::Interp& interp, Direction dir) {
         return Result::ok();
       });
 
+  static constexpr CommandSig kXDuplicate{"xDuplicate", 0, 2,
+                                          "xDuplicate ?cur_msg? ?count?"};
   interp.register_command(
-      "xDuplicate", [need_msg](script::Interp&, const Args& a) -> Result {
-        MsgCtx* ctx = need_msg();
+      kXDuplicate, [this](script::Interp&, const Args& a) -> Result {
+        MsgCtx* ctx = current_;
         if (ctx == nullptr) return Result::error("xDuplicate: no current message");
+        // The handle is optional, as for xDelay: `xDuplicate cur_msg 3`.
+        const bool handle = a.size() > 1 && a[1] == "cur_msg";
+        if (a.size() == 3 && !handle) {
+          return script::wrong_args(kXDuplicate.usage);
+        }
         std::int64_t n = 1;
-        if (a.size() == 2) {
-          auto v = to_int(a[1]);
+        if (a.size() == (handle ? 3u : 2u)) {
+          auto v = to_int(a.back());
           if (!v || *v < 0) return Result::error("xDuplicate: bad count");
           n = *v;
         }
@@ -368,10 +378,10 @@ void PfiLayer::install_commands(script::Interp& interp, Direction dir) {
       });
 
   interp.register_command(
-      "xHold", [this, need_msg](script::Interp&, const Args& a) -> Result {
-        MsgCtx* ctx = need_msg();
+      {"xHold", 1, 1, "xHold queueName"},
+      [this](script::Interp&, const Args& a) -> Result {
+        MsgCtx* ctx = current_;
         if (ctx == nullptr) return Result::error("xHold: no current message");
-        if (a.size() != 2) return Result::error("usage: xHold queueName");
         if (ctx->held) return Result::error("xHold: message already held");
         // Park immediately so xHeldCount in the same filter run sees it —
         // that is what makes "hold until N accumulate, then release" work.
@@ -404,10 +414,8 @@ void PfiLayer::install_commands(script::Interp& interp, Direction dir) {
   };
 
   interp.register_command(
-      "xRelease", [release](script::Interp&, const Args& a) -> Result {
-        if (a.size() != 2 && a.size() != 3) {
-          return Result::error("usage: xRelease queueName ?count?");
-        }
+      {"xRelease", 1, 2, "xRelease queueName ?count?"},
+      [release](script::Interp&, const Args& a) -> Result {
         std::int64_t count = -1;
         if (a.size() == 3) {
           auto v = to_int(a[2]);
@@ -419,15 +427,15 @@ void PfiLayer::install_commands(script::Interp& interp, Direction dir) {
       });
 
   interp.register_command(
-      "xReleaseReversed", [release](script::Interp&, const Args& a) -> Result {
-        if (a.size() != 2) return Result::error("usage: xReleaseReversed queueName");
+      {"xReleaseReversed", 1, 1, "xReleaseReversed queueName"},
+      [release](script::Interp&, const Args& a) -> Result {
         release(a[1], true, -1);
         return Result::ok();
       });
 
   interp.register_command(
-      "xHeldCount", [this](script::Interp&, const Args& a) -> Result {
-        if (a.size() != 2) return Result::error("usage: xHeldCount queueName");
+      {"xHeldCount", 1, 1, "xHeldCount queueName"},
+      [this](script::Interp&, const Args& a) -> Result {
         return Result::ok(std::to_string(held_count(a[1])));
       });
 
@@ -435,8 +443,8 @@ void PfiLayer::install_commands(script::Interp& interp, Direction dir) {
   // fixture for testing that a crashing testbed is contained by the
   // campaign sandbox (--isolate). Never use outside sandboxed runs.
   interp.register_command(
-      "xCrashProcess", [](script::Interp&, const Args& a) -> Result {
-        if (a.size() != 1) return Result::error("usage: xCrashProcess");
+      {"xCrashProcess", 0, 0, "xCrashProcess"},
+      [](script::Interp&, const Args&) -> Result {
         std::fflush(nullptr);  // don't lose buffered trace output
         std::abort();          // SIGABRT; unreachable return
       });
@@ -460,12 +468,11 @@ void PfiLayer::install_commands(script::Interp& interp, Direction dir) {
     }
   };
 
+  static constexpr CommandSig kXInject{"xInject", 1, -1,
+                                       "xInject up|down ?key value ...?"};
   interp.register_command(
-      "xInject", [this, inject](script::Interp&, const Args& a) -> Result {
-        // xInject up|down key value ?key value ...?
-        if (a.size() < 2 || (a.size() % 2) != 0) {
-          return Result::error("usage: xInject up|down ?key value ...?");
-        }
+      kXInject, [this, inject](script::Interp&, const Args& a) -> Result {
+        if (a.size() % 2 != 0) return script::wrong_args(kXInject.usage);
         if (a[1] != "up" && a[1] != "down") {
           return Result::error("xInject: direction must be up or down");
         }
@@ -482,10 +489,8 @@ void PfiLayer::install_commands(script::Interp& interp, Direction dir) {
       });
 
   interp.register_command(
-      "xInjectHex", [inject](script::Interp&, const Args& a) -> Result {
-        if (a.size() != 3 && a.size() != 4) {
-          return Result::error("usage: xInjectHex up|down hexBytes ?delayMs?");
-        }
+      {"xInjectHex", 2, 3, "xInjectHex up|down hexBytes ?delayMs?"},
+      [inject](script::Interp&, const Args& a) -> Result {
         if (a[1] != "up" && a[1] != "down") {
           return Result::error("xInjectHex: direction must be up or down");
         }
@@ -504,21 +509,24 @@ void PfiLayer::install_commands(script::Interp& interp, Direction dir) {
 
   // --- clocks, distributions, misc --------------------------------------------
 
-  interp.register_command("now_us", [this](script::Interp&, const Args&) {
+  interp.register_command({"now_us", 0, 0, "now_us"},
+                          [this](script::Interp&, const Args&) {
     return Result::ok(std::to_string(sched_.now()));
   });
-  interp.register_command("now_ms", [this](script::Interp&, const Args&) {
+  interp.register_command(host_sig::kNowMs,
+                          [this](script::Interp&, const Args&) {
     return Result::ok(std::to_string(sched_.now() / sim::kMillisecond));
   });
-  interp.register_command("now_s", [this](script::Interp&, const Args&) {
+  interp.register_command({"now_s", 0, 0, "now_s"},
+                          [this](script::Interp&, const Args&) {
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.6f", sim::to_seconds(sched_.now()));
     return Result::ok(buf);
   });
 
   interp.register_command(
-      "dst_normal", [this](script::Interp&, const Args& a) -> Result {
-        if (a.size() != 3) return Result::error("usage: dst_normal mean variance");
+      {"dst_normal", 2, 2, "dst_normal mean variance"},
+      [this](script::Interp&, const Args& a) -> Result {
         auto mean = to_double(a[1]);
         auto var = to_double(a[2]);
         if (!mean || !var) return Result::error("dst_normal: bad args");
@@ -528,8 +536,8 @@ void PfiLayer::install_commands(script::Interp& interp, Direction dir) {
       });
 
   interp.register_command(
-      "dst_uniform", [this](script::Interp&, const Args& a) -> Result {
-        if (a.size() != 3) return Result::error("usage: dst_uniform lo hi");
+      {"dst_uniform", 2, 2, "dst_uniform lo hi"},
+      [this](script::Interp&, const Args& a) -> Result {
         auto lo = to_double(a[1]);
         auto hi = to_double(a[2]);
         if (!lo || !hi) return Result::error("dst_uniform: bad args");
@@ -539,8 +547,8 @@ void PfiLayer::install_commands(script::Interp& interp, Direction dir) {
       });
 
   interp.register_command(
-      "dst_exponential", [this](script::Interp&, const Args& a) -> Result {
-        if (a.size() != 2) return Result::error("usage: dst_exponential mean");
+      {"dst_exponential", 1, 1, "dst_exponential mean"},
+      [this](script::Interp&, const Args& a) -> Result {
         auto mean = to_double(a[1]);
         if (!mean) return Result::error("dst_exponential: bad args");
         char buf[64];
@@ -549,8 +557,8 @@ void PfiLayer::install_commands(script::Interp& interp, Direction dir) {
       });
 
   interp.register_command(
-      "dst_bernoulli", [this](script::Interp&, const Args& a) -> Result {
-        if (a.size() != 2) return Result::error("usage: dst_bernoulli p");
+      host_sig::kDstBernoulli,
+      [this](script::Interp&, const Args& a) -> Result {
         auto p = to_double(a[1]);
         if (!p) return Result::error("dst_bernoulli: bad args");
         return Result::ok(rng_.bernoulli(*p) ? "1" : "0");
@@ -559,17 +567,15 @@ void PfiLayer::install_commands(script::Interp& interp, Direction dir) {
   // --- cross-interpreter and cross-node state ----------------------------------
 
   interp.register_command(
-      "peer_set", [this, dir](script::Interp&, const Args& a) -> Result {
-        if (a.size() != 3) return Result::error("usage: peer_set name value");
+      {"peer_set", 2, 2, "peer_set name value"},
+      [this, dir](script::Interp&, const Args& a) -> Result {
         other_interp(dir).set_global(a[1], a[2]);
         return Result::ok();
       });
 
   interp.register_command(
-      "peer_get", [this, dir](script::Interp&, const Args& a) -> Result {
-        if (a.size() != 2 && a.size() != 3) {
-          return Result::error("usage: peer_get name ?default?");
-        }
+      {"peer_get", 1, 2, "peer_get name ?default?"},
+      [this, dir](script::Interp&, const Args& a) -> Result {
         auto v = other_interp(dir).get_global(a[1]);
         if (v) return Result::ok(*v);
         if (a.size() == 3) return Result::ok(a[2]);
@@ -577,18 +583,14 @@ void PfiLayer::install_commands(script::Interp& interp, Direction dir) {
       });
 
   interp.register_command(
-      "sync_set", [this](script::Interp&, const Args& a) -> Result {
-        if (a.size() != 3) return Result::error("usage: sync_set name value");
+      host_sig::kSyncSet, [this](script::Interp&, const Args& a) -> Result {
         if (cfg_.sync == nullptr) return Result::error("sync_set: no sync bus");
         cfg_.sync->set(a[1], a[2]);
         return Result::ok();
       });
 
   interp.register_command(
-      "sync_get", [this](script::Interp&, const Args& a) -> Result {
-        if (a.size() != 2 && a.size() != 3) {
-          return Result::error("usage: sync_get name ?default?");
-        }
+      host_sig::kSyncGet, [this](script::Interp&, const Args& a) -> Result {
         if (cfg_.sync == nullptr) return Result::error("sync_get: no sync bus");
         auto v = cfg_.sync->get(a[1]);
         if (v) return Result::ok(*v);
@@ -597,10 +599,8 @@ void PfiLayer::install_commands(script::Interp& interp, Direction dir) {
       });
 
   interp.register_command(
-      "sync_incr", [this](script::Interp&, const Args& a) -> Result {
-        if (a.size() != 2 && a.size() != 3) {
-          return Result::error("usage: sync_incr name ?by?");
-        }
+      {"sync_incr", 1, 2, "sync_incr name ?by?"},
+      [this](script::Interp&, const Args& a) -> Result {
         if (cfg_.sync == nullptr) return Result::error("sync_incr: no sync bus");
         std::int64_t by = 1;
         if (a.size() == 3) {
@@ -612,8 +612,7 @@ void PfiLayer::install_commands(script::Interp& interp, Direction dir) {
       });
 
   interp.register_command(
-      "after", [this, dir](script::Interp&, const Args& a) -> Result {
-        if (a.size() != 3) return Result::error("usage: after milliseconds script");
+      host_sig::kAfter, [this, dir](script::Interp&, const Args& a) -> Result {
         auto ms = to_int(a[1]);
         if (!ms || *ms < 0) return Result::error("after: bad delay");
         sched_.schedule(sim::msec(*ms),
@@ -629,7 +628,8 @@ void PfiLayer::install_commands(script::Interp& interp, Direction dir) {
       });
 
   interp.register_command(
-      "trace_note", [this](script::Interp&, const Args& a) -> Result {
+      {"trace_note", 0, -1, "trace_note ?word ...?"},
+      [this](script::Interp&, const Args& a) -> Result {
         std::string note;
         for (std::size_t i = 1; i < a.size(); ++i) {
           if (!note.empty()) note += ' ';
@@ -642,12 +642,13 @@ void PfiLayer::install_commands(script::Interp& interp, Direction dir) {
         return Result::ok();
       });
 
-  interp.register_command("node_name", [this](script::Interp&, const Args&) {
+  interp.register_command({"node_name", 0, 0, "node_name"},
+                          [this](script::Interp&, const Args&) {
     return Result::ok(cfg_.node_name);
   });
 
-  interp.register_command("filter_dir", [dir_name](script::Interp&,
-                                                   const Args&) {
+  interp.register_command({"filter_dir", 0, 0, "filter_dir"},
+                          [dir_name](script::Interp&, const Args&) {
     return Result::ok(dir_name);
   });
 }

@@ -91,7 +91,9 @@ class PfiLayer : public xk::Layer {
 
   /// Register a user-defined command into both interpreters (the paper's
   /// "user defined procedures ... written in C and linked into the tool").
-  void register_command(const std::string& name, script::Interp::Command fn);
+  /// The interpreters enforce `sig`'s argument count before `fn` runs.
+  void register_command(const script::CommandSig& sig,
+                        script::Interp::Command fn);
 
   [[nodiscard]] script::Interp& send_interp() { return *send_interp_; }
   [[nodiscard]] script::Interp& receive_interp() { return *receive_interp_; }

@@ -2,6 +2,8 @@
 
 #include <charconv>
 
+#include "pfi/host_commands.hpp"
+
 namespace pfi::core {
 
 namespace {
@@ -68,11 +70,11 @@ void ScriptedDriver::install_commands() {
   using Args = std::vector<std::string>;
   auto& in = *interp_;
 
+  static constexpr script::CommandSig kDrvSend{
+      "drv_send", 2, -1, "drv_send key value ?key value ...?"};
   in.register_command(
-      "drv_send", [this](script::Interp&, const Args& a) -> Result {
-        if (a.size() < 3 || (a.size() % 2) != 1) {
-          return Result::error("usage: drv_send key value ?key value ...?");
-        }
+      kDrvSend, [this](script::Interp&, const Args& a) -> Result {
+        if (a.size() % 2 != 1) return script::wrong_args(kDrvSend.usage);
         if (cfg_.stub == nullptr) return Result::error("drv_send: no stub");
         std::map<std::string, std::string> params;
         for (std::size_t i = 1; i + 1 < a.size(); i += 2) {
@@ -90,8 +92,8 @@ void ScriptedDriver::install_commands() {
       });
 
   in.register_command(
-      "drv_send_hex", [this](script::Interp&, const Args& a) -> Result {
-        if (a.size() != 2) return Result::error("usage: drv_send_hex bytes");
+      {"drv_send_hex", 1, 1, "drv_send_hex bytes"},
+      [this](script::Interp&, const Args& a) -> Result {
         auto msg = hex_to_message(a[1]);
         if (!msg) return Result::error("drv_send_hex: bad hex");
         ++stats_.generated;
@@ -99,31 +101,30 @@ void ScriptedDriver::install_commands() {
         return Result::ok();
       });
 
-  in.register_command("msg_type", [this](script::Interp&,
-                                         const Args&) -> Result {
+  in.register_command(host_sig::kMsgType, [this](script::Interp&,
+                                                 const Args&) -> Result {
     if (current_ == nullptr) return Result::error("msg_type: no message");
     if (cfg_.stub == nullptr) return Result::ok("raw");
     return Result::ok(cfg_.stub->type_of(*current_));
   });
 
   in.register_command(
-      "msg_field", [this](script::Interp&, const Args& a) -> Result {
+      host_sig::kMsgField, [this](script::Interp&, const Args& a) -> Result {
         if (current_ == nullptr) return Result::error("msg_field: no message");
-        if (a.size() != 2) return Result::error("usage: msg_field name");
         if (cfg_.stub == nullptr) return Result::error("msg_field: no stub");
         auto v = cfg_.stub->field(*current_, a[1]);
         if (!v) return Result::error("msg_field: no field " + a[1]);
         return Result::ok(std::to_string(*v));
       });
 
-  in.register_command("msg_len", [this](script::Interp&,
-                                        const Args&) -> Result {
+  in.register_command(host_sig::kMsgLen, [this](script::Interp&,
+                                                const Args&) -> Result {
     if (current_ == nullptr) return Result::error("msg_len: no message");
     return Result::ok(std::to_string(current_->size()));
   });
 
   in.register_command(
-      "msg_log", [this](script::Interp&, const Args& a) -> Result {
+      host_sig::kMsgLog, [this](script::Interp&, const Args& a) -> Result {
         if (current_ == nullptr) return Result::error("msg_log: no message");
         std::string note;
         for (std::size_t i = 1; i < a.size(); ++i) {
@@ -146,8 +147,7 @@ void ScriptedDriver::install_commands() {
       });
 
   in.register_command(
-      "after", [this](script::Interp&, const Args& a) -> Result {
-        if (a.size() != 3) return Result::error("usage: after ms script");
+      host_sig::kAfter, [this](script::Interp&, const Args& a) -> Result {
         std::int64_t ms = 0;
         auto res =
             std::from_chars(a[1].data(), a[1].data() + a[1].size(), ms);
@@ -162,13 +162,13 @@ void ScriptedDriver::install_commands() {
         return Result::ok();
       });
 
-  in.register_command("now_ms", [this](script::Interp&, const Args&) {
+  in.register_command(host_sig::kNowMs, [this](script::Interp&, const Args&) {
     return Result::ok(std::to_string(sched_.now() / sim::kMillisecond));
   });
 
   in.register_command(
-      "dst_bernoulli", [this](script::Interp&, const Args& a) -> Result {
-        if (a.size() != 2) return Result::error("usage: dst_bernoulli p");
+      host_sig::kDstBernoulli,
+      [this](script::Interp&, const Args& a) -> Result {
         double p = 0;
         try {
           p = std::stod(a[1]);
@@ -179,18 +179,14 @@ void ScriptedDriver::install_commands() {
       });
 
   in.register_command(
-      "sync_set", [this](script::Interp&, const Args& a) -> Result {
-        if (a.size() != 3) return Result::error("usage: sync_set name value");
+      host_sig::kSyncSet, [this](script::Interp&, const Args& a) -> Result {
         if (cfg_.sync == nullptr) return Result::error("sync_set: no bus");
         cfg_.sync->set(a[1], a[2]);
         return Result::ok();
       });
 
   in.register_command(
-      "sync_get", [this](script::Interp&, const Args& a) -> Result {
-        if (a.size() != 2 && a.size() != 3) {
-          return Result::error("usage: sync_get name ?default?");
-        }
+      host_sig::kSyncGet, [this](script::Interp&, const Args& a) -> Result {
         if (cfg_.sync == nullptr) return Result::error("sync_get: no bus");
         auto v = cfg_.sync->get(a[1]);
         if (v) return Result::ok(*v);

@@ -1,7 +1,11 @@
-// Core Tcl command set installed into every Interp.
+// Core Tcl command set installed into every Interp: one table of
+// {signature, function}. Interp::invoke enforces each signature's argument
+// count, so a command here checks only what a count cannot express (the
+// `if` and `puts` grammars, subcommands).
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,35 +17,24 @@ namespace {
 
 using Args = std::vector<std::string>;
 
-Result arity_error(const std::string& usage) {
-  return Result::error("wrong # args: should be \"" + usage + "\"");
-}
-
 Result cmd_set(Interp& in, const Args& a) {
-  if (a.size() == 2) {
-    auto v = in.get_var(a[1]);
-    if (!v) {
-      return Result::error("can't read \"" + a[1] + "\": no such variable");
-    }
-    return Result::ok(*v);
-  }
   if (a.size() == 3) {
     in.set_var(a[1], a[2]);
     return Result::ok(a[2]);
   }
-  return arity_error("set varName ?newValue?");
+  auto v = in.get_var(a[1]);
+  if (!v) {
+    return Result::error("can't read \"" + a[1] + "\": no such variable");
+  }
+  return Result::ok(*v);
 }
 
 Result cmd_unset(Interp& in, const Args& a) {
-  if (a.size() < 2) return arity_error("unset varName ?varName ...?");
   for (std::size_t i = 1; i < a.size(); ++i) in.unset_var(a[i]);
   return Result::ok();
 }
 
 Result cmd_incr(Interp& in, const Args& a) {
-  if (a.size() != 2 && a.size() != 3) {
-    return arity_error("incr varName ?increment?");
-  }
   std::int64_t delta = 1;
   if (a.size() == 3) {
     ExprValue d = ExprValue::parse(a[2]);
@@ -66,7 +59,6 @@ Result cmd_incr(Interp& in, const Args& a) {
 }
 
 Result cmd_append(Interp& in, const Args& a) {
-  if (a.size() < 2) return arity_error("append varName ?value ...?");
   std::string value = in.get_var(a[1]).value_or("");
   for (std::size_t i = 2; i < a.size(); ++i) value += a[i];
   in.set_var(a[1], value);
@@ -74,7 +66,6 @@ Result cmd_append(Interp& in, const Args& a) {
 }
 
 Result cmd_expr(Interp& in, const Args& a) {
-  if (a.size() < 2) return arity_error("expr arg ?arg ...?");
   std::string joined;
   for (std::size_t i = 1; i < a.size(); ++i) {
     if (i > 1) joined += ' ';
@@ -90,7 +81,7 @@ Result cmd_puts(Interp& in, const Args& a) {
     newline = false;
     ++i;
   }
-  if (i + 1 != a.size()) return arity_error("puts ?-nonewline? string");
+  if (i + 1 != a.size()) return wrong_args("puts ?-nonewline? string");
   in.append_output(a[i]);
   if (newline) in.append_output("\n");
   return Result::ok();
@@ -107,10 +98,10 @@ Result cmd_if(Interp& in, const Args& a) {
   // if cond ?then? body ?elseif cond ?then? body ...? ?else? ?body?
   std::size_t i = 1;
   while (true) {
-    if (i >= a.size()) return arity_error("if cond body ...");
+    if (i >= a.size()) return wrong_args("if cond body ...");
     const std::string& cond = a[i++];
     if (i < a.size() && a[i] == "then") ++i;
-    if (i >= a.size()) return arity_error("if cond body ...");
+    if (i >= a.size()) return wrong_args("if cond body ...");
     const std::string& body = a[i++];
     bool truthy = false;
     Result c = eval_condition(in, cond, truthy);
@@ -122,13 +113,12 @@ Result cmd_if(Interp& in, const Args& a) {
       continue;
     }
     if (a[i] == "else") ++i;
-    if (i >= a.size()) return arity_error("if ... else body");
+    if (i >= a.size()) return wrong_args("if ... else body");
     return in.eval(a[i]);
   }
 }
 
 Result cmd_while(Interp& in, const Args& a) {
-  if (a.size() != 3) return arity_error("while test command");
   std::uint64_t iters = 0;
   while (true) {
     in.note_loop_tick();
@@ -151,7 +141,6 @@ Result cmd_while(Interp& in, const Args& a) {
 }
 
 Result cmd_for(Interp& in, const Args& a) {
-  if (a.size() != 5) return arity_error("for start test next command");
   Result init = in.eval(a[1]);
   if (!init.is_ok()) return init;
   std::uint64_t iters = 0;
@@ -177,7 +166,6 @@ Result cmd_for(Interp& in, const Args& a) {
 }
 
 Result cmd_foreach(Interp& in, const Args& a) {
-  if (a.size() != 4) return arity_error("foreach varName list command");
   const auto items = parse_list(a[2]);
   for (const auto& item : items) {
     in.note_loop_tick();
@@ -189,89 +177,92 @@ Result cmd_foreach(Interp& in, const Args& a) {
   return Result::ok();
 }
 
-Result cmd_break(Interp&, const Args& a) {
-  if (a.size() != 1) return arity_error("break");
-  return {Code::kBreak, {}};
-}
+Result cmd_break(Interp&, const Args&) { return {Code::kBreak, {}}; }
 
-Result cmd_continue(Interp&, const Args& a) {
-  if (a.size() != 1) return arity_error("continue");
-  return {Code::kContinue, {}};
-}
+Result cmd_continue(Interp&, const Args&) { return {Code::kContinue, {}}; }
 
 Result cmd_return(Interp&, const Args& a) {
-  if (a.size() > 2) return arity_error("return ?value?");
   return {Code::kReturn, a.size() == 2 ? a[1] : std::string{}};
 }
 
+/// A script-defined procedure. The signature registered for it views
+/// `name` and `sig.usage`, so the definition lives as long as the binding.
+struct ProcDef {
+  struct Param {
+    std::string name;
+    std::string fallback;  // default value; unused for required params
+  };
+  std::string name;
+  ProcSignature sig;          // max_args < 0: the list ends in `args`
+  std::vector<Param> params;  // without that trailing `args`
+  std::string body;
+};
+
+Result call_proc(const ProcDef& def, Interp& interp, const Args& args) {
+  interp.push_frame();
+  struct FrameGuard {
+    Interp& in;
+    ~FrameGuard() { in.pop_frame(); }
+  } guard{interp};
+  // invoke() checked the count: every parameter without an argument here
+  // has a default.
+  for (std::size_t i = 0; i < def.params.size(); ++i) {
+    interp.set_var(def.params[i].name,
+                   i + 1 < args.size() ? args[i + 1] : def.params[i].fallback);
+  }
+  if (def.sig.max_args < 0) {
+    const std::size_t first = std::min(def.params.size() + 1, args.size());
+    interp.set_var("args",
+                   make_list({args.begin() + static_cast<long>(first),
+                              args.end()}));
+  }
+  Result r = interp.eval(def.body);
+  if (r.code == Code::kReturn) return Result::ok(std::move(r.value));
+  if (r.code == Code::kBreak || r.code == Code::kContinue) {
+    return Result::error("invoked \"break\"/\"continue\" outside loop");
+  }
+  return r;
+}
+
 Result cmd_proc(Interp& in, const Args& a) {
-  if (a.size() != 4) return arity_error("proc name args body");
-  const std::string name = a[1];
+  auto def = std::make_shared<ProcDef>();
+  def->name = a[1];
   const std::vector<std::string> params = parse_list(a[2]);
-  const std::string body = a[3];
-  in.register_command(
-      name, [name, params, body](Interp& interp, const Args& args) -> Result {
-        interp.push_frame();
-        struct FrameGuard {
-          Interp& in;
-          ~FrameGuard() { in.pop_frame(); }
-        } guard{interp};
-        std::size_t ai = 1;
-        for (std::size_t pi = 0; pi < params.size(); ++pi) {
-          const auto spec = parse_list(params[pi]);
-          const std::string& pname = spec.empty() ? params[pi] : spec[0];
-          if (pname == "args") {
-            std::vector<std::string> rest(args.begin() + static_cast<long>(ai),
-                                          args.end());
-            interp.set_var("args", make_list(rest));
-            ai = args.size();
-            continue;
-          }
-          if (ai < args.size()) {
-            interp.set_var(pname, args[ai++]);
-          } else if (spec.size() >= 2) {
-            interp.set_var(pname, spec[1]);  // default value
-          } else {
-            return Result::error("wrong # args: should be \"" + name + " " +
-                                 make_list(params) + "\"");
-          }
-        }
-        if (ai < args.size()) {
-          return Result::error("wrong # args: should be \"" + name + " " +
-                               make_list(params) + "\"");
-        }
-        Result r = interp.eval(body);
-        if (r.code == Code::kReturn) return Result::ok(std::move(r.value));
-        if (r.code == Code::kBreak || r.code == Code::kContinue) {
-          return Result::error("invoked \"break\"/\"continue\" outside loop");
-        }
-        return r;
-      });
+  def->sig = proc_signature(def->name, params);
+  const std::size_t fixed = params.size() - (def->sig.max_args < 0 ? 1 : 0);
+  for (std::size_t i = 0; i < fixed; ++i) {
+    const auto spec = parse_list(params[i]);
+    def->params.push_back({spec.empty() ? params[i] : spec[0],
+                           spec.size() >= 2 ? spec[1] : std::string{}});
+  }
+  def->body = a[3];
+  const CommandSig sig{def->name, def->sig.min_args, def->sig.max_args,
+                       def->sig.usage};
+  in.register_command(sig, [def = std::shared_ptr<const ProcDef>(
+                                std::move(def))](Interp& interp,
+                                                 const Args& args) {
+    // Hold the definition: the body may redefine this proc, dropping the
+    // binding that owns this closure.
+    const std::shared_ptr<const ProcDef> keep = def;
+    return call_proc(*keep, interp, args);
+  });
   return Result::ok();
 }
 
 Result cmd_global(Interp& in, const Args& a) {
-  if (a.size() < 2) return arity_error("global varName ?varName ...?");
   for (std::size_t i = 1; i < a.size(); ++i) in.mark_global(a[i]);
   return Result::ok();
 }
 
 Result cmd_catch(Interp& in, const Args& a) {
-  if (a.size() != 2 && a.size() != 3) {
-    return arity_error("catch script ?resultVarName?");
-  }
   Result r = in.eval(a[1]);
   if (a.size() == 3) in.set_var(a[2], r.value);
   return Result::ok(std::to_string(static_cast<int>(r.code)));
 }
 
-Result cmd_error(Interp&, const Args& a) {
-  if (a.size() != 2) return arity_error("error message");
-  return Result::error(a[1]);
-}
+Result cmd_error(Interp&, const Args& a) { return Result::error(a[1]); }
 
 Result cmd_eval(Interp& in, const Args& a) {
-  if (a.size() < 2) return arity_error("eval arg ?arg ...?");
   std::string joined;
   for (std::size_t i = 1; i < a.size(); ++i) {
     if (i > 1) joined += ' ';
@@ -283,7 +274,6 @@ Result cmd_eval(Interp& in, const Args& a) {
 Result cmd_string_map(const Args& a, const std::string& s);
 
 Result cmd_string(Interp&, const Args& a) {
-  if (a.size() < 3) return arity_error("string option arg ?arg ...?");
   const std::string& opt = a[1];
   const std::string& s = a[2];
   auto to_index = [&](const std::string& t, std::int64_t& out) {
@@ -306,7 +296,7 @@ Result cmd_string(Interp&, const Args& a) {
     return Result::ok(std::to_string(s.size()));
   }
   if (opt == "index") {
-    if (a.size() != 4) return arity_error("string index string charIndex");
+    if (a.size() != 4) return wrong_args("string index string charIndex");
     std::int64_t i = 0;
     if (!to_index(a[3], i)) return Result::error("bad index \"" + a[3] + "\"");
     if (i < 0 || i >= static_cast<std::int64_t>(s.size())) {
@@ -315,7 +305,7 @@ Result cmd_string(Interp&, const Args& a) {
     return Result::ok(std::string(1, s[static_cast<std::size_t>(i)]));
   }
   if (opt == "range") {
-    if (a.size() != 5) return arity_error("string range string first last");
+    if (a.size() != 5) return wrong_args("string range string first last");
     std::int64_t lo = 0;
     std::int64_t hi = 0;
     if (!to_index(a[3], lo) || !to_index(a[4], hi)) {
@@ -342,7 +332,7 @@ Result cmd_string(Interp&, const Args& a) {
     return Result::ok(s.substr(b, e - b + 1));
   }
   if (opt == "first") {
-    if (a.size() != 4) return arity_error("string first needle haystack");
+    if (a.size() != 4) return wrong_args("string first needle haystack");
     const auto pos = a[3].find(s);
     return Result::ok(
         std::to_string(pos == std::string::npos
@@ -350,25 +340,25 @@ Result cmd_string(Interp&, const Args& a) {
                            : static_cast<std::int64_t>(pos)));
   }
   if (opt == "compare") {
-    if (a.size() != 4) return arity_error("string compare string1 string2");
+    if (a.size() != 4) return wrong_args("string compare string1 string2");
     const int c = s.compare(a[3]);
     return Result::ok(std::to_string(c < 0 ? -1 : (c > 0 ? 1 : 0)));
   }
   if (opt == "equal") {
-    if (a.size() != 4) return arity_error("string equal string1 string2");
+    if (a.size() != 4) return wrong_args("string equal string1 string2");
     return Result::ok(s == a[3] ? "1" : "0");
   }
   if (opt == "match") {
-    if (a.size() != 4) return arity_error("string match pattern string");
+    if (a.size() != 4) return wrong_args("string match pattern string");
     return Result::ok(glob_match(s, a[3]) ? "1" : "0");
   }
   if (opt == "map") {
     // string map {from to ...} string
-    if (a.size() != 4) return arity_error("string map mapping string");
+    if (a.size() != 4) return wrong_args("string map mapping string");
     return cmd_string_map(a, a[3]);
   }
   if (opt == "repeat") {
-    if (a.size() != 4) return arity_error("string repeat string count");
+    if (a.size() != 4) return wrong_args("string repeat string count");
     ExprValue n = ExprValue::parse(a[3]);
     if (n.kind != ExprValue::Kind::kInt || n.i < 0) {
       return Result::error("bad count \"" + a[3] + "\"");
@@ -385,7 +375,6 @@ Result cmd_list(Interp&, const Args& a) {
 }
 
 Result cmd_lindex(Interp&, const Args& a) {
-  if (a.size() != 3) return arity_error("lindex list index");
   const auto items = parse_list(a[1]);
   std::int64_t i = 0;
   if (a[2] == "end") {
@@ -404,12 +393,10 @@ Result cmd_lindex(Interp&, const Args& a) {
 }
 
 Result cmd_llength(Interp&, const Args& a) {
-  if (a.size() != 2) return arity_error("llength list");
   return Result::ok(std::to_string(parse_list(a[1]).size()));
 }
 
 Result cmd_lappend(Interp& in, const Args& a) {
-  if (a.size() < 2) return arity_error("lappend varName ?value ...?");
   auto items = parse_list(in.get_var(a[1]).value_or(""));
   for (std::size_t i = 2; i < a.size(); ++i) items.push_back(a[i]);
   std::string out = make_list(items);
@@ -418,7 +405,6 @@ Result cmd_lappend(Interp& in, const Args& a) {
 }
 
 Result cmd_lrange(Interp&, const Args& a) {
-  if (a.size() != 4) return arity_error("lrange list first last");
   const auto items = parse_list(a[1]);
   auto to_index = [&](const std::string& t) -> std::int64_t {
     if (t == "end") return static_cast<std::int64_t>(items.size()) - 1;
@@ -439,7 +425,6 @@ Result cmd_lrange(Interp&, const Args& a) {
 }
 
 Result cmd_lsearch(Interp&, const Args& a) {
-  if (a.size() != 3) return arity_error("lsearch list pattern");
   const auto items = parse_list(a[1]);
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (glob_match(a[2], items[i])) return Result::ok(std::to_string(i));
@@ -456,7 +441,6 @@ Result cmd_switch(Interp& in, const Args& a) {
     glob = a[i] == "-glob";
     ++i;
   }
-  if (i >= a.size()) return arity_error("switch ?options? string pattern body ...");
   const std::string& subject = a[i++];
   std::vector<std::string> arms;
   if (a.size() - i == 1) {
@@ -512,9 +496,6 @@ Result cmd_string_map(const Args& a, const std::string& s) {
 }
 
 Result cmd_lsort(Interp&, const Args& a) {
-  if (a.size() != 2 && a.size() != 3) {
-    return arity_error("lsort ?-integer? list");
-  }
   const bool numeric = a.size() == 3;
   if (numeric && a[1] != "-integer") {
     return Result::error("bad lsort option \"" + a[1] + "\"");
@@ -537,16 +518,12 @@ Result cmd_lsort(Interp&, const Args& a) {
 }
 
 Result cmd_lreverse(Interp&, const Args& a) {
-  if (a.size() != 2) return arity_error("lreverse list");
   auto items = parse_list(a[1]);
   std::reverse(items.begin(), items.end());
   return Result::ok(make_list(items));
 }
 
 Result cmd_split(Interp&, const Args& a) {
-  if (a.size() != 2 && a.size() != 3) {
-    return arity_error("split string ?splitChars?");
-  }
   const std::string& s = a[1];
   const std::string seps = a.size() == 3 ? a[2] : " \t\n\r";
   std::vector<std::string> out;
@@ -564,9 +541,6 @@ Result cmd_split(Interp&, const Args& a) {
 }
 
 Result cmd_join(Interp&, const Args& a) {
-  if (a.size() != 2 && a.size() != 3) {
-    return arity_error("join list ?joinString?");
-  }
   const auto items = parse_list(a[1]);
   const std::string sep = a.size() == 3 ? a[2] : " ";
   std::string out;
@@ -587,7 +561,6 @@ Result cmd_concat(Interp&, const Args& a) {
 }
 
 Result cmd_format(Interp&, const Args& a) {
-  if (a.size() < 2) return arity_error("format formatString ?arg ...?");
   const std::string& fmt = a[1];
   std::string out;
   std::size_t arg = 2;
@@ -656,7 +629,6 @@ Result cmd_format(Interp&, const Args& a) {
 
 Result cmd_array(Interp& in, const Args& a) {
   // array exists|names|size|get|set|unset arrayName ?...?
-  if (a.size() < 3) return arity_error("array option arrayName ?arg?");
   const std::string& opt = a[1];
   const std::string prefix = a[2] + "(";
   auto elements = [&in, &prefix]() {
@@ -690,7 +662,7 @@ Result cmd_array(Interp& in, const Args& a) {
     return Result::ok(make_list(flat));
   }
   if (opt == "set") {
-    if (a.size() != 4) return arity_error("array set arrayName list");
+    if (a.size() != 4) return wrong_args("array set arrayName list");
     const auto items = parse_list(a[3]);
     if (items.size() % 2 != 0) {
       return Result::error("list must have an even number of elements");
@@ -708,9 +680,8 @@ Result cmd_array(Interp& in, const Args& a) {
 }
 
 Result cmd_info(Interp& in, const Args& a) {
-  if (a.size() < 2) return arity_error("info option ?arg ...?");
   if (a[1] == "exists") {
-    if (a.size() != 3) return arity_error("info exists varName");
+    if (a.size() != 3) return wrong_args("info exists varName");
     return Result::ok(in.get_var(a[2]) ? "1" : "0");
   }
   if (a[1] == "commands") {
@@ -727,41 +698,71 @@ Result cmd_info(Interp& in, const Args& a) {
 
 }  // namespace
 
+ProcSignature proc_signature(std::string_view name,
+                             const std::vector<std::string>& params) {
+  ProcSignature sig;
+  const bool variadic = !params.empty() && params.back() == "args";
+  const std::size_t fixed = params.size() - (variadic ? 1 : 0);
+  for (std::size_t i = 0; i < fixed; ++i) {
+    const bool has_default = parse_list(params[i]).size() >= 2;
+    if (!has_default) sig.min_args = static_cast<int>(i) + 1;
+  }
+  sig.max_args = variadic ? -1 : static_cast<int>(fixed);
+  sig.usage.assign(name);
+  sig.usage += ' ';
+  sig.usage += make_list(params);
+  return sig;
+}
+
+namespace {
+
+using Builtin = Result (*)(Interp&, const Args&);
+
+constexpr struct {
+  CommandSig sig;
+  Builtin fn;
+} kBuiltins[] = {
+    {{"append", 1, -1, "append varName ?value ...?"}, cmd_append},
+    {{"array", 2, 3, "array option arrayName ?arg?"}, cmd_array},
+    {{"break", 0, 0, "break"}, cmd_break},
+    {{"catch", 1, 2, "catch script ?resultVarName?"}, cmd_catch},
+    {{"concat", 0, -1, "concat ?arg ...?"}, cmd_concat},
+    {{"continue", 0, 0, "continue"}, cmd_continue},
+    {{"error", 1, 1, "error message"}, cmd_error},
+    {{"eval", 1, -1, "eval arg ?arg ...?"}, cmd_eval},
+    {{"expr", 1, -1, "expr arg ?arg ...?"}, cmd_expr},
+    {{"for", 4, 4, "for start test next command"}, cmd_for},
+    {{"foreach", 3, 3, "foreach varName list command"}, cmd_foreach},
+    {{"format", 1, -1, "format formatString ?arg ...?"}, cmd_format},
+    {{"global", 1, -1, "global varName ?varName ...?"}, cmd_global},
+    {{"if", 2, -1, "if cond body ..."}, cmd_if},
+    {{"incr", 1, 2, "incr varName ?increment?"}, cmd_incr},
+    {{"info", 1, 2, "info option ?arg ...?"}, cmd_info},
+    {{"join", 1, 2, "join list ?joinString?"}, cmd_join},
+    {{"lappend", 1, -1, "lappend varName ?value ...?"}, cmd_lappend},
+    {{"lindex", 2, 2, "lindex list index"}, cmd_lindex},
+    {{"list", 0, -1, "list ?arg ...?"}, cmd_list},
+    {{"llength", 1, 1, "llength list"}, cmd_llength},
+    {{"lrange", 3, 3, "lrange list first last"}, cmd_lrange},
+    {{"lreverse", 1, 1, "lreverse list"}, cmd_lreverse},
+    {{"lsearch", 2, 2, "lsearch list pattern"}, cmd_lsearch},
+    {{"lsort", 1, 2, "lsort ?-integer? list"}, cmd_lsort},
+    {{"proc", 3, 3, "proc name args body"}, cmd_proc},
+    {{"puts", 1, 2, "puts ?-nonewline? string"}, cmd_puts},
+    {{"return", 0, 1, "return ?value?"}, cmd_return},
+    {{"set", 1, 2, "set varName ?newValue?"}, cmd_set},
+    {{"split", 1, 2, "split string ?splitChars?"}, cmd_split},
+    {{"string", 2, -1, "string option arg ?arg ...?"}, cmd_string},
+    {{"switch", 2, -1, "switch ?options? string pattern body ..."},
+     cmd_switch},
+    {{"unset", 1, -1, "unset varName ?varName ...?"}, cmd_unset},
+    {{"while", 2, 2, "while test command"}, cmd_while},
+};
+
+}  // namespace
+
 void Interp::install_builtins() {
-  register_command("set", cmd_set);
-  register_command("unset", cmd_unset);
-  register_command("incr", cmd_incr);
-  register_command("append", cmd_append);
-  register_command("expr", cmd_expr);
-  register_command("puts", cmd_puts);
-  register_command("if", cmd_if);
-  register_command("while", cmd_while);
-  register_command("for", cmd_for);
-  register_command("foreach", cmd_foreach);
-  register_command("switch", cmd_switch);
-  register_command("break", cmd_break);
-  register_command("continue", cmd_continue);
-  register_command("return", cmd_return);
-  register_command("proc", cmd_proc);
-  register_command("global", cmd_global);
-  register_command("catch", cmd_catch);
-  register_command("error", cmd_error);
-  register_command("eval", cmd_eval);
-  register_command("string", cmd_string);
-  register_command("list", cmd_list);
-  register_command("lindex", cmd_lindex);
-  register_command("llength", cmd_llength);
-  register_command("lappend", cmd_lappend);
-  register_command("lrange", cmd_lrange);
-  register_command("lsearch", cmd_lsearch);
-  register_command("lsort", cmd_lsort);
-  register_command("lreverse", cmd_lreverse);
-  register_command("split", cmd_split);
-  register_command("join", cmd_join);
-  register_command("concat", cmd_concat);
-  register_command("format", cmd_format);
-  register_command("array", cmd_array);
-  register_command("info", cmd_info);
+  for (const auto& b : kBuiltins) register_command(b.sig, b.fn);
 }
 
 }  // namespace pfi::script

@@ -118,30 +118,48 @@ Result Interp::invoke(const std::vector<std::string>& words) {
   if (watchdog_tripped()) {
     return Result::error("watchdog: execution budget exceeded");
   }
-  auto it = commands_.find(words[0]);
+  auto it = commands_.find(std::string_view{words[0]});
   if (it == commands_.end()) {
     return Result::error("invalid command name \"" + words[0] + "\"");
   }
-  return it->second(*this, words);
+  const CommandSig& sig = it->second.sig;
+  const int nargs = static_cast<int>(words.size()) - 1;
+  if (nargs < sig.min_args || (sig.max_args >= 0 && nargs > sig.max_args)) {
+    return wrong_args(sig.usage);
+  }
+  return it->second.fn(*this, words);
 }
 
-void Interp::register_command(std::string name, Command fn) {
-  commands_[std::move(name)] = std::move(fn);
-}
-
-void Interp::unregister_command(const std::string& name) {
-  commands_.erase(name);
-}
-
-bool Interp::has_command(const std::string& name) const {
-  return commands_.contains(name);
+void Interp::register_command(const CommandSig& sig, Command fn) {
+  auto [it, fresh] = commands_.try_emplace(sig.name, sig, std::move(fn));
+  if (fresh) return;
+  // The old key views the old binding's name (a redefined proc owns it), so
+  // re-key the node along with its binding.
+  auto node = commands_.extract(it);
+  node.key() = sig.name;
+  node.mapped() = Binding{sig, std::move(fn)};
+  commands_.insert(std::move(node));
 }
 
 std::vector<std::string> Interp::command_names() const {
   std::vector<std::string> out;
   out.reserve(commands_.size());
-  for (const auto& [name, _] : commands_) out.push_back(name);
+  for (const auto& [name, _] : commands_) out.emplace_back(name);
   return out;
+}
+
+std::vector<CommandSig> Interp::signatures() const {
+  std::vector<CommandSig> out;
+  out.reserve(commands_.size());
+  for (const auto& [_, binding] : commands_) out.push_back(binding.sig);
+  return out;
+}
+
+Result wrong_args(std::string_view usage) {
+  std::string msg = "wrong # args: should be \"";
+  msg += usage;
+  msg += '"';
+  return Result::error(std::move(msg));
 }
 
 namespace {

@@ -17,6 +17,11 @@
 //     are the paper's "user-defined procedures written in C and linked into
 //     the tool".
 //
+// Every command, builtin, host or proc, is registered with its signature
+// (CommandSig). The interpreter enforces the argument count before the
+// command runs, and pfi_lint reads the same registrations, so the two
+// agree on every argument count.
+//
 // Interpreter state (variables, procs) persists across eval() calls, so a
 // filter script can keep counters across messages, exactly as §3 describes.
 //
@@ -70,6 +75,31 @@ struct Result {
 /// Tcl-style glob match (`*`, `?`, `[a-z]`).
 bool glob_match(std::string_view pattern, std::string_view text);
 
+/// A command's signature, declared once where the command is registered.
+/// Builtin and host signatures are static data: views over string literals,
+/// so registering copies no strings.
+struct CommandSig {
+  std::string_view name;
+  int min_args = 0;        // arguments after the command word
+  int max_args = -1;       // -1 = unbounded
+  std::string_view usage;  // the text of wrong_args()
+};
+
+/// The one arity error: `wrong # args: should be "<usage>"`.
+Result wrong_args(std::string_view usage);
+
+/// What `proc name params body` registers, for `params` as parse_list
+/// splits the parameter list. Follows Tcl: `args` is variadic only as the
+/// last parameter, and every parameter up to the last one without a
+/// default is required. pfi_lint computes proc arity with this too.
+struct ProcSignature {
+  int min_args = 0;
+  int max_args = -1;  // -1 = a trailing `args`
+  std::string usage;  // "name params"
+};
+ProcSignature proc_signature(std::string_view name,
+                             const std::vector<std::string>& params);
+
 class Interp {
  public:
   using Command =
@@ -98,11 +128,15 @@ class Interp {
   /// `$`/`[...]` substitution, like Tcl's expr on braced arguments.
   Result eval_expr(std::string_view expr);
 
-  /// Register a host command (overwrites any existing binding).
-  void register_command(std::string name, Command fn);
-  void unregister_command(const std::string& name);
-  [[nodiscard]] bool has_command(const std::string& name) const;
+  /// Bind `fn` to sig.name, replacing any existing binding. invoke() fails
+  /// a call whose argument count is outside [sig.min_args, sig.max_args]
+  /// with wrong_args(sig.usage) before `fn` runs, so `fn` checks only what
+  /// a count cannot express. The signature's views must outlive the
+  /// binding.
+  void register_command(const CommandSig& sig, Command fn);
   [[nodiscard]] std::vector<std::string> command_names() const;
+  /// Every registered signature, sorted by name.
+  [[nodiscard]] std::vector<CommandSig> signatures() const;
 
   /// Variable access in the *current* frame (global frame between evals).
   [[nodiscard]] std::optional<std::string> get_var(
@@ -197,7 +231,12 @@ class Interp {
                           std::vector<std::string>& words);
   [[nodiscard]] const std::string* find_var(const std::string& name) const;
 
-  std::map<std::string, Command> commands_;
+  struct Binding {
+    CommandSig sig;
+    Command fn;
+  };
+
+  std::map<std::string_view, Binding, std::less<>> commands_;  // by sig.name
   std::vector<Frame> frames_;  // frames_[0] is the global frame
   std::string output_;
   int depth_ = 0;

@@ -98,9 +98,16 @@ TEST(ResilienceWatchdog, GenerousBudgetLeavesRecordUntouched) {
 // Sandbox
 // ---------------------------------------------------------------------------
 
+/// One cell through the executor path `--isolate` runs.
+RunResult run_isolated(const RunCell& cell) {
+  ExecutorOptions opts;
+  opts.isolate = true;
+  return run_cells({cell}, opts).at(0);
+}
+
 TEST(ResilienceSandbox, CrashBecomesSignalRecord) {
   const RunCell cell = script_cell("crash_process.tcl");
-  const RunResult r = run_cell_sandboxed(cell);
+  const RunResult r = run_isolated(cell);
   EXPECT_TRUE(r.errored());
   EXPECT_EQ(r.error, "signal SIGABRT (6)") << r.error;
   EXPECT_EQ(r.id, cell.id);
@@ -110,7 +117,7 @@ TEST(ResilienceSandbox, CrashBecomesSignalRecord) {
 TEST(ResilienceSandbox, HealthyCellMatchesInlineBytes) {
   const RunCell cell = clean_cell();
   const RunResult inline_r = run_cell(cell);
-  const RunResult boxed_r = run_cell_sandboxed(cell);
+  const RunResult boxed_r = run_isolated(cell);
   EXPECT_EQ(record_json(inline_r), record_json(boxed_r));
 }
 
@@ -146,6 +153,11 @@ TEST(ResilienceSandbox, WireRoundTripIsExact) {
   RunResult junk;
   EXPECT_FALSE(wire_decode("", &junk));                  // no terminator
   EXPECT_FALSE(wire_decode("index 1\n7\n", &junk));      // truncated
+  // A "-1" length must not wrap into re-parsing the value bytes as entries.
+  EXPECT_FALSE(wire_decode("id -1\nend 0\n\n", &junk));
+  // A malformed number fails the decode instead of reading as 0 or wrapping.
+  EXPECT_FALSE(wire_decode("index 2\nzz\nend 0\n\n", &junk));
+  EXPECT_FALSE(wire_decode("seed 3\n-12\nend 0\n\n", &junk));
 }
 
 // The acceptance scenario: a campaign containing one hanging and one

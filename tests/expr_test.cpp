@@ -105,7 +105,8 @@ TEST(Expr, VariableSubstitution) {
 
 TEST(Expr, CommandSubstitution) {
   Interp in;
-  in.register_command("five", [](Interp&, const std::vector<std::string>&) {
+  in.register_command({"five", 0, 0, "five"},
+                     [](Interp&, const std::vector<std::string>&) {
     return Result::ok("5");
   });
   EXPECT_EQ(ex(in, "[five] + 1"), "6");

@@ -23,13 +23,13 @@
 
 #include "campaign/executor.hpp"
 #include "campaign/journal.hpp"
+#include "campaign/kv.hpp"
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/schedule.hpp"
 #include "campaign/spec.hpp"
 #include "fabric/coordinator.hpp"
 #include "fabric/flight.hpp"
-#include "fabric/kv.hpp"
 #include "fabric/service.hpp"
 #include "fabric/socket.hpp"
 #include "fabric/wire.hpp"
@@ -39,6 +39,7 @@
 namespace pfi::fabric {
 namespace {
 
+namespace kv = campaign::kv;
 using campaign::CampaignSpec;
 using campaign::RunCell;
 using campaign::RunResult;

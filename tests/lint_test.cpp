@@ -443,7 +443,7 @@ TEST(LintRegistry, CoreCommandsMatchFreshInterp) {
   for (const auto& n : interp.command_names()) live.insert(n);
   std::set<std::string> table;
   for (const auto& sig : builtin_registry()) {
-    if (sig.origin == Origin::kCore) table.insert(sig.name);
+    if (sig.origin == Origin::kCore) table.emplace(sig.name);
   }
   EXPECT_EQ(live, table);
 }
@@ -461,7 +461,7 @@ TEST(LintRegistry, FilterCommandsMatchPfiLayer) {
   std::set<std::string> table;
   for (const auto& sig : builtin_registry()) {
     if (sig.origin == Origin::kCore || sig.origin == Origin::kFilter) {
-      table.insert(sig.name);
+      table.emplace(sig.name);
     }
   }
   EXPECT_EQ(live, table);
@@ -477,9 +477,146 @@ TEST(LintRegistry, DriverCommandsMatchScriptedDriver) {
   for (const auto& n : driver.interp().command_names()) live.insert(n);
   for (const auto& sig : builtin_registry()) {
     if (sig.origin == Origin::kDriver) {
-      EXPECT_TRUE(live.contains(sig.name)) << sig.name;
+      EXPECT_TRUE(live.contains(std::string{sig.name})) << sig.name;
     }
   }
+}
+
+TEST(LintRegistry, SharedHostCommandsHaveOneSignature) {
+  sim::Scheduler sched;
+  core::PfiLayer layer{sched, core::PfiConfig{}};
+  core::ScriptedDriver driver{sched, core::ScriptedDriver::Config{}};
+  const std::vector<script::CommandSig> filter =
+      layer.send_interp().signatures();
+  int shared = 0;
+  for (const script::CommandSig& d : driver.interp().signatures()) {
+    for (const script::CommandSig& f : filter) {
+      if (f.name != d.name) continue;
+      ++shared;
+      EXPECT_EQ(f.min_args, d.min_args) << d.name;
+      EXPECT_EQ(f.max_args, d.max_args) << d.name;
+      EXPECT_EQ(f.usage, d.usage) << d.name;
+    }
+  }
+  EXPECT_GT(shared, 0);
+}
+
+// ---------------------------------------------------------------------------
+// One command table: the interpreter and lint reject the same calls
+// ---------------------------------------------------------------------------
+
+/// The three hosts lint's registry is read from, live, with the fixtures
+/// their commands touch, so a call that ran would leave a trace.
+struct LiveHosts {
+  sim::Scheduler sched;
+  trace::TraceLog trace;
+  std::shared_ptr<core::SyncBus> sync = std::make_shared<core::SyncBus>();
+  script::Interp fresh;
+  core::PfiLayer layer{sched, filter_config()};
+  core::ScriptedDriver driver{sched, driver_config()};
+
+  core::PfiConfig filter_config() {
+    core::PfiConfig cfg;
+    cfg.trace = &trace;
+    cfg.stub = std::make_shared<core::ToyStub>();
+    cfg.sync = sync;
+    return cfg;
+  }
+  core::ScriptedDriver::Config driver_config() {
+    core::ScriptedDriver::Config cfg;
+    cfg.trace = &trace;
+    cfg.stub = std::make_shared<core::ToyStub>();
+    cfg.sync = sync;
+    return cfg;
+  }
+  script::Interp& host(Origin origin) {
+    switch (origin) {
+      case Origin::kCore: return fresh;
+      case Origin::kFilter: return layer.send_interp();
+      case Origin::kDriver: return driver.interp();
+    }
+    return fresh;
+  }
+};
+
+TEST(LintRegistry, InterpreterAndLintRejectTheSameCounts) {
+  int calls = 0;
+  for (const RegisteredCommand& sig : builtin_registry()) {
+    std::vector<int> counts;
+    if (sig.min_args > 0) counts.push_back(sig.min_args - 1);
+    if (sig.max_args >= 0) counts.push_back(sig.max_args + 1);
+    for (const int n : counts) {
+      std::string call{sig.name};
+      for (int i = 0; i < n; ++i) call += " a" + std::to_string(i);
+      LiveHosts hosts;
+      script::Interp& in = hosts.host(sig.origin);
+      const std::vector<std::string> commands = in.command_names();
+
+      const script::Result r = in.eval(call);
+      EXPECT_EQ(r.code, script::Code::kError) << call;
+      EXPECT_EQ(r.value,
+                "wrong # args: should be \"" + std::string{sig.usage} + "\"")
+          << call;
+      // Refused before the command ran: nothing changed anywhere.
+      EXPECT_TRUE(in.var_names().empty()) << call;
+      EXPECT_EQ(in.command_names(), commands) << call;
+      EXPECT_TRUE(in.output().empty()) << call;
+      EXPECT_EQ(hosts.sched.queued(), 0u) << call;
+      EXPECT_EQ(hosts.trace.size(), 0u) << call;
+      EXPECT_EQ(hosts.sync->get("a0"), std::nullopt) << call;
+      EXPECT_EQ(hosts.layer.stats().injected, 0u) << call;
+      EXPECT_EQ(hosts.driver.stats().generated, 0u) << call;
+
+      EXPECT_TRUE(has_rule(check_script(call + "\n"), "bad-arity")) << call;
+      ++calls;
+    }
+  }
+  EXPECT_GT(calls, 60);
+}
+
+/// Run `text` as a send filter on one message; true when it errored.
+bool filter_errors(const std::string& text, std::string* error = nullptr) {
+  sim::Scheduler sched;
+  core::PfiConfig cfg;
+  cfg.stub = std::make_shared<core::ToyStub>();
+  core::PfiLayer layer{sched, cfg};
+  layer.set_send_script(text);
+  layer.push(core::ToyStub::make(core::ToyStub::kData, 1));
+  sched.run();
+  if (error != nullptr) *error = layer.last_error();
+  return layer.stats().script_errors > 0;
+}
+
+TEST(LintRegistry, InterpreterAndLintAgreeOnFormerDriftCases) {
+  const struct {
+    const char* script;
+    bool rejected;
+  } rows[] = {
+      {"xDuplicate cur_msg\n", false},
+      {"xDrop a b c\n", true},
+      {"msg_type a b c\n", true},
+      {"proc f {{a 1} b} {return $a$b}\nf x\n", true},
+      {"proc g {args x} {return $args$x}\ng 1 2\n", false},
+      {"proc h {a args} {return $a$args}\nh\n", true},
+      {"proc h {a args} {return $a$args}\nh 1 2 3\n", false},
+  };
+  for (const auto& row : rows) {
+    EXPECT_EQ(filter_errors(row.script), row.rejected) << row.script;
+    EXPECT_EQ(has_rule(check_script(row.script), "bad-arity"), row.rejected)
+        << row.script;
+  }
+  // xInject's key/value parity is the command's own check, not a count
+  // bound, so lint passes `xInject type ack`; the runtime error and lint's
+  // hint now both name the command's real grammar.
+  std::string error;
+  EXPECT_TRUE(filter_errors("xInject type ack\n", &error));
+  EXPECT_EQ(error,
+            "line 1: wrong # args: should be \"xInject up|down ?key value "
+            "...?\"");
+  const auto diags = check_script("xInject\n");
+  const Diagnostic* d = find_rule(diags, "bad-arity");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->hint, "usage: xInject up|down ?key value ...?");
 }
 
 // ---------------------------------------------------------------------------

@@ -356,7 +356,10 @@ TEST(CoverageDeterminism, InProcessAndIsolatedAgree) {
   cell.capture_timeline = true;
 
   const campaign::RunResult direct = campaign::run_cell(cell);
-  const campaign::RunResult forked = campaign::run_cell_sandboxed(cell);
+  campaign::ExecutorOptions isolated;
+  isolated.isolate = true;
+  const campaign::RunResult forked =
+      campaign::run_cells({cell}, isolated).at(0);
   ASSERT_TRUE(forked.error.empty()) << forked.error;
   EXPECT_EQ(campaign::record_json(direct), campaign::record_json(forked));
   EXPECT_FALSE(direct.coverage.empty());

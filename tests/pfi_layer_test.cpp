@@ -114,6 +114,29 @@ TEST(PfiLayer, DuplicateProducesCopies) {
   EXPECT_EQ(h.pfi->stats().duplicated, 2u);
 }
 
+TEST(PfiLayer, DuplicateTakesAnOptionalHandle) {
+  // Like xDelay, xDuplicate accepts the paper's `cur_msg` handle before
+  // its optional count.
+  const struct {
+    const char* script;
+    std::size_t delivered;
+    std::uint64_t script_errors;
+  } rows[] = {
+      {"xDuplicate", 2, 0},
+      {"xDuplicate 2", 3, 0},
+      {"xDuplicate cur_msg", 2, 0},
+      {"xDuplicate cur_msg 3", 4, 0},
+      {"xDuplicate 3 cur_msg", 1, 1},  // a script error fails open
+  };
+  for (const auto& row : rows) {
+    Harness h;
+    h.pfi->set_send_script(row.script);
+    h.send(ToyStub::kData, 1);
+    EXPECT_EQ(h.delivered(), row.delivered) << row.script;
+    EXPECT_EQ(h.pfi->stats().script_errors, row.script_errors) << row.script;
+  }
+}
+
 TEST(PfiLayer, CorruptionViaSetByte) {
   Harness h;
   h.pfi->set_send_script("msg_set_byte 0 0x2");  // ack -> nack
@@ -361,7 +384,7 @@ TEST(PfiLayer, UserDefinedCommandCallable) {
   Harness h;
   int called = 0;
   h.pfi->register_command(
-      "my_probe",
+      {"my_probe", 0, 0, "my_probe"},
       [&called](script::Interp&, const std::vector<std::string>&) {
         ++called;
         return script::Result::ok("done");

@@ -81,14 +81,15 @@ TEST(Interp, PaperExampleScriptRuns) {
   // The drop-all-ACKs script from paper §3, against a stubbed environment.
   Interp in;
   int drops = 0;
-  in.register_command("msg_log", [](Interp&, const std::vector<std::string>&) {
+  in.register_command({"msg_log", 0, -1, "msg_log ?cur_msg? ?note ...?"},
+                     [](Interp&, const std::vector<std::string>&) {
     return Result::ok();
   });
-  in.register_command("msg_type",
+  in.register_command({"msg_type", 0, 1, "msg_type ?cur_msg?"},
                       [](Interp&, const std::vector<std::string>&) {
                         return Result::ok("1");  // an ACK
                       });
-  in.register_command("xDrop",
+  in.register_command({"xDrop", 0, 1, "xDrop ?cur_msg?"},
                       [&drops](Interp&, const std::vector<std::string>&) {
                         ++drops;
                         return Result::ok();
@@ -235,6 +236,27 @@ TEST(Interp, ProcWrongArityIsError) {
   eval_ok(in, "proc two {a b} { }");
   EXPECT_TRUE(in.eval("two 1").is_error());
   EXPECT_TRUE(in.eval("two 1 2 3").is_error());
+}
+
+TEST(Interp, ProcSignatureFollowsTcl) {
+  Interp in;
+  // Every parameter up to the last one without a default is required.
+  eval_ok(in, "proc f {{a 1} b} { return $a$b }");
+  EXPECT_EQ(in.eval("f x").value, "wrong # args: should be \"f {a 1} b\"");
+  EXPECT_EQ(eval_ok(in, "f x y"), "xy");
+  // `args` is variadic only as the last parameter.
+  eval_ok(in, "proc g {args x} { return $args-$x }");
+  EXPECT_EQ(eval_ok(in, "g 1 2"), "1-2");
+  eval_ok(in, "proc h {a args} { return $a-$args }");
+  EXPECT_EQ(eval_ok(in, "h 1 2 3"), "1-2 3");
+  EXPECT_EQ(in.eval("h").value, "wrong # args: should be \"h a args\"");
+}
+
+TEST(Interp, ProcMayRedefineItself) {
+  Interp in;
+  eval_ok(in, "proc f {} { proc f {} { return second }; return first }");
+  EXPECT_EQ(eval_ok(in, "f"), "first");
+  EXPECT_EQ(eval_ok(in, "f"), "second");
 }
 
 TEST(Interp, ProcImplicitReturnValue) {
@@ -472,7 +494,7 @@ TEST(Interp, InfoCommandsFiltersByGlob) {
 TEST(Interp, HostCommandReceivesSubstitutedArgs) {
   Interp in;
   std::vector<std::string> seen;
-  in.register_command("spy",
+  in.register_command({"spy", 0, -1, "spy ?arg ...?"},
                       [&seen](Interp&, const std::vector<std::string>& a) {
                         seen = a;
                         return Result::ok("spied");
