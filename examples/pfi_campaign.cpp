@@ -4,6 +4,7 @@
 //   $ ./pfi_campaign spec.file --filter gmp-commit --minimize --out out.json
 //   $ ./pfi_campaign spec.file --isolate --timeout-ms 5000 --retries 2
 //   $ ./pfi_campaign spec.file --resume        # skip journaled cells
+//   $ ./pfi_campaign spec.file --explore=64 --seed 7 --emit-scripts out/
 //
 // Reads a campaign spec (docs/CAMPAIGN.md), expands the run matrix, executes
 // every cell on a worker pool, and writes one JSON document: per-run records
@@ -17,13 +18,13 @@
 // (an append-only JSONL checkpoint next to the spec) survive SIGINT: the
 // first Ctrl-C stops gracefully and flushes completed records, a second
 // kills immediately, and the next --resume run executes only the cells the
-// journal doesn't already hold.
+// journal doesn't already hold. --explore spends the budget on a
+// coverage-guided search instead of the static matrix (docs/SEARCH.md).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
@@ -33,6 +34,7 @@
 
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <fstream>
@@ -47,13 +49,15 @@
 #include "campaign/spec.hpp"
 #include "campaign/suite.hpp"
 #include "fabric/coordinator.hpp"
+#include "fabric/fleet.hpp"
 #include "fabric/socket.hpp"
 #include "fabric/wire.hpp"
-#include "fabric/worker.hpp"
 #include "lint/canonical.hpp"
 #include "lint/lint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
+#include "pfi/script_file.hpp"
+#include "search/jsonv.hpp"
 #include "search/search.hpp"
 
 using namespace pfi::campaign;
@@ -76,23 +80,21 @@ struct Args {
   std::string journal;      // "" = off; --resume defaults it to <spec>.journal
   std::string metrics_out;  // merged metrics JSON (empty = off)
   std::string timeline;     // Chrome trace-event JSON (empty = off)
-  std::string flight_out;   // fabric flight-recorder JSONL (empty = off)
   std::string status;       // daemon address: print its STATUS JSON, exit
-  int jobs = 1;
+  int jobs = 1;             // in-process pool; local fabric workers run 1
   int max_minimize = 8;     // cap on cells minimised per campaign
   int timeout_ms = -1;      // -1 = keep the spec's value
-  long long max_events = -1;
+  std::int64_t max_events = -1;
   int retries = -1;         // -1 = the spec's value
   int lint = 0;  // 0 = off, 1 = --lint (errors), 2 = --lint=strict
   int explore = 0;          // > 0: coverage-guided search with this budget
+  std::int64_t seed = 0;    // --explore: search PRNG seed; 0 = spec's first
   std::string corpus_out;   // --explore: write the corpus JSONL here
   std::string corpus_in;    // --explore: resume from this corpus JSONL
-  int workers = 0;          // > 0: distribute over auto-spawned workers
-  std::string listen;       // fabric listen address for external pfi_workers
-  std::string token;        // fabric shared secret (HELLO auth)
-  int heartbeat_ms = 500;   // auto-spawned workers' beat interval
-  int dead_after_ms = 5000;      // coordinator's worker-silence threshold
-  int reconnect_grace_ms = -1;   // detached-worker grace; -1 = dead-after-ms
+  std::string emit_scripts;  // --explore: corpus schedules as .tcl files
+  /// The shared fleet flags: --workers, --listen, --token, --heartbeat-ms,
+  /// --dead-after-ms, --reconnect-grace-ms, --flight-out.
+  pfi::fabric::FleetSettings fleet;
   int max_workers = 0;      // --submit: per-job distinct-worker quota
   std::string submit;       // daemon address: run the spec as a fabric job
   bool merge_journals = false;  // positional args are journal files to merge
@@ -135,8 +137,13 @@ int usage(int code) {
       "                    matrix: spend N cell executions mutating fault\n"
       "                    schedules toward unseen coverage digests; the\n"
       "                    search report replaces the campaign report\n"
+      "  --seed N          (--explore) search PRNG seed (default: the spec's\n"
+      "                    first seed)\n"
       "  --corpus-out FILE (--explore) write the final corpus as JSONL\n"
       "  --corpus-in FILE  (--explore) resume from a corpus JSONL\n"
+      "  --emit-scripts DIR  (--explore) write each corpus schedule as a\n"
+      "                    sectioned .tcl file (lintable, re-runnable via\n"
+      "                    script mode)\n"
       "  --minimize        delta-debug each failing schedule to a minimal\n"
       "                    reproduction (schedule-mode cells only)\n"
       "  --max-minimize N  minimise at most N failing cells (default 8)\n"
@@ -147,23 +154,6 @@ int usage(int code) {
       "                    executed cells (open in about:tracing / Perfetto);\n"
       "                    with --workers, fabric flight events splice in as\n"
       "                    their own process lane\n"
-      "  --flight-out FILE write the fabric flight recorder (control-plane\n"
-      "                    events: connects, grants, results, requeues...) as\n"
-      "                    JSONL; side channel only, never affects the report\n"
-      "  --workers N       distribute cells over N auto-spawned local worker\n"
-      "                    processes (docs/FABRIC.md); the report is\n"
-      "                    byte-identical to --jobs 1\n"
-      "  --listen ADDR     coordinate over ADDR (HOST:PORT or unix:PATH) so\n"
-      "                    external pfi_worker processes can join; combines\n"
-      "                    with --workers N local ones\n"
-      "  --token SECRET    fabric shared secret: required of every worker\n"
-      "                    (--workers/--listen) and presented to the daemon\n"
-      "                    (--submit); or set PFI_FABRIC_TOKEN\n"
-      "  --heartbeat-ms N  auto-spawned workers' beat interval (default 500)\n"
-      "  --dead-after-ms N worker silence threshold (default 5000)\n"
-      "  --reconnect-grace-ms N  how long a disconnected worker may stay\n"
-      "                    away before its leases requeue (default:\n"
-      "                    dead-after-ms)\n"
       "  --submit ADDR     send the spec to a pfi_fabricd daemon at ADDR\n"
       "                    (HOST:PORT or unix:PATH) instead of executing\n"
       "                    locally; streams progress and live journal\n"
@@ -179,17 +169,14 @@ int usage(int code) {
       "                    files: dedupe by content key, sort, write one\n"
       "                    byte-deterministic journal to --out (or stdout)\n"
       "  --list            print the planned cell ids and exit\n"
-      "  --quiet           no progress output on stderr\n");
+      "  --quiet           no progress output on stderr\n"
+      "Fleet (docs/FABRIC.md): --workers and --listen distribute the static\n"
+      "matrix over worker processes, byte-identical to --jobs 1; --token is\n"
+      "also presented to a daemon (--submit, --status).\n"
+      "%s"
+      "Numbers are whole integers; a malformed one is a usage error.\n",
+      fabric::fleet_usage(fabric::kCampaignBinary).c_str());
   return code;
-}
-
-/// First integer after `"key":` in a JSON object (daemon DONE summaries);
-/// 0 when the key is absent.
-int probe_int_field(const std::string& doc, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const auto at = doc.find(needle);
-  if (at == std::string::npos) return 0;
-  return std::atoi(doc.c_str() + at + needle.size());
 }
 
 /// Print `error: <msg>`; returns 2, the usage/spec/setup exit code.
@@ -262,7 +249,7 @@ int run_status(const Args& args) {
   DaemonLink link;
   if (!link.open(args.status,
                  "pfi_campaign-status-" + std::to_string(getpid()),
-                 args.token)) {
+                 args.fleet.coordinator.token)) {
     return 2;
   }
   if (!link.send(fabric::FrameType::kStatus, "")) {
@@ -307,7 +294,7 @@ int run_submit(const Args& args) {
 
   DaemonLink link;
   if (!link.open(args.submit, "pfi_campaign-" + std::to_string(getpid()),
-                 args.token)) {
+                 args.fleet.coordinator.token)) {
     return 2;
   }
 
@@ -390,9 +377,10 @@ int run_submit(const Args& args) {
         rc = 130;
       } else {
         // A campaign DONE counts fail + error, a search DONE violations.
-        rc = probe_int_field(done, "fail") + probe_int_field(done, "error") +
-                 probe_int_field(done, "violations") >
-             0;
+        const auto doc = pfi::search::jsonv::parse(done);
+        rc = doc && doc->int_or("fail", 0) + doc->int_or("error", 0) +
+                            doc->int_or("violations", 0) >
+                        0;
       }
       break;
     } else if (f.type == fabric::FrameType::kBye) {
@@ -410,11 +398,37 @@ int run_submit(const Args& args) {
   return rc;
 }
 
+/// --emit-scripts: each corpus schedule as a sectioned .tcl file, lintable
+/// with `pfi_lint --strict` and re-runnable through a literal-script spec.
+bool emit_scripts(const Args& args, const pfi::search::Corpus& corpus) {
+  mkdir(args.emit_scripts.c_str(), 0777);  // best effort: writes report errors
+  int emitted = 0;
+  for (std::size_t i = 0; i < corpus.entries().size(); ++i) {
+    const pfi::search::CorpusEntry& e = corpus.entries()[i];
+    if (e.schedule.empty()) continue;
+    const pfi::core::failure::Scripts s = e.schedule.compile();
+    const std::string path = args.emit_scripts + "/corpus_" +
+                             std::to_string(i) + "_" + e.digest.substr(0, 8) +
+                             ".tcl";
+    if (!write_file_or_stdout(path, pfi::core::render_script_sections(
+                                        {s.setup, s.send, s.receive}))) {
+      return false;
+    }
+    ++emitted;
+  }
+  if (!args.quiet) {
+    std::fprintf(stderr, "emitted %d corpus script(s) to %s\n", emitted,
+                 args.emit_scripts.c_str());
+  }
+  return true;
+}
+
 /// --explore: the budget buys mutated schedules chasing unseen coverage
 /// digests instead of the planner's fixed matrix.
 int run_explore(const Args& args, const CampaignSpec& spec) {
   pfi::search::SearchOptions sopts;
   sopts.budget = args.explore;
+  sopts.seed = static_cast<std::uint64_t>(args.seed);
   sopts.jobs = args.jobs;
   sopts.isolate = args.isolate;
   sopts.retries = args.retries;
@@ -440,6 +454,9 @@ int run_explore(const Args& args, const CampaignSpec& spec) {
   }
   if (!args.corpus_out.empty() &&
       !write_file_or_stdout(args.corpus_out, sres.corpus.to_jsonl())) {
+    return 2;
+  }
+  if (!args.emit_scripts.empty() && !emit_scripts(args, sres.corpus)) {
     return 2;
   }
   if (!write_file_or_stdout(
@@ -637,7 +654,8 @@ int run_matrix(const Args& args, const CampaignSpec& spec) {
     return fail("cannot append to journal " + args.journal);
   }
 
-  const bool use_fabric = args.workers > 0 || !args.listen.empty();
+  const bool use_fabric =
+      args.fleet.workers > 0 || !args.fleet.listen.empty();
   int done = 0;
   // Live telemetry (stderr only — wall-clock never reaches a record). On a
   // tty the line redraws in place; otherwise a full line every 50 cells.
@@ -720,33 +738,17 @@ int run_matrix(const Args& args, const CampaignSpec& spec) {
   // ---- execution: in-process pool, or the distributed fabric --------------
   // Either way `results` comes back slot-ordered, so everything downstream
   // (records, journal, metrics, summary) is byte-identical.
-  fabric::Listener listener;
-  fabric::LocalWorkerPool pool;
+  fabric::LocalFleet local;
   if (use_fabric) {
-    std::string ferr;
     // --listen publishes a real address for external pfi_worker processes;
-    // plain --workers keeps the fabric on an ephemeral loopback port.
-    if (!listener.open(args.listen.empty() ? "127.0.0.1:0" : args.listen,
-                       &ferr)) {
-      return fail(ferr);
-    }
-    if (!args.quiet && !args.listen.empty()) {
+    // plain --workers keeps the fabric on an ephemeral loopback port. The
+    // local workers fork before any thread exists (the poll-loop
+    // coordinator never spawns its own).
+    std::string ferr;
+    if (!local.start(args.fleet, &ferr)) return fail(ferr);
+    if (!args.quiet && !args.fleet.listen.empty()) {
       std::fprintf(stderr, "fabric: listening on %s\n",
-                   listener.address().c_str());
-    }
-    if (args.workers > 0) {
-      fabric::WorkerOptions wopts;
-      wopts.connect = listener.address();
-      wopts.isolate = args.isolate;
-      wopts.retries = args.retries;
-      wopts.heartbeat_ms = args.heartbeat_ms;
-      wopts.token = args.token;  // the local fleet authenticates like anyone
-      // Spawned before any threads exist (the poll-loop coordinator never
-      // spawns its own): fork() from a single-threaded parent only.
-      if (!fabric::spawn_local_workers(wopts, args.workers, listener.fd(),
-                                       &pool, &ferr)) {
-        return fail(ferr);
-      }
+                   local.listener.address().c_str());
     }
   }
 
@@ -756,31 +758,29 @@ int run_matrix(const Args& args, const CampaignSpec& spec) {
   // Fleet observability state (side channel only — feeds --flight-out,
   // --metrics-out's fabric/fleet sections and the --timeline flight lane,
   // never the report or journal).
-  fabric::FlightRecorder flight;
   pfi::obs::Registry fabric_obs;
   FleetMetrics fleet;
   if (use_fabric) {
     fabric::FabricOptions fopts;
+    static_cast<fabric::FleetOptions&>(fopts) = args.fleet.coordinator;
     fopts.no_worker_timeout_ms = 60000;
-    fopts.dead_after_ms = args.dead_after_ms;
-    fopts.reconnect_grace_ms = args.reconnect_grace_ms;
-    fopts.heartbeat_ms = args.heartbeat_ms;
-    fopts.token = args.token;
     fopts.flap_every = args.workers_flap;
     fopts.should_stop = opts.should_stop;
     fopts.on_result = opts.on_result;
-    fopts.flight = &flight;
+    fopts.flight = &local.flight;
     fopts.obs = &fabric_obs;
     if (!args.metrics_out.empty()) fopts.worker_stats_out = &fleet.workers;
     fopts.on_result_worker = [&](const std::string& id) {
       ++fleet_done[id];
     };
     if (args.workers_kill_one) {
-      bool killed = false;
-      fopts.on_result = [&, inner = opts.on_result](const RunResult& r) {
-        if (!killed && !pool.pids.empty()) {
+      // `killed` lives in the callback: run_fabric calls it after this
+      // block has ended.
+      fopts.on_result = [&, inner = opts.on_result,
+                         killed = false](const RunResult& r) mutable {
+        if (!killed && !local.pool.pids.empty()) {
           killed = true;
-          kill(pool.pids.front(), SIGKILL);
+          kill(local.pool.pids.front(), SIGKILL);
         }
         if (inner) inner(r);
       };
@@ -792,14 +792,16 @@ int run_matrix(const Args& args, const CampaignSpec& spec) {
       };
     }
     fabric::FabricStats fstats;
-    results = fabric::run_fabric(&listener, todo, fopts, &fstats);
-    fabric::reap_local_workers(&pool);
+    results = fabric::run_fabric(&local.listener, todo, fopts, &fstats);
     fleet.fabric = fstats.to_json();
     fleet.coordinator = fabric_obs.snapshot();
     if (!args.quiet) std::fprintf(stderr, "fabric: %s\n", fleet.fabric.c_str());
   } else {
     results = run_cells(todo, opts);
   }
+  // Written in-process too (empty ring = just the flight-meta line) so
+  // consumers can treat the file's existence as unconditional.
+  if (!local.finish(args.fleet.flight_out)) return 2;
   const double wall_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - t0)
@@ -822,11 +824,6 @@ int run_matrix(const Args& args, const CampaignSpec& spec) {
           report.metrics_json(spec.name, use_fabric ? &fleet : nullptr))) {
     return 2;
   }
-  if (!args.flight_out.empty()) {
-    // Always written (empty ring = just the flight-meta line) so consumers
-    // can treat the file's existence as unconditional.
-    if (!write_file_or_stdout(args.flight_out, flight.to_jsonl())) return 2;
-  }
   if (!args.timeline.empty()) {
     std::vector<std::string> fragments;
     for (const RunResult& r : results) {
@@ -835,7 +832,7 @@ int run_matrix(const Args& args, const CampaignSpec& spec) {
     if (use_fabric) {
       // The flight lane rides above the per-cell lanes: pid = cells.size()
       // can't collide with any cell's pid (those are plan indices).
-      const std::string ft = flight.to_trace_events(
+      const std::string ft = local.flight.to_trace_events(
           "fabric", static_cast<int>(cells.size()));
       if (!ft.empty()) fragments.push_back(ft);
     }
@@ -873,65 +870,47 @@ int run_matrix(const Args& args, const CampaignSpec& spec) {
 
 int main(int argc, char** argv) {
   Args args;
+  bool lint = false;
+  bool lint_strict = false;
   // --workers-kill-one and --workers-flap are test hooks for the CI smokes:
   // SIGKILL one auto-spawned worker after the first result, or sever one
   // worker's link every N results; the report must not change either way.
-  const std::map<std::string, std::string*> strings = {
+  const std::vector<fabric::Flag> own = {
       {"--suite", &args.suite},         {"--filter", &args.filter},
       {"--out", &args.out},             {"--journal", &args.journal},
       {"--metrics-out", &args.metrics_out},
-      {"--timeline", &args.timeline},   {"--flight-out", &args.flight_out},
-      {"--status", &args.status},       {"--corpus-out", &args.corpus_out},
-      {"--corpus-in", &args.corpus_in}, {"--listen", &args.listen},
-      {"--token", &args.token},         {"--submit", &args.submit}};
-  const std::map<std::string, int*> ints = {
-      {"--jobs", &args.jobs},
+      {"--timeline", &args.timeline},   {"--status", &args.status},
+      {"--corpus-out", &args.corpus_out},
+      {"--corpus-in", &args.corpus_in},
+      {"--emit-scripts", &args.emit_scripts},
+      {"--submit", &args.submit},       {"--jobs", &args.jobs},
       {"--timeout-ms", &args.timeout_ms},
-      {"--retries", &args.retries},
-      {"--explore", &args.explore},
-      {"--max-minimize", &args.max_minimize},
-      {"--workers", &args.workers},
-      {"--heartbeat-ms", &args.heartbeat_ms},
-      {"--dead-after-ms", &args.dead_after_ms},
-      {"--reconnect-grace-ms", &args.reconnect_grace_ms},
+      {"--max-events", &args.max_events},
+      {"--retries", &args.retries},     {"--explore", &args.explore},
+      {"--seed", &args.seed},           {"--max-minimize", &args.max_minimize},
       {"--max-workers", &args.max_workers},
-      {"--workers-flap", &args.workers_flap}};
-  const std::map<std::string, bool*> flags = {
-      {"--isolate", &args.isolate},
-      {"--resume", &args.resume},
-      {"--minimize", &args.minimize},
-      {"--list", &args.list},
-      {"--quiet", &args.quiet},
+      {"--workers-flap", &args.workers_flap},
+      {"--isolate", &args.isolate},     {"--resume", &args.resume},
+      {"--minimize", &args.minimize},   {"--list", &args.list},
+      {"--quiet", &args.quiet},         {"--lint", &lint},
+      {"--lint=strict", &lint_strict},
       {"--merge-journals", &args.merge_journals},
       {"--workers-kill-one", &args.workers_kill_one}};
-  std::vector<std::string> positionals;
+  // `--explore=N` is the documented spelling of `--explore N`.
+  std::vector<std::string> argl;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    const char* value = i + 1 < argc ? argv[i + 1] : "";
-    if (const auto s = strings.find(a); s != strings.end()) {
-      *s->second = value;
-      ++i;
-    } else if (const auto n = ints.find(a); n != ints.end()) {
-      *n->second = std::atoi(value);
-      ++i;
-    } else if (const auto f = flags.find(a); f != flags.end()) {
-      *f->second = true;
-    } else if (a == "--max-events") {
-      args.max_events = std::atoll(value);
-      ++i;
-    } else if (a == "--lint" || a == "--lint=strict") {
-      args.lint = a == "--lint" ? 1 : 2;
-    } else if (a.rfind("--explore=", 0) == 0) {
-      args.explore = std::atoi(a.c_str() + std::strlen("--explore="));
-    } else if (a == "--help" || a == "-h") {
-      return usage(0);
-    } else if (!a.empty() && a[0] == '-') {
-      return usage(2);
-    } else {
-      positionals.push_back(a);
-    }
+    const bool explore = a.rfind("--explore=", 0) == 0;
+    argl.push_back(explore ? "--explore" : a);
+    if (explore) argl.push_back(a.substr(std::strlen("--explore=")));
   }
-  args.token = fabric::token_or_env(args.token);
+  std::vector<std::string> positionals;
+  const fabric::Parsed parsed = fabric::parse_flags(
+      argl, fabric::kCampaignBinary, own, &args.fleet, &positionals);
+  if (parsed != fabric::Parsed::kOk) {
+    return usage(parsed == fabric::Parsed::kHelp ? 0 : 2);
+  }
+  args.lint = lint_strict ? 2 : lint ? 1 : 0;
 
   if (!args.status.empty()) return run_status(args);
 
@@ -946,6 +925,10 @@ int main(int argc, char** argv) {
     return fail(
         "--suite replaces the spec and runs locally; it combines with "
         "neither a spec file, --submit nor --explore");
+  }
+  if ((args.seed != 0 || !args.emit_scripts.empty()) &&
+      (args.explore <= 0 || !args.submit.empty())) {
+    return fail("--seed and --emit-scripts apply to a local --explore");
   }
 
   std::string err;
@@ -966,11 +949,16 @@ int main(int argc, char** argv) {
   if (!args.submit.empty()) return run_submit(args);
   if (args.retries < 0) args.retries = spec->retries;
 
-  if ((args.workers > 0 || !args.listen.empty()) && args.explore > 0) {
+  if ((args.fleet.workers > 0 || !args.fleet.listen.empty()) &&
+      args.explore > 0) {
     return fail(
         "--workers applies to the static matrix; distribute --explore "
         "through pfi_fabricd + --submit instead");
   }
+  // Local fabric workers run cells the way this process would: --isolate
+  // and the retry policy carry over; each stays at one job.
+  args.fleet.worker.isolate = args.isolate;
+  args.fleet.worker.retries = args.retries;
 
   if (args.explore > 0) return run_explore(args, *spec);
 

@@ -43,7 +43,7 @@ struct MinimizeOptions {
   /// Optional equivalence resolver, consulted on a cache miss: maps the
   /// probe cell to the cache key of a behaviourally equivalent recorded
   /// cell ("" = no equivalent known). A resolved record answers the probe
-  /// as a cache hit. pfi_search plugs lint::canonical_key's class
+  /// as a cache hit. The search plugs lint::canonical_key's class
   /// representatives in here so ddmin probes ride the same equivalence
   /// pruning as the search loop. Ignored when cache is null.
   std::function<std::string(const RunCell&)> equivalent_key;

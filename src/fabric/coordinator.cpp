@@ -19,6 +19,9 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 constexpr int kSlotMin = std::numeric_limits<int>::min();
+/// Most cells one LEASE grant carries. `want` is the worker's to choose,
+/// so the coordinator bounds it.
+constexpr int kMaxGrant = 8;
 
 int ms_since(Clock::time_point then) {
   return static_cast<int>(std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -52,7 +55,6 @@ std::string FabricStats::to_json() const {
 
 Engine::Engine(Listener* listener, Options opts)
     : listener_(listener), opts_(std::move(opts)) {
-  if (opts_.lease_batch < 1) opts_.lease_batch = 1;
   if (opts_.reconnect_grace_ms < 0) {
     opts_.reconnect_grace_ms = opts_.dead_after_ms;
   }
@@ -329,7 +331,7 @@ bool Engine::handle_frame(std::size_t i, const Frame& f) {
       }
       b.filled[s] = 1;
       --b.remaining;
-      if (opts_.on_worker_result) opts_.on_worker_result(c.worker_id);
+      if (opts_.on_result_worker) opts_.on_result_worker(c.worker_id);
       if (b.on_cell) b.on_cell(slot, std::move(r));
       return true;
     }
@@ -520,7 +522,7 @@ void Engine::grant_leases() {
     if (job < 0) continue;
     Batch& b = batches_[job];
     const int take = std::min<int>(
-        {c.pending_want, opts_.lease_batch, static_cast<int>(b.queue.size())});
+        {c.pending_want, kMaxGrant, static_cast<int>(b.queue.size())});
     std::vector<int> slots;
     std::vector<std::int64_t> epochs;
     std::vector<campaign::RunCell> cells;
@@ -675,16 +677,8 @@ std::vector<campaign::RunResult> run_fabric(
     const FabricOptions& opts, FabricStats* stats) {
   std::vector<campaign::RunResult> results(cells.size());
   Engine::Options eopts;
-  eopts.lease_batch = opts.lease_batch;
-  eopts.dead_after_ms = opts.dead_after_ms;
-  eopts.reconnect_grace_ms = opts.reconnect_grace_ms;
-  eopts.heartbeat_ms = opts.heartbeat_ms;
-  eopts.token = opts.token;
-  eopts.on_log = opts.on_log;
-  eopts.flight = opts.flight;
-  eopts.obs = opts.obs;
-  eopts.on_worker_result = opts.on_result_worker;
-  Engine eng(listener, eopts);
+  static_cast<FleetOptions&>(eopts) = opts;
+  Engine eng(listener, std::move(eopts));
 
   bool done = cells.empty();
   std::size_t results_seen = 0;

@@ -8,7 +8,8 @@
 //
 //   * pull-based work stealing — an idle worker sends LEASE {want}; the
 //     request parks until cells exist, so fast workers drain the queue and
-//     a late joiner is handed the next available (or requeued) cells.
+//     a late joiner is handed the next available (or requeued) cells. A
+//     grant carries at most 8 cells, whatever the worker wants.
 //   * fair multi-job scheduling — each grant serves exactly one job,
 //     chosen round-robin across jobs with queued cells, subject to the
 //     job's max_workers quota (distinct workers holding its leases).
@@ -87,49 +88,54 @@ struct WorkerSnapshot {
   long long last_seen_ms = 0;  // ms since last byte (or since detach)
 };
 
+/// The settings every coordinator shares, declared once: the Engine takes
+/// them whole, and the one-shot coordinator (FabricOptions) and the daemon
+/// (ServiceOptions) extend them. The fleet flag table (fleet.hpp) fills
+/// them from a command line.
+struct FleetOptions {
+  /// A worker silent this long is dead; the link drops and the grace
+  /// clock starts. Workers heartbeat every ~500 ms even while computing.
+  int dead_after_ms = 5000;
+  /// How long a detached worker (link lost) may stay away before its
+  /// leases requeue and its id is forgotten. -1 = use dead_after_ms.
+  int reconnect_grace_ms = -1;
+  /// Coordinator -> worker liveness beats. A parked worker otherwise
+  /// reads nothing and cannot tell "no work yet" from a silently dead
+  /// link; regular beats let its idle detector fire in seconds instead
+  /// of TCP's many-minute retransmission timeout. 0 = off.
+  int heartbeat_ms = 500;
+  /// Shared secret; "" = no authentication. A HELLO (worker or client)
+  /// that fails the constant-time compare is BYEd before any state exists.
+  std::string token;
+  /// Peer addresses (dotted quads) allowed to connect over TCP; empty =
+  /// all. AF_UNIX peers ("unix") always pass — filesystem permissions
+  /// gate those.
+  std::vector<std::string> allow;
+  std::function<void(const std::string&)> on_log;
+  /// Observability plane (both optional, both side-channel only):
+  /// control-plane events land in `flight`, stage timings (per-slot
+  /// queue wait) in `obs`. Neither influences dispatch or results.
+  FlightRecorder* flight = nullptr;
+  obs::Registry* obs = nullptr;
+  /// Fires per accepted result with the worker that computed it — the
+  /// fleet progress line's per-worker throughput feed.
+  std::function<void(const std::string& worker_id)> on_result_worker;
+};
+
 class Engine {
  public:
-  struct Options {
-    /// Max cells per LEASE grant (a worker's `want` caps it further).
-    int lease_batch = 8;
-    /// A worker silent this long is dead; the link drops and the grace
-    /// clock starts. Workers heartbeat every ~500 ms even while computing.
-    int dead_after_ms = 5000;
-    /// How long a detached worker (link lost) may stay away before its
-    /// leases requeue and its id is forgotten. -1 = use dead_after_ms.
-    int reconnect_grace_ms = -1;
-    /// Coordinator -> worker liveness beats. A parked worker otherwise
-    /// reads nothing and cannot tell "no work yet" from a silently dead
-    /// link; regular beats let its idle detector fire in seconds instead
-    /// of TCP's many-minute retransmission timeout. 0 = off.
-    int heartbeat_ms = 500;
+  struct Options : FleetOptions {
     /// A connection that has not completed HELLO within this window of
     /// being accepted is dropped, so unauthenticated peers cannot park
     /// fds (or trickle bytes) indefinitely. <= 0 = never.
     int handshake_timeout_ms = 2000;
-    /// Shared secret; "" = no authentication. A HELLO that fails the
-    /// constant-time compare is BYEd before any state exists.
-    std::string token;
-    /// Peer addresses (dotted quads) allowed to connect over TCP; empty =
-    /// all. AF_UNIX peers ("unix") always pass — filesystem permissions
-    /// gate those.
-    std::vector<std::string> allow;
     /// Accept HELLO {role=client} connections (the daemon). When false,
     /// clients are turned away with BYE.
     bool accept_clients = false;
-    std::function<void(const std::string&)> on_log;
     /// Daemon hooks: a decoded frame from a handshaken client / a client
     /// connection that went away.
     std::function<void(int fd, const Frame&)> on_client_frame;
     std::function<void(int fd)> on_client_closed;
-    /// Observability plane (both optional, both side-channel only):
-    /// control-plane events land in `flight`, stage timings (per-slot
-    /// queue wait) in `obs`. Neither influences dispatch or results.
-    FlightRecorder* flight = nullptr;
-    obs::Registry* obs = nullptr;
-    /// Fires per accepted result with the worker that computed it — the
-    /// fleet progress line's per-worker throughput feed.
-    std::function<void(const std::string& worker_id)> on_worker_result;
   };
 
   Engine(Listener* listener, Options opts);
@@ -262,15 +268,7 @@ class Engine {
 };
 
 /// One-shot coordinator options (`pfi_campaign --workers N`).
-struct FabricOptions {
-  int lease_batch = 8;
-  int dead_after_ms = 5000;
-  /// Detached-worker grace before requeue; -1 = dead_after_ms.
-  int reconnect_grace_ms = -1;
-  /// Coordinator -> worker liveness beat interval (0 = off).
-  int heartbeat_ms = 500;
-  /// Shared secret workers must present ("" = no auth).
-  std::string token;
+struct FabricOptions : FleetOptions {
   /// Abort (returning the partial result vector) when no worker has been
   /// connected for this long while work remains. 0 = wait forever.
   int no_worker_timeout_ms = 0;
@@ -280,15 +278,9 @@ struct FabricOptions {
   /// Completion-order stream, same contract as ExecutorOptions::on_result.
   std::function<void(const campaign::RunResult&)> on_result;
   std::function<bool()> should_stop;
-  std::function<void(const std::string&)> on_log;
-  /// Observability plane (all optional, all side-channel): control-plane
-  /// events, coordinator stage timings, per-worker STATS snapshots after
-  /// the run, and a per-result worker-id feed for the fleet progress line.
-  FlightRecorder* flight = nullptr;
-  obs::Registry* obs = nullptr;
+  /// Per-worker STATS snapshots after the run (side channel only).
   std::map<std::string, std::vector<obs::MetricSample>>* worker_stats_out =
       nullptr;
-  std::function<void(const std::string& worker_id)> on_result_worker;
 };
 
 /// Run `cells` over whatever workers connect to `listener` until every cell

@@ -86,8 +86,10 @@ void FlightRecorder::record(FlightEvent event, std::string_view worker,
   FlightRecord& r = ring_[head_];
   r.t_us = t_us;
   r.event = event;
+  // A default worker view has a null data(), which memcpy may not be
+  // handed even for zero bytes.
   const std::size_t n = std::min(worker.size(), sizeof r.worker - 1);
-  std::memcpy(r.worker, worker.data(), n);
+  if (n > 0) std::memcpy(r.worker, worker.data(), n);
   r.worker[n] = '\0';
   r.job = job;
   r.slot = slot;

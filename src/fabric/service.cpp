@@ -230,20 +230,12 @@ class Service {
     if (stats_ == nullptr) stats_ = &own_stats_;  // STATUS reads these
     if (opts_.max_active < 1) opts_.max_active = 1;
     Engine::Options eopts;
-    eopts.lease_batch = opts.lease_batch;
-    eopts.dead_after_ms = opts.dead_after_ms;
-    eopts.reconnect_grace_ms = opts.reconnect_grace_ms;
-    eopts.heartbeat_ms = opts.heartbeat_ms;
-    eopts.token = opts.token;
-    eopts.allow = opts.allow;
+    static_cast<FleetOptions&>(eopts) = opts;
     eopts.accept_clients = true;
-    eopts.on_log = opts.on_log;
     eopts.on_client_frame = [this](int fd, const Frame& f) {
       on_client_frame(fd, f);
     };
     eopts.on_client_closed = [this](int fd) { on_client_closed(fd); };
-    eopts.flight = opts.flight;
-    eopts.obs = opts.obs;
     engine_ = std::make_unique<Engine>(listener, std::move(eopts));
   }
 

@@ -52,29 +52,16 @@ struct ServiceStats {
   FabricStats fabric;      // copied from the engine at shutdown
 };
 
-struct ServiceOptions {
-  int lease_batch = 8;
-  int dead_after_ms = 5000;
-  /// Detached-worker grace before requeue; -1 = dead_after_ms.
-  int reconnect_grace_ms = -1;
-  /// Coordinator -> worker liveness beat interval (0 = off).
-  int heartbeat_ms = 500;
-  /// Shared secret every HELLO (worker *and* client) must present.
-  std::string token;
-  /// TCP peer-address allowlist (dotted quads); empty = all.
-  std::vector<std::string> allow;
+/// The daemon's options: the shared fleet settings (the token gates every
+/// HELLO, worker and client alike; the Engine records into `flight` and
+/// `obs`, which feed the STATUS reply and the fleet section of every
+/// campaign job's metrics artifact), plus the job queue's own.
+struct ServiceOptions : FleetOptions {
   /// Jobs running concurrently over the shared pool; more queue FIFO.
   int max_active = 4;
   /// Sampled every loop iteration; true drains the active jobs (their
   /// unfinished cells come back index == -1) and BYEs everyone.
   std::function<bool()> should_stop;
-  std::function<void(const std::string&)> on_log;
-  /// Observability plane (optional, side-channel): the daemon's Engine
-  /// records control-plane events into `flight` and coordinator stage
-  /// timings into `obs`; both feed the STATUS reply and the fleet section
-  /// of every campaign job's metrics artifact.
-  FlightRecorder* flight = nullptr;
-  obs::Registry* obs = nullptr;
 };
 
 /// Run the daemon event loop until should_stop. Returns 0 on a clean

@@ -1,6 +1,5 @@
 #include "fabric/wire.hpp"
 
-#include <cstdlib>
 #include <cstring>
 
 #include "campaign/kv.hpp"
@@ -115,11 +114,6 @@ bool tokens_equal(std::string_view a, std::string_view b) {
                 static_cast<unsigned char>(b[i])));
   }
   return diff == 0;
-}
-
-std::string token_or_env(const std::string& flag) {
-  const char* env = std::getenv("PFI_FABRIC_TOKEN");
-  return flag.empty() && env != nullptr ? env : flag;
 }
 
 // --- leases ----------------------------------------------------------------

@@ -167,9 +167,6 @@ bool decode_hello(std::string_view payload, Hello* out);
 /// Constant-time token equality (length still leaks; contents do not).
 bool tokens_equal(std::string_view a, std::string_view b);
 
-/// The --token flag's value, or $PFI_FABRIC_TOKEN when the flag is empty.
-std::string token_or_env(const std::string& flag);
-
 // --- leases ----------------------------------------------------------------
 
 /// Worker -> coordinator: "I can take up to `want` cells."

@@ -224,8 +224,9 @@ int run_worker(const WorkerOptions& opts) {
         std::chrono::duration_cast<std::chrono::microseconds>(b - a).count());
   };
 
-  const int want =
-      opts.lease_want > 0 ? opts.lease_want : std::max(2, 2 * opts.jobs);
+  // Two cells per executor slot (at least 2): enough to overlap computing
+  // with the next lease round trip. The coordinator caps a grant at 8.
+  const int want = std::max(2, 2 * opts.jobs);
   const std::string lease_req =
       encode_frame(FrameType::kLease, encode_lease_request(want));
   std::mutex write_mu;

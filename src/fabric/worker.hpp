@@ -32,9 +32,6 @@ struct WorkerOptions {
   int jobs = 1;          // executor threads / child processes per lease
   bool isolate = false;  // fork-sandbox each cell inside the worker
   int retries = 0;       // executor retry policy for errored cells
-  /// Cells requested per lease; 0 = auto (2 * jobs, min 2), enough to
-  /// overlap computing with the next round trip.
-  int lease_want = 0;
   int heartbeat_ms = 500;
   /// Declare the link dead and reconnect when nothing arrives for this
   /// long (the coordinator beats parked workers every ~500 ms, so a

@@ -10,8 +10,9 @@
 //
 //   * pfi_campaign --lint groups cells whose canonical keys match and
 //     reports the provably-equivalent duplicates;
-//   * pfi_search answers equivalent mutants from the representative's
-//     record without simulating them (SearchResult::equiv_skipped).
+//   * the search (`pfi_campaign --explore`) answers equivalent mutants
+//     from the representative's record without simulating them
+//     (SearchResult::equiv_skipped).
 //
 // Soundness contract: canonicalize(s).compile() and s.compile() drive
 // byte-identical fault behaviour for every message trace the protocol stub

@@ -15,9 +15,11 @@
 //   * Zero heap on the hot path: registration (find-or-create by name)
 //     allocates once; after that, callers hold a stable Counter*/Histogram*
 //     and an update is a single integer add (histograms: a bit-scan + add).
-//   * Compile-out: hot-path update sites go through PFI_OBS_INC /
-//     PFI_OBS_OBSERVE, which become no-ops when PFI_OBS_DISABLED is defined,
-//     so a build can remove even the null-pointer test.
+//   * One build: hot-path update sites go through PFI_OBS_INC /
+//     PFI_OBS_OBSERVE, a null-guarded update (a detached registry costs one
+//     branch). There is no compile-out switch: campaign records read the
+//     per-type counters (coverage digests), so they must not depend on
+//     how the library was built.
 //
 // One Registry per campaign cell; the campaign CLI merges cell snapshots
 // (counters add, gauges max) into the --metrics-out document.
@@ -129,14 +131,8 @@ void merge_samples(std::map<std::string, MetricSample>* merged,
 
 }  // namespace pfi::obs
 
-// Hot-path instrumentation sites: a null-guarded update that a build can
-// compile out entirely (-DPFI_OBS_DISABLED) to measure or remove the
-// residual cost. `p` is a Counter*/Histogram* cached at attach time.
-#if defined(PFI_OBS_DISABLED)
-#define PFI_OBS_INC(p) ((void)0)
-#define PFI_OBS_ADD(p, n) ((void)0)
-#define PFI_OBS_OBSERVE(p, v) ((void)0)
-#else
+// Hot-path instrumentation sites: a null-guarded update. `p` is a
+// Counter*/Histogram* cached at attach time (null = detached).
 #define PFI_OBS_INC(p) \
   do {                 \
     if ((p) != nullptr) (p)->inc(); \
@@ -149,4 +145,3 @@ void merge_samples(std::map<std::string, MetricSample>* merged,
   do {                        \
     if ((p) != nullptr) (p)->observe(v); \
   } while (0)
-#endif

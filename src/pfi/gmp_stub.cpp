@@ -1,6 +1,7 @@
 #include "pfi/gmp_stub.hpp"
 
 #include <sstream>
+#include <string_view>
 
 #include "gmp/message.hpp"
 #include "net/layers.hpp"
@@ -23,8 +24,11 @@ std::optional<std::int64_t> parse_int(const std::string& s) {
   }
 }
 
-std::optional<gmp::MsgType> type_from_name(const std::string& name) {
+/// A type name as scripts write it: the short form (`heartbeat`) or the
+/// one type_of() reports (`gmp-heartbeat`).
+std::optional<gmp::MsgType> type_from_name(std::string_view name) {
   using gmp::MsgType;
+  if (name.rfind("gmp-", 0) == 0) name.remove_prefix(4);
   if (name == "heartbeat") return MsgType::kHeartbeat;
   if (name == "proclaim") return MsgType::kProclaim;
   if (name == "join") return MsgType::kJoin;

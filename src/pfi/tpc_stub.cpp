@@ -1,6 +1,7 @@
 #include "pfi/tpc_stub.hpp"
 
 #include <sstream>
+#include <string_view>
 
 #include "net/layers.hpp"
 #include "tpc/tpc.hpp"
@@ -100,17 +101,21 @@ std::optional<xk::Message> TpcStub::generate(
   meta.local_port = 9900;
   for (const auto& [key, value] : params) {
     if (key == "type") {
-      if (value == "vote-req") {
+      // The short form (`vote-req`) or the one type_of() reports
+      // (`tpc-vote-req`).
+      std::string_view type = value;
+      if (type.rfind("tpc-", 0) == 0) type.remove_prefix(4);
+      if (type == "vote-req") {
         m.type = tpc::MsgType::kVoteReq;
-      } else if (value == "vote-yes") {
+      } else if (type == "vote-yes") {
         m.type = tpc::MsgType::kVoteYes;
-      } else if (value == "vote-no") {
+      } else if (type == "vote-no") {
         m.type = tpc::MsgType::kVoteNo;
-      } else if (value == "decision") {
+      } else if (type == "decision") {
         m.type = tpc::MsgType::kDecision;
-      } else if (value == "ack") {
+      } else if (type == "ack") {
         m.type = tpc::MsgType::kAck;
-      } else if (value == "decision-req") {
+      } else if (type == "decision-req") {
         m.type = tpc::MsgType::kDecisionReq;
       } else {
         return std::nullopt;

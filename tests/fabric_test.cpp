@@ -5,12 +5,16 @@
 // result re-send dedupe, a forged result index dropping the link, journal
 // merging, and the campaign-as-a-service daemon end to end — including its
 // report matching the in-process document, two jobs running concurrently
-// over one worker pool, and the live journal chunk stream.
+// over one worker pool, and the live journal chunk stream — plus the fleet
+// flag table the fabric binaries share and the coordinator's grant cap.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +33,7 @@
 #include "campaign/schedule.hpp"
 #include "campaign/spec.hpp"
 #include "fabric/coordinator.hpp"
+#include "fabric/fleet.hpp"
 #include "fabric/flight.hpp"
 #include "fabric/service.hpp"
 #include "fabric/socket.hpp"
@@ -74,10 +79,10 @@ struct Grant {
   std::vector<RunCell> cells;
 };
 
-/// A scripted worker: HELLO, LEASE, then step `engine` until the grant
-/// arrives. Returns the (nonblocking) socket, or -1 when no grant came.
+/// A scripted worker: HELLO, LEASE {want}, then step `engine` until the
+/// grant arrives. Returns the (nonblocking) socket, or -1 when no grant came.
 int lease_as_scripted_worker(Engine* engine, const std::string& address,
-                             const char* name, Grant* grant) {
+                             const char* name, Grant* grant, int want = 4) {
   std::string err;
   const int fd = dial(address, &err);
   if (fd < 0) return -1;
@@ -87,7 +92,7 @@ int lease_as_scripted_worker(Engine* engine, const std::string& address,
   hello.name = name;
   std::string bytes = encode_frame(FrameType::kHello, encode_hello(hello));
   bool ok = send_all(fd, bytes.data(), bytes.size());
-  bytes = encode_frame(FrameType::kLease, encode_lease_request(4));
+  bytes = encode_frame(FrameType::kLease, encode_lease_request(want));
   ok = ok && send_all(fd, bytes.data(), bytes.size());
   FrameReader reader;
   Frame f;
@@ -487,6 +492,31 @@ TEST(Fabric, DeadWorkerLeasesRequeueToSurvivors) {
   EXPECT_GE(engine.stats.workers_lost, 1);
 }
 
+TEST(Fabric, LeaseGrantIsCappedWhateverTheWorkerWants) {
+  // `want` is the worker's to choose, so the coordinator bounds it: a raw
+  // peer asking for 1000 cells of a 20-cell batch gets 8 in its grant.
+  const auto planned = campaign::plan(small_gmp_spec());
+  std::vector<RunCell> cells;
+  for (int i = 0; i < 20; ++i) {
+    cells.push_back(planned[static_cast<std::size_t>(i) % planned.size()]);
+    cells.back().index = i;
+  }
+  Listener listener;
+  std::string err;
+  ASSERT_TRUE(listener.open("127.0.0.1:0", &err)) << err;
+  Engine engine(&listener, Engine::Options{});
+  engine.add_batch(&cells, [](int, RunResult) {}, [] {});
+
+  Grant grant;
+  const int fd = lease_as_scripted_worker(&engine, listener.address(),
+                                          "greedy", &grant, /*want=*/1000);
+  ASSERT_GE(fd, 0) << "greedy peer never got a lease";
+  EXPECT_EQ(grant.slots.size(), 8u);
+  EXPECT_EQ(grant.cells.size(), grant.slots.size());
+  close(fd);
+  engine.shutdown("test complete");
+}
+
 TEST(Fabric, ResultForAnotherCellDropsLinkAndRequeues) {
   // A scripted worker answers its lease with a record claiming to be a
   // different cell. The engine must refuse it outright — drop the link,
@@ -735,6 +765,115 @@ TEST(Fabric, WorkerIdleTimeoutReconnectsThroughSilentLink) {
 }
 
 // --- journal merging -------------------------------------------------------
+
+// --- the fleet flag table --------------------------------------------------
+
+TEST(FleetFlags, EachSharedFlagSetsOneSettingInEveryBinaryThatAcceptsIt) {
+  unsetenv("PFI_FABRIC_TOKEN");
+  const Binary all[] = {kCampaignBinary, kFabricdBinary, kWorkerBinary};
+  const unsigned coordinators = kCampaignBinary | kFabricdBinary;
+  const unsigned everyone = coordinators | kWorkerBinary;
+  struct Row {
+    std::vector<std::string> args;
+    unsigned accepted_by;
+    std::function<bool(const FleetSettings&)> holds;
+  };
+  const Row rows[] = {
+      {{"--token", "s3cret"}, everyone,
+       [](const FleetSettings& f) {
+         return f.coordinator.token == "s3cret" && f.worker.token == "s3cret";
+       }},
+      {{"--heartbeat-ms", "250"}, everyone,
+       [](const FleetSettings& f) {
+         return f.coordinator.heartbeat_ms == 250 &&
+                f.worker.heartbeat_ms == 250;
+       }},
+      {{"--dead-after-ms", "1500"}, coordinators,
+       [](const FleetSettings& f) {
+         return f.coordinator.dead_after_ms == 1500;
+       }},
+      {{"--reconnect-grace-ms", "700"}, coordinators,
+       [](const FleetSettings& f) {
+         return f.coordinator.reconnect_grace_ms == 700;
+       }},
+      {{"--flight-out", "flight.jsonl"}, everyone,
+       [](const FleetSettings& f) { return f.flight_out == "flight.jsonl"; }},
+      {{"--workers", "3"}, coordinators,
+       [](const FleetSettings& f) { return f.workers == 3; }},
+      {{"--listen", "unix:/tmp/fleet.sock"}, coordinators,
+       [](const FleetSettings& f) {
+         return f.listen == "unix:/tmp/fleet.sock";
+       }},
+  };
+  for (const Row& row : rows) {
+    for (const Binary b : all) {
+      FleetSettings fleet;
+      const bool accepts = (row.accepted_by & b) != 0;
+      EXPECT_EQ(parse_flags(row.args, b, {}, &fleet),
+                accepts ? Parsed::kOk : Parsed::kUsage)
+          << row.args[0] << " as binary " << b;
+      if (accepts) {
+        EXPECT_TRUE(row.holds(fleet)) << row.args[0] << " as binary " << b;
+      }
+    }
+  }
+}
+
+TEST(FleetFlags, TokenFallsBackToTheEnvironment) {
+  setenv("PFI_FABRIC_TOKEN", "from-env", 1);
+  FleetSettings env;
+  EXPECT_EQ(parse_flags({}, kWorkerBinary, {}, &env), Parsed::kOk);
+  EXPECT_EQ(env.worker.token, "from-env");
+  EXPECT_EQ(env.coordinator.token, "from-env");
+  FleetSettings flag;
+  EXPECT_EQ(parse_flags({"--token", "from-flag"}, kFabricdBinary, {}, &flag),
+            Parsed::kOk);
+  EXPECT_EQ(flag.coordinator.token, "from-flag");
+  EXPECT_EQ(flag.worker.token, "from-flag");
+  unsetenv("PFI_FABRIC_TOKEN");
+}
+
+TEST(FleetFlags, MalformedNumbersAndForeignFlagsAreUsageErrors) {
+  int jobs = 1;
+  bool quiet = false;
+  const std::vector<Flag> own = {{"--jobs", &jobs}, {"--quiet", &quiet}};
+  const std::vector<std::vector<std::string>> bad = {
+      {"--dead-after-ms", "0.5"},
+      {"--dead-after-ms", "5s"},
+      {"--heartbeat-ms"},
+      {"--jobs", "abc"},
+      {"--workers", "99999999999"},
+      {"--no-such-flag"},
+  };
+  for (const auto& args : bad) {
+    FleetSettings fleet;
+    EXPECT_EQ(parse_flags(args, kCampaignBinary, own, &fleet),
+              Parsed::kUsage)
+        << args.front();
+  }
+  // A coordinator-only flag is not the worker's.
+  FleetSettings worker;
+  EXPECT_EQ(parse_flags({"--dead-after-ms", "100"}, kWorkerBinary, own,
+                        &worker),
+            Parsed::kUsage);
+  // Without a place for them, positionals are usage errors too.
+  EXPECT_EQ(parse_flags({"spec.txt"}, kWorkerBinary, own, &worker),
+            Parsed::kUsage);
+
+  FleetSettings fleet;
+  std::vector<std::string> positionals;
+  EXPECT_EQ(parse_flags({"spec.txt", "--jobs", "4", "--quiet",
+                         "--dead-after-ms", "-1"},
+                        kCampaignBinary, own, &fleet, &positionals),
+            Parsed::kOk);
+  EXPECT_EQ(jobs, 4);
+  EXPECT_TRUE(quiet);
+  EXPECT_EQ(fleet.coordinator.dead_after_ms, -1);
+  EXPECT_EQ(positionals, std::vector<std::string>{"spec.txt"});
+  EXPECT_EQ(parse_flags({"--jobs", "2", "--help"}, kWorkerBinary, own,
+                        &fleet),
+            Parsed::kHelp);
+}
 
 TEST(FabricJournal, MergeDedupesSortsAndIgnoresInputOrder) {
   const std::string a = "/tmp/pfi_fabric_test_a.jsonl";

@@ -10,6 +10,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/runner.hpp"
@@ -17,9 +18,11 @@
 #include "lint/lint.hpp"
 #include "lint/registry.hpp"
 #include "lint/sarif.hpp"
+#include "pfi/gmp_stub.hpp"
 #include "pfi/pfi_layer.hpp"
 #include "pfi/scripted_driver.hpp"
 #include "pfi/stub.hpp"
+#include "pfi/tpc_stub.hpp"
 #include "script/interp.hpp"
 #include "script/parse.hpp"
 #include "sim/scheduler.hpp"
@@ -644,6 +647,32 @@ TEST(LintSchedule, UnknownMessageType) {
   EXPECT_TRUE(has_rule(check_schedule(s, "gmp"), "unknown-message-type"));
   s.events[0].type = "*";
   EXPECT_TRUE(check_schedule(s, "gmp").empty());
+}
+
+TEST(LintSchedule, MessageTypesRoundTripThroughTheStubs) {
+  // Lint's type lists are kept by hand; the stubs tie them down. Every
+  // gmp-* and tpc-* name lint accepts is one the stub generates, and the
+  // generated message reports that same name back.
+  const core::GmpStub gmp;
+  const core::TpcStub tpc;
+  const std::pair<std::string, const core::PacketStub*> stubs[] = {
+      {"gmp", &gmp}, {"tpc", &tpc}};
+  int checked = 0;
+  for (const auto& [protocol, stub] : stubs) {
+    for (const std::string& type : protocol_message_types(protocol)) {
+      if (type.rfind(protocol + "-", 0) != 0) continue;
+      const auto msg = stub->generate({{"type", type}});
+      ASSERT_TRUE(msg.has_value()) << type;
+      EXPECT_EQ(stub->type_of(*msg), type);
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 8 + 6);
+  // The short spellings stay accepted.
+  EXPECT_EQ(gmp.type_of(*gmp.generate({{"type", "heartbeat"}})),
+            "gmp-heartbeat");
+  EXPECT_EQ(tpc.type_of(*tpc.generate({{"type", "vote-req"}})),
+            "tpc-vote-req");
 }
 
 TEST(LintSchedule, BadOccurrence) {

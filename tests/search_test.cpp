@@ -469,8 +469,10 @@ TEST(SearchGolden, FixedSeedRediscoversGoldenDigests) {
 // Golden equivalence-pruning counts on the shipped GMP spec: the canonical
 // classes a fixed-seed search collapses are as deterministic as the corpus
 // itself. If a canonicalizer change moves these numbers, re-run
-//   pfi_search scripts/campaign_gmp_omission.spec --budget 96 --seed 7
-// and confirm the violation set still matches a --no-prune run before
+//   pfi_campaign scripts/campaign_gmp_omission.spec --explore=96 --seed 7
+// and confirm the violation set still matches a run with
+// SearchOptions::prune_equivalent off (the comparison
+// EquivalencePruningPreservesTheReport makes on a small spec) before
 // updating them.
 TEST(SearchGolden, ShippedSpecGoldenEquivSkipped) {
   std::string err;
