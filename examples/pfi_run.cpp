@@ -11,8 +11,10 @@
 // once; each test is a different script file.
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 
+#include "campaign/kv.hpp"
 #include "experiments/gmp_testbed.hpp"
 #include "experiments/tcp_testbed.hpp"
 #include "pfi/driver.hpp"
@@ -112,6 +114,30 @@ int run_gmp(const Args& args) {
   return 0;
 }
 
+/// Parse a whole decimal int into `out`: "5s", "abc", "" and out-of-range
+/// values are refused rather than read as a prefix or as 0.
+bool parse_int(const std::string& flag, const std::string& v, int* out) {
+  bool ok = false;
+  const std::int64_t n = campaign::kv::to_i64(v, &ok);
+  if (!ok || n < std::numeric_limits<int>::min() ||
+      n > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "pfi_run: %s needs a whole number, got '%s'\n",
+                 flag.c_str(), v.c_str());
+    return false;
+  }
+  *out = static_cast<int>(n);
+  return true;
+}
+
+int usage(int code) {
+  std::printf(
+      "usage: pfi_run [--protocol tcp|gmp] [--vendor "
+      "sunos|aix|next|solaris|reference]\n"
+      "               [--script file.tcl] [--duration seconds] [--node N]\n"
+      "               [--diagram] [--json] [--no-trace]\n");
+  return code;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -128,9 +154,9 @@ int main(int argc, char** argv) {
     } else if (a == "--script") {
       args.script = next();
     } else if (a == "--duration") {
-      args.duration_s = std::atoi(next());
+      if (!parse_int(a, next(), &args.duration_s)) return usage(2);
     } else if (a == "--node") {
-      args.node = std::atoi(next());
+      if (!parse_int(a, next(), &args.node)) return usage(2);
     } else if (a == "--diagram") {
       args.diagram = true;
     } else if (a == "--json") {
@@ -138,12 +164,7 @@ int main(int argc, char** argv) {
     } else if (a == "--no-trace") {
       args.trace = false;
     } else {
-      std::printf(
-          "usage: pfi_run [--protocol tcp|gmp] [--vendor "
-          "sunos|aix|next|solaris|reference]\n"
-          "               [--script file.tcl] [--duration seconds] [--node N]\n"
-          "               [--diagram] [--json] [--no-trace]\n");
-      return a == "--help" || a == "-h" ? 0 : 1;
+      return usage(a == "--help" || a == "-h" ? 0 : 1);
     }
   }
   if (args.protocol == "gmp") return run_gmp(args);

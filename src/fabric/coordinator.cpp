@@ -633,6 +633,10 @@ void Engine::shutdown(const std::string& reason) {
 bool Engine::sever_worker_link() {
   for (std::size_t i = 0; i < conns_.size(); ++i) {
     if (conns_[i].role != Conn::Role::kWorker) continue;
+    // Only a worker holding leases has work in flight to resume; severing
+    // an idle one may let the job finish before it even reconnects.
+    const auto wt = workers_.find(conns_[i].worker_id);
+    if (wt == workers_.end() || wt->second.outstanding.empty()) continue;
     if (opts_.on_log) {
       opts_.on_log("chaos: severing link of " + conns_[i].worker_id);
     }

@@ -167,9 +167,10 @@ class Engine {
 
   [[nodiscard]] int worker_count() const;
 
-  /// Chaos hook: close the link of one connected worker without telling
-  /// it (simulates a network partition — the worker must notice, back
-  /// off, and reconnect). Returns true if a link was severed.
+  /// Chaos hook: close the link of one connected worker that holds leases,
+  /// without telling it (simulates a network partition — the worker must
+  /// notice, back off, reconnect and re-send). Returns true if a link was
+  /// severed; false when no connected worker holds a lease.
   bool sever_worker_link();
 
   /// Send raw frame bytes to a client connection (daemon replies). False
@@ -272,8 +273,9 @@ struct FabricOptions : FleetOptions {
   /// Abort (returning the partial result vector) when no worker has been
   /// connected for this long while work remains. 0 = wait forever.
   int no_worker_timeout_ms = 0;
-  /// Chaos: sever one worker's link after every N accepted results
-  /// (0 = never). Proves reconnect-and-resume keeps reports byte-identical.
+  /// Chaos: after every N accepted results, sever the link of a worker
+  /// holding leases, as soon as one does (0 = never). Proves reconnect-and-
+  /// resume keeps reports byte-identical.
   int flap_every = 0;
   /// Completion-order stream, same contract as ExecutorOptions::on_result.
   std::function<void(const campaign::RunResult&)> on_result;

@@ -16,7 +16,8 @@ void ReliableLayer::reset() {
 
 void ReliableLayer::push(xk::Message msg) {
   net::UdpMeta meta = net::UdpMeta::pop_from(msg);
-  auto ctrl_bytes = msg.pop_header(1);
+  // A view into msg: read it before the pushes below overwrite it.
+  const auto ctrl_bytes = msg.pop_header(1);
   const SendMode mode = ctrl_bytes.empty()
                             ? SendMode::kRaw
                             : static_cast<SendMode>(ctrl_bytes[0]);

@@ -98,9 +98,9 @@ const std::vector<RuleInfo>& rule_catalog() {
                              "(drop vs. other, or inside a reorder window)"},
       {"constant-condition", "if/while guard folds to a constant on every "
                              "reaching path"},
+      {"dead-timeline", "conformance inject window can never fire"},
       {"degenerate-reorder", "reorder window holds fewer than 2 messages; "
                              "releasing it reversed is the identity"},
-      {"dead-timeline", "conformance inject window can never fire"},
       {"duplicate-event", "two schedule events are identical"},
       {"empty-fault-window", "faults install after the run already ended"},
       {"empty-schedule", "fault schedule has no events"},

@@ -1,14 +1,10 @@
 #include "net/network.hpp"
 
-#include <sstream>
-
 namespace pfi::net {
 
 std::string to_string(NodeId id) {
   if (id == kBroadcast) return "broadcast";
-  std::ostringstream os;
-  os << "10.0.0." << id;
-  return os.str();
+  return "10.0.0." + std::to_string(id);
 }
 
 void Network::attach(NodeId node, std::function<void(xk::Message)> deliver) {

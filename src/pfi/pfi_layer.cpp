@@ -176,16 +176,18 @@ void PfiLayer::run_filter(Direction dir, xk::Message msg) {
   const int copies = 1 + ctx.duplicates;
   stats_.duplicated += static_cast<std::uint64_t>(ctx.duplicates);
   if (ctx.delay > 0) ++stats_.delayed;
-  for (int i = 0; i < copies; ++i) {
+  auto emit = [&](xk::Message m) {
     if (ctx.delay > 0) {
       sched_.schedule(ctx.delay,
-                      [this, alive = alive_, dir, m = ctx.msg]() mutable {
+                      [this, alive = alive_, dir, m = std::move(m)]() mutable {
                         if (*alive) forward(dir, std::move(m));
                       });
     } else {
-      forward(dir, ctx.msg);
+      forward(dir, std::move(m));
     }
-  }
+  };
+  for (int i = 1; i < copies; ++i) emit(ctx.msg);
+  if (copies > 0) emit(std::move(ctx.msg));  // the last copy takes the message
 }
 
 void PfiLayer::forward(Direction dir, xk::Message msg) {
@@ -208,7 +210,7 @@ void PfiLayer::trace_packet(const MsgCtx& ctx, const std::string& verb,
       cfg_.stub != nullptr ? cfg_.stub->summary(ctx.msg) : ctx.msg.printable();
   if (!note.empty()) detail += " | " + note;
   cfg_.trace->add(sched_.now(), cfg_.node_name, verb, type_of(ctx.msg),
-                  detail);
+                  std::move(detail));
 }
 
 // ---------------------------------------------------------------------------

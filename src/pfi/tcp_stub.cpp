@@ -1,7 +1,5 @@
 #include "pfi/tcp_stub.hpp"
 
-#include <sstream>
-
 #include "net/layers.hpp"
 #include "tcp/header.hpp"
 
@@ -51,10 +49,14 @@ std::string TcpStub::summary(const xk::Message& msg) const {
   tcp::TcpHeader h;
   if (!parse(msg, h)) return "runt tcp segment";
   const net::IpMeta meta = net::IpMeta::peek(msg);
-  std::ostringstream os;
-  os << h.summary() << " sport=" << h.src_port << " dport=" << h.dst_port
-     << " remote=" << net::to_string(meta.remote);
-  return os.str();
+  std::string out = h.summary();
+  out += " sport=";
+  out += std::to_string(h.src_port);
+  out += " dport=";
+  out += std::to_string(h.dst_port);
+  out += " remote=";
+  out += net::to_string(meta.remote);
+  return out;
 }
 
 std::optional<std::int64_t> TcpStub::field(const xk::Message& msg,

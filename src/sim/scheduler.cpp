@@ -5,43 +5,79 @@
 
 namespace pfi::sim {
 
-TimerId Scheduler::schedule(Duration delay, std::function<void()> fn) {
+namespace {
+
+constexpr TimerId make_id(std::uint32_t slot, std::uint32_t gen) {
+  return (static_cast<TimerId>(gen) << 32) | (static_cast<TimerId>(slot) + 1);
+}
+constexpr std::uint32_t slot_of(TimerId id) {
+  return static_cast<std::uint32_t>(id) - 1;
+}
+constexpr std::uint32_t gen_of(TimerId id) {
+  return static_cast<std::uint32_t>(id >> 32);
+}
+
+}  // namespace
+
+TimerId Scheduler::schedule(Duration delay, Callback fn) {
   return schedule_at(now_ + std::max<Duration>(delay, 0), std::move(fn));
 }
 
-TimerId Scheduler::schedule_at(TimePoint when, std::function<void()> fn) {
-  const TimerId id = next_id_++;
-  Event ev;
-  ev.when = std::max(when, now_);
-  ev.seq = next_seq_++;
-  ev.id = id;
-  ev.fn = std::move(fn);
-  queue_.push(std::move(ev));
-  live_.insert(id);
-  ++stats_.timers_scheduled;
-  if (live_.size() > stats_.queue_high_water) {
-    stats_.queue_high_water = live_.size();
+TimerId Scheduler::schedule_at(TimePoint when, Callback fn) {
+  std::uint32_t slot = 0;
+  if (free_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
   }
-  return id;
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  ++s.gen;  // odd: pending
+  queue_.push(Entry{std::max(when, now_), next_seq_++, slot, s.gen});
+  ++live_count_;
+  ++stats_.timers_scheduled;
+  if (live_count_ > stats_.queue_high_water) {
+    stats_.queue_high_water = live_count_;
+  }
+  return make_id(slot, s.gen);
+}
+
+Callback Scheduler::release(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  ++s.gen;  // even: free; any entry or id naming the old gen is now stale
+  free_.push_back(slot);
+  --live_count_;
+  return std::move(s.fn);
 }
 
 bool Scheduler::cancel(TimerId id) {
-  if (live_.erase(id) == 0) return false;
+  if (!pending(id)) return false;
   ++stats_.timers_cancelled;
+  // The closure dies with release's result, once the slot is consistent
+  // again, so its destructor may itself use the scheduler.
+  release(slot_of(id));
   return true;
 }
 
-bool Scheduler::pending(TimerId id) const { return live_.contains(id); }
+bool Scheduler::pending(TimerId id) const {
+  const std::uint32_t slot = slot_of(id);
+  const std::uint32_t gen = gen_of(id);
+  return slot < slots_.size() && (gen & 1U) != 0 && slots_[slot].gen == gen;
+}
 
 bool Scheduler::step() {
   while (!queue_.empty()) {
-    // priority_queue::top() is const; we need to move the callback out.
-    Event ev = std::move(const_cast<Event&>(queue_.top()));
+    const Entry e = queue_.top();
     queue_.pop();
-    if (live_.erase(ev.id) == 0) continue;  // cancelled tombstone
-    now_ = ev.when;
+    if (!is_live(e)) continue;  // cancelled tombstone
+    now_ = e.when;
     ++stats_.events_dispatched;
-    ev.fn();
+    // Take the callback out first: it may schedule more events, which can
+    // reuse this slot or grow the slab under it.
+    Callback fn = release(e.slot);
+    fn();
     return true;
   }
   return false;
@@ -57,7 +93,7 @@ std::size_t Scheduler::run_until(TimePoint deadline, std::size_t max_events) {
   std::size_t fired = 0;
   while (!queue_.empty()) {
     // Peek past cancelled tombstones without firing anything late.
-    if (!live_.contains(queue_.top().id)) {
+    if (!is_live(queue_.top())) {
       queue_.pop();
       continue;
     }

@@ -90,9 +90,7 @@ void TcpConnection::open_passive(const TcpHeader& syn) {
 }
 
 void TcpConnection::send(std::string_view data) {
-  for (char c : data) {
-    send_queue_.push_back(static_cast<std::uint8_t>(c));
-  }
+  send_queue_.insert(send_queue_.end(), data.begin(), data.end());
   if (state_ == State::kEstablished || state_ == State::kCloseWait) {
     try_send();
   }

@@ -1,7 +1,5 @@
 #include "tcp/header.hpp"
 
-#include <sstream>
-
 namespace pfi::tcp {
 
 void TcpHeader::push_onto(xk::Message& msg) const {
@@ -36,13 +34,12 @@ bool TcpHeader::peek(const xk::Message& msg, std::size_t at, TcpHeader& out) {
 }
 
 std::string TcpHeader::summary() const {
-  std::ostringstream os;
-  bool first = true;
+  std::string out;
+  out.reserve(72);  // the longest: every flag, every field at its maximum
   auto flag = [&](Flags f, const char* name) {
     if (has(f)) {
-      if (!first) os << '|';
-      os << name;
-      first = false;
+      if (!out.empty()) out += '|';
+      out += name;
     }
   };
   flag(kSyn, "SYN");
@@ -50,10 +47,16 @@ std::string TcpHeader::summary() const {
   flag(kRst, "RST");
   flag(kPsh, "PSH");
   flag(kAck, "ACK");
-  if (first) os << "none";
-  os << " seq=" << seq << " ack=" << ack << " win=" << window
-     << " len=" << payload_len;
-  return os.str();
+  if (out.empty()) out = "none";
+  out += " seq=";
+  out += std::to_string(seq);
+  out += " ack=";
+  out += std::to_string(ack);
+  out += " win=";
+  out += std::to_string(window);
+  out += " len=";
+  out += std::to_string(payload_len);
+  return out;
 }
 
 }  // namespace pfi::tcp

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstring>
 
 namespace pfi::xk {
 
@@ -21,26 +22,24 @@ Message::Message(std::string_view payload) {
 
 void Message::push_header(std::span<const std::uint8_t> header) {
   if (header.size() > off_) {
-    // Out of headroom: regrow with fresh space at the front.
-    const std::size_t grow = std::max(kHeadroom, header.size());
+    // Out of headroom: regrow with kHeadroom to spare once `header` is in.
+    const std::size_t front = kHeadroom + header.size();
     std::vector<std::uint8_t> fresh;
-    fresh.reserve(grow + buf_.size() - off_ + header.size());
-    fresh.resize(grow);
+    fresh.reserve(front + size());
+    fresh.resize(front);
     fresh.insert(fresh.end(), buf_.begin() + static_cast<long>(off_),
                  buf_.end());
     buf_ = std::move(fresh);
-    off_ = grow;
+    off_ = front;
   }
   off_ -= header.size();
   std::copy(header.begin(), header.end(),
             buf_.begin() + static_cast<long>(off_));
 }
 
-std::vector<std::uint8_t> Message::pop_header(std::size_t n) {
+std::span<const std::uint8_t> Message::pop_header(std::size_t n) {
   if (n > size()) return {};
-  std::vector<std::uint8_t> header(
-      buf_.begin() + static_cast<long>(off_),
-      buf_.begin() + static_cast<long>(off_ + n));
+  const std::span<const std::uint8_t> header{buf_.data() + off_, n};
   off_ += n;
   return header;
 }
@@ -90,34 +89,37 @@ std::string Message::as_string() const {
   return {bytes().begin(), bytes().end()};
 }
 
-void Writer::u8(std::uint8_t v) { buf_.push_back(v); }
-
-void Writer::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v));
+std::uint8_t* Writer::grow(std::size_t n) {
+  const std::size_t at = size_;
+  size_ += n;
+  if (size_ <= kInlineBytes) return inline_ + at;
+  if (heap_.empty()) heap_.assign(inline_, inline_ + at);
+  heap_.resize(size_);
+  return heap_.data() + at;
 }
 
-void Writer::u32(std::uint32_t v) {
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
+void Writer::put_be(std::uint64_t v, int width) {
+  std::uint8_t* out = grow(static_cast<std::size_t>(width));
+  for (int i = 0; i < width; ++i) {
+    out[i] = static_cast<std::uint8_t>(v >> (8 * (width - 1 - i)));
   }
 }
 
-void Writer::u64(std::uint64_t v) {
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
+void Writer::u8(std::uint8_t v) { *grow(1) = v; }
+void Writer::u16(std::uint16_t v) { put_be(v, 2); }
+void Writer::u32(std::uint32_t v) { put_be(v, 4); }
+void Writer::u64(std::uint64_t v) { put_be(v, 8); }
 
 void Writer::raw(std::span<const std::uint8_t> data) {
-  buf_.insert(buf_.end(), data.begin(), data.end());
+  if (data.empty()) return;
+  std::memcpy(grow(data.size()), data.data(), data.size());
 }
 
 void Writer::str(std::string_view s) {
-  u16(static_cast<std::uint16_t>(std::min<std::size_t>(s.size(), 0xFFFF)));
-  for (char c : s.substr(0, 0xFFFF)) {
-    buf_.push_back(static_cast<std::uint8_t>(c));
-  }
+  const std::string_view body = s.substr(0, 0xFFFF);
+  u16(static_cast<std::uint16_t>(body.size()));
+  if (body.empty()) return;
+  std::memcpy(grow(body.size()), body.data(), body.size());
 }
 
 std::uint8_t Reader::u8() {

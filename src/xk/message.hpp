@@ -34,9 +34,11 @@ class Message {
   /// Prepend `header` (a layer pushing its header on the way down the stack).
   void push_header(std::span<const std::uint8_t> header);
 
-  /// Remove and return the first `n` bytes (a layer stripping its header on
-  /// the way up). Returns an empty vector if the message is shorter than `n`.
-  std::vector<std::uint8_t> pop_header(std::size_t n);
+  /// Remove the first `n` bytes (a layer stripping its header on the way up)
+  /// and return a view of them, valid until the message next changes.
+  /// Returns an empty view, and leaves the message alone, if it is shorter
+  /// than `n`.
+  std::span<const std::uint8_t> pop_header(std::size_t n);
 
   /// Append payload bytes at the tail.
   void append(std::span<const std::uint8_t> data);
@@ -62,17 +64,23 @@ class Message {
  private:
   // Layers prepend headers on the way down, so the message keeps headroom at
   // the front: push_header fills it (O(header)) and pop_header just advances
-  // `off_` (O(header) for the returned copy). The x-Kernel's message tool
-  // used the same trick; the pfi_overhead bench measures the win.
+  // `off_`. A push that runs out regrows with kHeadroom free bytes in front
+  // of the new header, so the stack's later pushes fit without a copy. The
+  // x-Kernel's message tool used the same trick; the pfi_overhead bench
+  // measures the win.
   static constexpr std::size_t kHeadroom = 64;
 
   std::vector<std::uint8_t> buf_;
   std::size_t off_ = 0;  // start of live data within buf_
 };
 
-/// Big-endian (network byte order) header writer.
+/// Big-endian (network byte order) header writer. Bytes accumulate in
+/// inline storage, so building any header of the stack allocates nothing;
+/// only a writer that grows past kInlineBytes spills to the heap.
 class Writer {
  public:
+  static constexpr std::size_t kInlineBytes = 128;
+
   void u8(std::uint8_t v);
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
@@ -80,14 +88,22 @@ class Writer {
   void raw(std::span<const std::uint8_t> data);
   void str(std::string_view s);  // length-prefixed (u16) string
 
-  [[nodiscard]] const std::vector<std::uint8_t>& data() const { return buf_; }
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
+  [[nodiscard]] std::span<const std::uint8_t> data() const {
+    return {size_ <= kInlineBytes ? inline_ : heap_.data(), size_};
+  }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
   /// Prepend the accumulated bytes onto `msg` as a header.
-  void push_onto(Message& msg) const { msg.push_header(buf_); }
+  void push_onto(Message& msg) const { msg.push_header(data()); }
 
  private:
-  std::vector<std::uint8_t> buf_;
+  /// Extend by `n` bytes and return where they go.
+  std::uint8_t* grow(std::size_t n);
+  void put_be(std::uint64_t v, int width);
+
+  std::uint8_t inline_[kInlineBytes];  // bytes [0, size_) are written
+  std::vector<std::uint8_t> heap_;     // every byte, once past kInlineBytes
+  std::size_t size_ = 0;
 };
 
 /// Big-endian header reader over a byte span. Reads past the end yield zero

@@ -1,0 +1,207 @@
+// Allocation budgets for the per-message path.
+//
+// A counting operator new, linked into this binary only, turns "the message
+// path allocates nothing" into exact assertions, and pins whole-cell
+// ceilings so that a return of per-frame allocations fails here
+// deterministically instead of hiding in timing noise. The exact counts
+// hold on any standard library; each ceiling sits ~10% above the count its
+// test prints, so a library difference does not trip it.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <optional>
+#include <string>
+#include <utility>
+
+#include "campaign/runner.hpp"
+#include "campaign/spec.hpp"
+#include "campaign/suite.hpp"
+#include "gmp/message.hpp"
+#include "gmp/reliable.hpp"
+#include "net/layers.hpp"
+#include "sim/scheduler.hpp"
+#include "xk/layer.hpp"
+#include "xk/message.hpp"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocs{0};
+
+void* counted_alloc(std::size_t n) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+void* counted_alloc_or_throw(std::size_t n) {
+  void* p = counted_alloc(n);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+}  // namespace
+
+// The aligned forms keep the library's own definitions, which pair with its
+// own deletes.
+void* operator new(std::size_t n) { return counted_alloc_or_throw(n); }
+void* operator new[](std::size_t n) { return counted_alloc_or_throw(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
+namespace pfi {
+namespace {
+
+/// Allocations made while running `fn`.
+template <typename Fn>
+std::uint64_t allocs_during(Fn&& fn) {
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  fn();
+  return g_allocs.load(std::memory_order_relaxed) - before;
+}
+
+/// Bottom of a test stack: keeps the last frame without allocating.
+class Sink : public xk::Layer {
+ public:
+  Sink() : Layer("sink") {}
+  void push(xk::Message msg) override { last = std::move(msg); }
+  void pop(xk::Message msg) override { send_up(std::move(msg)); }
+  std::optional<xk::Message> last;
+};
+
+TEST(AllocBudget, HeaderRoundTripsOnHeadroomAllocateNothing) {
+  xk::Message msg{"payload"};
+  net::IpMeta ip;
+  ip.remote = 7;
+  ip.proto = net::IpProto::kUdp;
+  net::UdpMeta udp;
+  udp.remote = 7;
+  udp.remote_port = 4000;
+  udp.local_port = 4001;
+  gmp::RelHeader rel;
+  rel.kind = gmp::RelKind::kData;
+  rel.seq = 42;
+  gmp::RelHeader rel_out;
+  const std::uint64_t n = allocs_during([&] {
+    for (int i = 0; i < 100; ++i) {
+      ip.push_onto(msg);
+      udp.push_onto(msg);
+      rel.push_onto(msg);
+      ASSERT_TRUE(gmp::RelHeader::pop_from(msg, rel_out));
+      EXPECT_EQ(net::UdpMeta::pop_from(msg).local_port, 4001);
+      EXPECT_EQ(net::IpMeta::pop_from(msg).remote, 7u);
+    }
+  });
+  EXPECT_EQ(n, 0u);
+  EXPECT_EQ(rel_out.seq, 42u);
+  EXPECT_EQ(msg.as_string(), "payload");
+}
+
+TEST(AllocBudget, GmpEncodeAllocatesOnceAndTheStackBelowNever) {
+  // A GMP node's stack below the daemon: reliable -> UDP -> IP.
+  sim::Scheduler sched;
+  xk::Stack stack;
+  xk::Layer* top = stack.add(std::make_unique<gmp::ReliableLayer>(sched));
+  stack.add(std::make_unique<net::UdpLayer>(1));
+  stack.add(std::make_unique<net::IpLayer>(1));
+  auto* sink = static_cast<Sink*>(stack.add(std::make_unique<Sink>()));
+
+  gmp::GmpMessage m;
+  m.type = gmp::MsgType::kMembershipChange;
+  m.sender = 1;
+  m.originator = 1;
+  m.view_id = 9;
+  m.members = {1, 2, 3};
+
+  xk::Message msg;
+  const std::uint64_t encode = allocs_during([&] { msg = m.encode(); });
+  EXPECT_EQ(encode, 1u) << "encode allocates the message buffer only";
+  const std::size_t encoded = msg.size();
+
+  // The daemon's ctrl byte and UdpMeta, then the reliable layer's RelHeader,
+  // UDP's header and IpMeta, and IP's header: all in the encode's headroom.
+  const std::uint64_t below = allocs_during([&] {
+    const auto ctrl = static_cast<std::uint8_t>(gmp::SendMode::kRaw);
+    msg.push_header(std::span{&ctrl, 1});
+    net::UdpMeta meta;
+    meta.remote = 2;
+    meta.remote_port = 5000;
+    meta.local_port = 5000;
+    meta.push_onto(msg);
+    top->push(std::move(msg));
+  });
+  EXPECT_EQ(below, 0u);
+  ASSERT_TRUE(sink->last.has_value());
+  // IP 12 + UDP 6 + RelHeader 5 in front of the encoded message.
+  EXPECT_EQ(sink->last->size(), 12u + 6u + gmp::RelHeader::kSize + encoded);
+}
+
+TEST(AllocBudget, ScheduledMessageClosureAllocatesNothing) {
+  sim::Scheduler sched;
+  std::size_t delivered = 0;
+  auto send = [&] {
+    xk::Message frame{"0123456789abcdef"};
+    const std::uint64_t n = allocs_during([&] {
+      sched.schedule(1, [&delivered, frame = std::move(frame)]() mutable {
+        delivered += frame.size();
+      });
+      ASSERT_TRUE(sched.step());
+    });
+    return n;
+  };
+  send();  // warm-up: the slab and the event heap grow once
+  EXPECT_EQ(send(), 0u);
+  EXPECT_EQ(delivered, 32u);
+}
+
+/// Allocations of one run_cell, after a warm-up run of the same cell has
+/// paid for lazily built tables.
+std::uint64_t steady_cell_allocs(const campaign::RunCell& cell) {
+  const campaign::RunResult warm = campaign::run_cell(cell);
+  EXPECT_FALSE(warm.errored()) << warm.error;
+  return allocs_during([&] {
+    const campaign::RunResult r = campaign::run_cell(cell);
+    EXPECT_FALSE(r.errored()) << r.error;
+  });
+}
+
+TEST(AllocBudget, GmpCampaignCellCeiling) {
+  std::string err;
+  const auto spec = campaign::load_spec_file(
+      std::string(PFI_SCRIPTS_DIR) + "/campaign_gmp_omission.spec", &err);
+  ASSERT_TRUE(spec.has_value()) << err;
+  const auto cells = campaign::plan(*spec);
+  ASSERT_FALSE(cells.empty());
+  const std::uint64_t n = steady_cell_allocs(cells.front());
+  std::printf("allocations for %s: %llu\n", cells.front().id.c_str(),
+              static_cast<unsigned long long>(n));
+  EXPECT_LE(n, 4900u);
+}
+
+TEST(AllocBudget, TcpSuiteCellCeiling) {
+  std::string err;
+  const auto cells = campaign::plan_suite(PFI_SUITES_DIR "/tcp", &err);
+  ASSERT_TRUE(cells.has_value()) << err;
+  ASSERT_FALSE(cells->empty());
+  const std::uint64_t n = steady_cell_allocs(cells->front());
+  std::printf("allocations for %s: %llu\n", cells->front().id.c_str(),
+              static_cast<unsigned long long>(n));
+  EXPECT_LE(n, 7000u);
+}
+
+}  // namespace
+}  // namespace pfi

@@ -927,6 +927,15 @@ TEST(LintSarif, StructuredReport) {
   EXPECT_NE(empty_doc.find("\"results\":[]"), std::string::npos);
 }
 
+TEST(LintSarif, RuleCatalogSortedWithoutDuplicates) {
+  // The SARIF rules array is the catalog in order, and consumers expect it
+  // sorted by id; strictly increasing also rules out a duplicate id.
+  const auto& rules = rule_catalog();
+  for (std::size_t i = 1; i < rules.size(); ++i) {
+    EXPECT_LT(rules[i - 1].id, rules[i].id) << "catalog entry " << i;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Result.line plumbing (the interpreter fix the linter's positions ride on)
 // ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 // Unit tests for the deterministic scheduler, timers and RNG.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -106,6 +110,106 @@ TEST(Scheduler, EventBudgetStopsRunawayLoops) {
   s.schedule(0, loop);
   const std::size_t fired = s.run(1000);
   EXPECT_EQ(fired, 1000u);
+}
+
+TEST(Scheduler, StaleIdNeverMatchesReusedSlot) {
+  Scheduler s;
+  const TimerId old = s.schedule(msec(1), [] {});
+  s.run();
+  // The fired event's slot is free; the next event takes it over.
+  bool ran = false;
+  const TimerId fresh = s.schedule(msec(1), [&] { ran = true; });
+  EXPECT_NE(old, fresh);
+  EXPECT_FALSE(s.pending(old));
+  EXPECT_FALSE(s.cancel(old));
+  EXPECT_TRUE(s.pending(fresh));
+  s.run();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(s.stats().timers_cancelled, 0u);
+}
+
+TEST(Scheduler, CallbackMayCancelAnotherPendingEvent) {
+  Scheduler s;
+  bool victim_ran = false;
+  TimerId victim = kInvalidTimer;
+  s.schedule(msec(1), [&] { EXPECT_TRUE(s.cancel(victim)); });
+  victim = s.schedule(msec(2), [&] { victim_ran = true; });
+  s.run();
+  EXPECT_FALSE(victim_ran);
+  EXPECT_EQ(s.stats().events_dispatched, 1u);
+  EXPECT_EQ(s.stats().timers_cancelled, 1u);
+  EXPECT_EQ(s.queued(), 0u);
+}
+
+TEST(Scheduler, TiesKeepInsertionOrderAcrossSlotReuse) {
+  Scheduler s;
+  std::vector<int> order;
+  // Free some slots in a scrambled order, then fill them with ties: the
+  // slot an event lands in must not affect when it fires.
+  std::vector<TimerId> ids;
+  for (int i = 0; i < 6; ++i) ids.push_back(s.schedule(msec(1), [] {}));
+  s.cancel(ids[4]);
+  s.cancel(ids[1]);
+  s.cancel(ids[3]);
+  for (int i = 0; i < 8; ++i) {
+    s.schedule(msec(5), [&order, i] { order.push_back(i); });
+  }
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(Scheduler, MoveOnlyClosureFiresOnce) {
+  Scheduler s;
+  int fired = 0;
+  auto box = std::make_unique<int>(7);
+  s.schedule(msec(1), [&fired, box = std::move(box)] { fired += *box; });
+  s.run();
+  EXPECT_EQ(fired, 7);
+}
+
+TEST(Scheduler, ClosureLargerThanInlineStorageFiresAndDiesOnce) {
+  // Counts its live copies: every move leaves the source disarmed, so the
+  // count drops to zero exactly when the last real copy is destroyed.
+  struct Tally {
+    int* live;
+    explicit Tally(int* l) : live(l) { ++*live; }
+    Tally(Tally&& o) noexcept : live(std::exchange(o.live, nullptr)) {}
+    Tally(const Tally&) = delete;
+    Tally& operator=(const Tally&) = delete;
+    Tally& operator=(Tally&&) = delete;
+    ~Tally() {
+      if (live != nullptr) --*live;
+    }
+  };
+  Scheduler s;
+  int live = 0;
+  int fired = 0;
+  std::array<char, 2 * Callback::kInlineBytes> pad{};
+  pad[1] = 1;
+  s.schedule(msec(1), [&fired, pad, t = Tally{&live}] { fired += pad[1]; });
+  // Grow the slab under the heap-held closure before it fires.
+  for (int i = 0; i < 100; ++i) s.schedule(msec(2), [] {});
+  EXPECT_EQ(live, 1);
+  s.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(live, 0);
+}
+
+TEST(Scheduler, DestructionFreesPendingClosures) {
+  // Run under ASan's leak checker, this also proves the heap-held closure
+  // is released.
+  auto shared = std::make_shared<int>(0);
+  {
+    Scheduler s;
+    std::array<char, 2 * Callback::kInlineBytes> pad{};
+    s.schedule(msec(1), [shared] { ++*shared; });
+    s.schedule(msec(2), [shared, pad] { *shared += pad[0]; });
+    const TimerId gone = s.schedule(msec(3), [shared] { ++*shared; });
+    s.cancel(gone);
+    EXPECT_EQ(shared.use_count(), 3);
+  }
+  EXPECT_EQ(shared.use_count(), 1);
+  EXPECT_EQ(*shared, 0);
 }
 
 TEST(Timer, FiresOnce) {

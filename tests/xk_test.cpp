@@ -26,7 +26,7 @@ TEST(Message, PushPopHeaderInverse) {
   m.push_header(hdr);
   EXPECT_EQ(m.size(), 11u);
   auto popped = m.pop_header(4);
-  EXPECT_EQ(popped, hdr);
+  EXPECT_EQ(std::vector(popped.begin(), popped.end()), hdr);
   EXPECT_EQ(m.as_string(), "payload");
 }
 
@@ -43,8 +43,10 @@ TEST(Message, NestedHeadersPopInReverseOrder) {
   const std::vector<std::uint8_t> outer{0xBB, 0xCC};
   m.push_header(inner);
   m.push_header(outer);
-  EXPECT_EQ(m.pop_header(2), outer);
-  EXPECT_EQ(m.pop_header(1), inner);
+  auto popped = m.pop_header(2);
+  EXPECT_EQ(std::vector(popped.begin(), popped.end()), outer);
+  popped = m.pop_header(1);
+  EXPECT_EQ(std::vector(popped.begin(), popped.end()), inner);
   EXPECT_EQ(m.as_string(), "data");
 }
 
@@ -58,7 +60,8 @@ TEST(Message, HeaderLargerThanHeadroomRegrows) {
   }
   m.push_header(big);
   EXPECT_EQ(m.size(), 507u);
-  EXPECT_EQ(m.pop_header(500), big);
+  auto popped = m.pop_header(500);
+  EXPECT_EQ(std::vector(popped.begin(), popped.end()), big);
   EXPECT_EQ(m.as_string(), "payload");
 }
 
@@ -68,7 +71,8 @@ TEST(Message, ManyHeaderCyclesStayConsistent) {
   for (int i = 0; i < 1000; ++i) {
     m.push_header(hdr);
     ASSERT_EQ(m.size(), 4u);
-    ASSERT_EQ(m.pop_header(3), hdr);
+    auto popped = m.pop_header(3);
+    ASSERT_EQ(std::vector(popped.begin(), popped.end()), hdr);
   }
   EXPECT_EQ(m.as_string(), "x");
 }
@@ -140,6 +144,20 @@ TEST(WriterReader, AllWidthsRoundTrip) {
   EXPECT_EQ(r.u32(), 0x789ABCDEu);
   EXPECT_EQ(r.u64(), 0x0102030405060708ULL);
   EXPECT_EQ(r.str(), "hi there");
+  EXPECT_FALSE(r.truncated());
+  EXPECT_EQ(r.remaining(), 0u);
+}
+
+TEST(WriterReader, SpillPastInlineStorageRoundTrips) {
+  // 2 + 300 + 4 bytes: the writer outgrows its inline buffer mid-string.
+  Writer w;
+  const std::string body(300, 'q');
+  w.str(body);
+  w.u32(0xCAFEF00D);
+  ASSERT_EQ(w.size(), 306u);
+  Reader r{w.data()};
+  EXPECT_EQ(r.str(), body);
+  EXPECT_EQ(r.u32(), 0xCAFEF00Du);
   EXPECT_FALSE(r.truncated());
   EXPECT_EQ(r.remaining(), 0u);
 }
@@ -295,7 +313,8 @@ TEST_P(HeaderRoundTrip, Inverse) {
     hdr[i] = static_cast<std::uint8_t>(i * 37);
   }
   m.push_header(hdr);
-  EXPECT_EQ(m.pop_header(n), hdr);
+  auto popped = m.pop_header(n);
+  EXPECT_EQ(std::vector(popped.begin(), popped.end()), hdr);
   EXPECT_EQ(m.as_string(), "body");
 }
 
