@@ -87,6 +87,18 @@ script::Result PfiLayer::run_setup(const std::string& script, int first_line) {
   return out;
 }
 
+void PfiLayer::set_send_script(const std::string& script, int first_line) {
+  send_program_ = script.empty() ? nullptr : send_interp_->compile(script);
+  send_script_line_ = first_line;
+}
+
+void PfiLayer::set_receive_script(const std::string& script,
+                                  int first_line) {
+  receive_program_ =
+      script.empty() ? nullptr : receive_interp_->compile(script);
+  receive_script_line_ = first_line;
+}
+
 void PfiLayer::register_command(const script::CommandSig& sig,
                                 script::Interp::Command fn) {
   send_interp_->register_command(sig, fn);
@@ -142,11 +154,11 @@ void PfiLayer::run_filter(Direction dir, xk::Message msg) {
   ctx.msg = std::move(msg);
   ctx.dir = dir;
 
-  const std::string& text =
-      dir == Direction::kDown ? send_script_ : receive_script_;
-  if (!text.empty()) {
+  const script::Interp::Program& program =
+      dir == Direction::kDown ? send_program_ : receive_program_;
+  if (program != nullptr) {
     current_ = &ctx;
-    Result r = interp_for(dir).eval(text);
+    Result r = interp_for(dir).eval(program);
     current_ = nullptr;
     if (r.is_error()) {
       ++stats_.script_errors;

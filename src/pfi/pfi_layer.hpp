@@ -70,18 +70,13 @@ class PfiLayer : public xk::Layer {
   PfiLayer(sim::Scheduler& sched, PfiConfig cfg);
   ~PfiLayer() override;
 
-  /// Install filter scripts. Empty script = pass-through. `first_line` is
-  /// the 1-based line the script text starts on in its source file (a
-  /// sectioned .tcl file — ScriptFile records it), so script errors report
+  /// Install filter scripts, compiled here once; every message runs the
+  /// compiled form. Empty script = pass-through. `first_line` is the
+  /// 1-based line the script text starts on in its source file (a sectioned
+  /// .tcl file — ScriptFile records it), so script errors report
   /// file-absolute lines.
-  void set_send_script(std::string script, int first_line = 1) {
-    send_script_ = std::move(script);
-    send_script_line_ = first_line;
-  }
-  void set_receive_script(std::string script, int first_line = 1) {
-    receive_script_ = std::move(script);
-    receive_script_line_ = first_line;
-  }
+  void set_send_script(const std::string& script, int first_line = 1);
+  void set_receive_script(const std::string& script, int first_line = 1);
 
   /// Evaluate a script once in BOTH interpreters (setup: constants, procs,
   /// `after` schedules). Returns the receive interpreter's result; a send-
@@ -152,8 +147,8 @@ class PfiLayer : public xk::Layer {
   sim::Rng rng_;
   std::unique_ptr<script::Interp> send_interp_;
   std::unique_ptr<script::Interp> receive_interp_;
-  std::string send_script_;
-  std::string receive_script_;
+  script::Interp::Program send_program_;     // null: pass-through
+  script::Interp::Program receive_program_;  // null: pass-through
   int send_script_line_ = 1;
   int receive_script_line_ = 1;
   MsgCtx* current_ = nullptr;  // valid only during run_filter

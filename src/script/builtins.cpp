@@ -1,7 +1,10 @@
-// Core Tcl command set installed into every Interp: one table of
-// {signature, function}. Interp::invoke enforces each signature's argument
+// Core Tcl command set: one static table of {signature, function} that
+// every Interp shares. The interpreter enforces each signature's argument
 // count, so a command here checks only what a count cannot express (the
-// `if` and `puts` grammars, subcommands).
+// `if` and `puts` grammars, subcommands). A command reads its words through
+// CallArgs, and runs a body or a condition through the interpreter's
+// eval_word / eval_condition, which use the compiled form kept on a literal
+// word.
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
@@ -15,7 +18,7 @@ namespace pfi::script {
 
 namespace {
 
-using Args = std::vector<std::string>;
+using Args = CallArgs;
 
 Result cmd_set(Interp& in, const Args& a) {
   if (a.size() == 3) {
@@ -66,6 +69,7 @@ Result cmd_append(Interp& in, const Args& a) {
 }
 
 Result cmd_expr(Interp& in, const Args& a) {
+  if (a.size() == 2) return in.eval_expr_word(a, 1);
   std::string joined;
   for (std::size_t i = 1; i < a.size(); ++i) {
     if (i > 1) joined += ' ';
@@ -87,26 +91,19 @@ Result cmd_puts(Interp& in, const Args& a) {
   return Result::ok();
 }
 
-Result eval_condition(Interp& in, const std::string& cond, bool& out) {
-  Result r = in.eval_expr(cond);
-  if (!r.is_ok()) return r;
-  out = ExprValue::parse(r.value).truthy();
-  return Result::ok();
-}
-
 Result cmd_if(Interp& in, const Args& a) {
   // if cond ?then? body ?elseif cond ?then? body ...? ?else? ?body?
   std::size_t i = 1;
   while (true) {
     if (i >= a.size()) return wrong_args("if cond body ...");
-    const std::string& cond = a[i++];
+    const std::size_t cond = i++;
     if (i < a.size() && a[i] == "then") ++i;
     if (i >= a.size()) return wrong_args("if cond body ...");
-    const std::string& body = a[i++];
+    const std::size_t body = i++;
     bool truthy = false;
-    Result c = eval_condition(in, cond, truthy);
+    Result c = in.eval_condition(a, cond, truthy);
     if (!c.is_ok()) return c;
-    if (truthy) return in.eval(body);
+    if (truthy) return in.eval_word(a, body);
     if (i >= a.size()) return Result::ok();
     if (a[i] == "elseif") {
       ++i;
@@ -114,7 +111,7 @@ Result cmd_if(Interp& in, const Args& a) {
     }
     if (a[i] == "else") ++i;
     if (i >= a.size()) return wrong_args("if ... else body");
-    return in.eval(a[i]);
+    return in.eval_word(a, i);
   }
 }
 
@@ -129,10 +126,10 @@ Result cmd_while(Interp& in, const Args& a) {
       return Result::error("watchdog: execution budget exceeded");
     }
     bool truthy = false;
-    Result c = eval_condition(in, a[1], truthy);
+    Result c = in.eval_condition(a, 1, truthy);
     if (!c.is_ok()) return c;
     if (!truthy) break;
-    Result r = in.eval(a[2]);
+    Result r = in.eval_word(a, 2);
     if (r.code == Code::kBreak) break;
     if (r.code == Code::kContinue || r.code == Code::kOk) continue;
     return r;  // error or return
@@ -141,7 +138,7 @@ Result cmd_while(Interp& in, const Args& a) {
 }
 
 Result cmd_for(Interp& in, const Args& a) {
-  Result init = in.eval(a[1]);
+  Result init = in.eval_word(a, 1);
   if (!init.is_ok()) return init;
   std::uint64_t iters = 0;
   while (true) {
@@ -153,13 +150,13 @@ Result cmd_for(Interp& in, const Args& a) {
       return Result::error("watchdog: execution budget exceeded");
     }
     bool truthy = false;
-    Result c = eval_condition(in, a[2], truthy);
+    Result c = in.eval_condition(a, 2, truthy);
     if (!c.is_ok()) return c;
     if (!truthy) break;
-    Result r = in.eval(a[4]);
+    Result r = in.eval_word(a, 4);
     if (r.code == Code::kBreak) break;
     if (r.code != Code::kContinue && r.code != Code::kOk) return r;
-    Result next = in.eval(a[3]);
+    Result next = in.eval_word(a, 3);
     if (!next.is_ok()) return next;
   }
   return Result::ok();
@@ -170,7 +167,7 @@ Result cmd_foreach(Interp& in, const Args& a) {
   for (const auto& item : items) {
     in.note_loop_tick();
     in.set_var(a[1], item);
-    Result r = in.eval(a[3]);
+    Result r = in.eval_word(a, 3);
     if (r.code == Code::kBreak) break;
     if (r.code != Code::kContinue && r.code != Code::kOk) return r;
   }
@@ -195,16 +192,17 @@ struct ProcDef {
   std::string name;
   ProcSignature sig;          // max_args < 0: the list ends in `args`
   std::vector<Param> params;  // without that trailing `args`
-  std::string body;
+  Interp::Program body;
 };
 
-Result call_proc(const ProcDef& def, Interp& interp, const Args& args) {
+Result call_proc(const ProcDef& def, Interp& interp,
+                 const std::vector<std::string>& args) {
   interp.push_frame();
   struct FrameGuard {
     Interp& in;
     ~FrameGuard() { in.pop_frame(); }
   } guard{interp};
-  // invoke() checked the count: every parameter without an argument here
+  // The interpreter checked the count: every parameter without an argument
   // has a default.
   for (std::size_t i = 0; i < def.params.size(); ++i) {
     interp.set_var(def.params[i].name,
@@ -235,12 +233,13 @@ Result cmd_proc(Interp& in, const Args& a) {
     def->params.push_back({spec.empty() ? params[i] : spec[0],
                            spec.size() >= 2 ? spec[1] : std::string{}});
   }
-  def->body = a[3];
+  def->body = in.word_program(a, 3);
   const CommandSig sig{def->name, def->sig.min_args, def->sig.max_args,
                        def->sig.usage};
   in.register_command(sig, [def = std::shared_ptr<const ProcDef>(
-                                std::move(def))](Interp& interp,
-                                                 const Args& args) {
+                                std::move(def))](
+                               Interp& interp,
+                               const std::vector<std::string>& args) {
     // Hold the definition: the body may redefine this proc, dropping the
     // binding that owns this closure.
     const std::shared_ptr<const ProcDef> keep = def;
@@ -255,7 +254,7 @@ Result cmd_global(Interp& in, const Args& a) {
 }
 
 Result cmd_catch(Interp& in, const Args& a) {
-  Result r = in.eval(a[1]);
+  Result r = in.eval_word(a, 1);
   if (a.size() == 3) in.set_var(a[2], r.value);
   return Result::ok(std::to_string(static_cast<int>(r.code)));
 }
@@ -371,7 +370,7 @@ Result cmd_string(Interp&, const Args& a) {
 }
 
 Result cmd_list(Interp&, const Args& a) {
-  return Result::ok(make_list({a.begin() + 1, a.end()}));
+  return Result::ok(make_list(a.tail(1)));
 }
 
 Result cmd_lindex(Interp&, const Args& a) {
@@ -446,7 +445,7 @@ Result cmd_switch(Interp& in, const Args& a) {
   if (a.size() - i == 1) {
     arms = parse_list(a[i]);  // braced pattern/body list
   } else {
-    arms.assign(a.begin() + static_cast<long>(i), a.end());
+    arms = a.tail(i);
   }
   if (arms.size() < 2 || arms.size() % 2 != 0) {
     return Result::error("extra switch pattern with no body");
@@ -716,7 +715,7 @@ ProcSignature proc_signature(std::string_view name,
 
 namespace {
 
-using Builtin = Result (*)(Interp&, const Args&);
+using Builtin = Binding::Builtin;
 
 constexpr struct {
   CommandSig sig;
@@ -761,8 +760,16 @@ constexpr struct {
 
 }  // namespace
 
-void Interp::install_builtins() {
-  for (const auto& b : kBuiltins) register_command(b.sig, b.fn);
+std::span<const Binding> core_commands() {
+  static const std::vector<Binding> table = [] {
+    std::vector<Binding> t;
+    for (const auto& b : kBuiltins) t.push_back({b.sig, b.fn, {}});
+    std::sort(t.begin(), t.end(), [](const Binding& x, const Binding& y) {
+      return x.sig.name < y.sig.name;
+    });
+    return t;
+  }();
+  return table;
 }
 
 }  // namespace pfi::script

@@ -1,42 +1,128 @@
-// Expression engine for the `expr` command and for `if`/`while`/`for`
-// conditions. Performs its own `$var` and `[cmd]` substitution so that braced
-// conditions like {$count < 30} re-substitute on every loop iteration, as in
-// real Tcl. The references and brackets are lexed by the script parser's
-// own scanners (parse.hpp), so `$a([set k])` and `[cmd \]]` read the same
-// in an expression as in a word.
+// The expression engine behind `expr` and the `if`/`while`/`for` conditions:
+// the compiler from text to postfix code (expr.hpp) and the stack machine
+// that runs it. Braced conditions like {$count < 30} re-read their
+// variables on every run, as in real Tcl, but are compiled only once.
+#include "script/expr.hpp"
+
 #include <cctype>
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
-
-#include "script/interp.hpp"
-#include "script/parse.hpp"
 
 namespace pfi::script {
 
 namespace {
 
+/// A run-time error raised while executing code: the text of its Result.
 struct ExprError {
   std::string msg;
 };
 
-class ExprParser {
- public:
-  ExprParser(Interp& interp, std::string_view text)
-      : interp_(interp), text_(text) {}
+/// Unwinds the compiler after a kFail has been emitted.
+struct Stop {};
 
-  ExprValue parse() {
-    ExprValue v = ternary();
-    skip_ws();
-    if (pos_ < text_.size()) {
-      throw ExprError{"syntax error in expression near \"" +
-                      std::string(text_.substr(pos_)) + "\""};
+using Op = Expr::Op;
+using Kind = ExprValue::Kind;
+
+/// How many values `op` leaves on the stack, less how many it takes.
+int stack_effect(Op op, std::uint32_t nargs) {
+  switch (op) {
+    case Op::kConst:
+    case Op::kVar:
+    case Op::kCommand:
+    case Op::kQuoted:
+      return 1;
+    case Op::kCheckInt:
+    case Op::kNot:
+    case Op::kBitNot:
+    case Op::kNeg:
+    case Op::kFail:
+      return 0;
+    case Op::kSelect:
+      return -2;
+    case Op::kCall:
+      return 1 - static_cast<int>(nargs);
+    default:
+      return -1;  // binary operators
+  }
+}
+
+Expr::Fn function_named(std::string_view name) {
+  static constexpr std::pair<std::string_view, Expr::Fn> kFns[] = {
+      {"abs", Expr::Fn::kAbs},     {"int", Expr::Fn::kInt},
+      {"double", Expr::Fn::kDouble}, {"round", Expr::Fn::kRound},
+      {"floor", Expr::Fn::kFloor}, {"ceil", Expr::Fn::kCeil},
+      {"sqrt", Expr::Fn::kSqrt},   {"exp", Expr::Fn::kExp},
+      {"log", Expr::Fn::kLog},     {"pow", Expr::Fn::kPow},
+      {"fmod", Expr::Fn::kFmod},   {"min", Expr::Fn::kMin},
+      {"max", Expr::Fn::kMax},
+  };
+  for (const auto& [n, fn] : kFns) {
+    if (n == name) return fn;
+  }
+  return Expr::Fn::kUnknown;
+}
+
+/// Recursive descent over the operator grammar, lowest precedence first.
+/// Each rule emits its operands' code, then its operator's, exactly where
+/// reading the text left to right would evaluate them.
+class Compiler {
+ public:
+  Compiler(std::string_view text, Expr& out) : text_(text), out_(out) {}
+
+  void run() {
+    try {
+      ternary();
+      skip_ws();
+      if (pos_ < text_.size()) {
+        fail("syntax error in expression near \"" +
+             std::string(text_.substr(pos_)) + "\"");
+      }
+    } catch (const Stop&) {
     }
-    return v;
   }
 
  private:
-  // --- lexer helpers -----------------------------------------------------
+  // --- emission --------------------------------------------------------------
+  void emit(Op op, std::uint32_t arg = 0) {
+    out_.code.push_back({op, arg});
+    depth_ += stack_effect(op, op == Op::kCall ? out_.calls[arg].nargs : 0);
+    if (depth_ > static_cast<int>(out_.max_stack)) {
+      out_.max_stack = static_cast<std::uint32_t>(depth_);
+    }
+  }
+
+  void emit_const(ExprValue v) {
+    out_.consts.push_back(std::move(v));
+    emit(Op::kConst, static_cast<std::uint32_t>(out_.consts.size() - 1));
+  }
+
+  /// The text breaks here: everything emitted so far runs, then `msg`.
+  [[noreturn]] void fail(std::string msg) {
+    out_.errors.push_back(std::move(msg));
+    emit(Op::kFail, static_cast<std::uint32_t>(out_.errors.size() - 1));
+    throw Stop{};
+  }
+
+  /// One more level of parentheses, unary operator or `?:` arm.
+  struct Nest {
+    explicit Nest(Compiler& c) : c_(c) {
+      if (++c_.nesting_ > parse::kMaxNesting) {
+        c_.fail("expression nested too deeply: more than " +
+                std::to_string(parse::kMaxNesting) + " levels at offset " +
+                std::to_string(c_.pos_));
+      }
+    }
+    ~Nest() { --c_.nesting_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+    Compiler& c_;
+  };
+
+  // --- lexer helpers ---------------------------------------------------------
   void skip_ws() {
     while (pos_ < text_.size() &&
            std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
@@ -61,216 +147,236 @@ class ExprParser {
     return false;
   }
 
+  bool word_op(std::string_view op) {
+    skip_ws();
+    if (text_.substr(pos_, op.size()) == op) {
+      const std::size_t after = pos_ + op.size();
+      if (after >= text_.size() ||
+          std::isspace(static_cast<unsigned char>(text_[after])) != 0) {
+        pos_ = after;
+        return true;
+      }
+    }
+    return false;
+  }
+
   [[nodiscard]] char peek() const {
     return pos_ < text_.size() ? text_[pos_] : '\0';
   }
 
-  // --- grammar (lowest to highest precedence) -----------------------------
-  ExprValue ternary() {
-    ExprValue cond = logical_or();
+  // --- grammar (lowest to highest precedence) --------------------------------
+  void ternary() {
+    const Nest nest{*this};
+    logical_or();
     skip_ws();
     if (match("?")) {
-      ExprValue a = ternary();
+      ternary();
       skip_ws();
-      if (!match(":")) throw ExprError{"expected ':' in ?: expression"};
-      ExprValue b = ternary();
-      return cond.truthy() ? a : b;
-    }
-    return cond;
-  }
-
-  ExprValue logical_or() {
-    ExprValue v = logical_and();
-    while (true) {
-      skip_ws();
-      if (match("||")) {
-        // No short-circuit side effects to worry about: operands are values.
-        ExprValue rhs = logical_and();
-        v = ExprValue::from_bool(v.truthy() || rhs.truthy());
-      } else {
-        return v;
-      }
+      if (!match(":")) fail("expected ':' in ?: expression");
+      ternary();
+      emit(Op::kSelect);
     }
   }
 
-  ExprValue logical_and() {
-    ExprValue v = bit_or();
+  void logical_or() {
+    logical_and();
     while (true) {
       skip_ws();
-      if (match("&&")) {
-        ExprValue rhs = bit_or();
-        v = ExprValue::from_bool(v.truthy() && rhs.truthy());
-      } else {
-        return v;
-      }
+      if (!match("||")) return;
+      logical_and();
+      emit(Op::kOr);
     }
   }
 
-  ExprValue bit_or() {
-    ExprValue v = bit_xor();
+  void logical_and() {
+    bit_or();
     while (true) {
       skip_ws();
-      if (peek() == '|' && text_.substr(pos_, 2) != "||") {
-        ++pos_;
-        ExprValue rhs = bit_xor();
-        v = ExprValue::from_int(to_int(v) | to_int(rhs));
-      } else {
-        return v;
-      }
+      if (!match("&&")) return;
+      bit_or();
+      emit(Op::kAnd);
     }
   }
 
-  ExprValue bit_xor() {
-    ExprValue v = bit_and();
+  void bit_or() {
+    bit_xor();
     while (true) {
       skip_ws();
-      if (peek() == '^') {
-        ++pos_;
-        ExprValue rhs = bit_and();
-        v = ExprValue::from_int(to_int(v) ^ to_int(rhs));
-      } else {
-        return v;
-      }
+      if (peek() != '|' || text_.substr(pos_, 2) == "||") return;
+      ++pos_;
+      bit_xor();
+      emit(Op::kBitOr);
     }
   }
 
-  ExprValue bit_and() {
-    ExprValue v = equality();
+  void bit_xor() {
+    bit_and();
     while (true) {
       skip_ws();
-      if (peek() == '&' && text_.substr(pos_, 2) != "&&") {
-        ++pos_;
-        ExprValue rhs = equality();
-        v = ExprValue::from_int(to_int(v) & to_int(rhs));
-      } else {
-        return v;
-      }
+      if (peek() != '^') return;
+      ++pos_;
+      bit_and();
+      emit(Op::kBitXor);
     }
   }
 
-  ExprValue equality() {
-    ExprValue v = relational();
+  void bit_and() {
+    equality();
     while (true) {
       skip_ws();
+      if (peek() != '&' || text_.substr(pos_, 2) == "&&") return;
+      ++pos_;
+      equality();
+      emit(Op::kBitAnd);
+    }
+  }
+
+  void equality() {
+    relational();
+    while (true) {
+      skip_ws();
+      Op op;
       if (match("==")) {
-        v = ExprValue::from_bool(compare(v, relational()) == 0);
+        op = Op::kEq;
       } else if (match("!=")) {
-        v = ExprValue::from_bool(compare(v, relational()) != 0);
+        op = Op::kNe;
       } else if (word_op("eq")) {
-        v = ExprValue::from_bool(v.str() == relational().str());
+        op = Op::kStrEq;
       } else if (word_op("ne")) {
-        v = ExprValue::from_bool(v.str() != relational().str());
+        op = Op::kStrNe;
       } else {
-        return v;
+        return;
       }
+      relational();
+      emit(op);
     }
   }
 
-  ExprValue relational() {
-    ExprValue v = shift();
+  void relational() {
+    shift();
     while (true) {
       skip_ws();
+      Op op;
       if (match("<=")) {
-        v = ExprValue::from_bool(compare(v, shift()) <= 0);
+        op = Op::kLe;
       } else if (match(">=")) {
-        v = ExprValue::from_bool(compare(v, shift()) >= 0);
+        op = Op::kGe;
       } else if (match("<")) {
-        v = ExprValue::from_bool(compare(v, shift()) < 0);
+        op = Op::kLt;
       } else if (match(">")) {
-        v = ExprValue::from_bool(compare(v, shift()) > 0);
+        op = Op::kGt;
       } else {
-        return v;
+        return;
       }
+      shift();
+      emit(op);
     }
   }
 
-  ExprValue shift() {
-    ExprValue v = additive();
+  void shift() {
+    additive();
     while (true) {
       skip_ws();
+      Op op;
       if (match("<<")) {
-        v = ExprValue::from_int(to_int(v) << (to_int(additive()) & 63));
+        op = Op::kShl;
       } else if (match(">>")) {
-        v = ExprValue::from_int(to_int(v) >> (to_int(additive()) & 63));
+        op = Op::kShr;
       } else {
-        return v;
+        return;
       }
+      // A shift reads its left side as an integer before its right side.
+      emit(Op::kCheckInt);
+      additive();
+      emit(op);
     }
   }
 
-  ExprValue additive() {
-    ExprValue v = multiplicative();
+  void additive() {
+    multiplicative();
     while (true) {
       skip_ws();
+      Op op;
       if (match("+")) {
-        v = arith(v, multiplicative(), '+');
+        op = Op::kAdd;
       } else if (match("-")) {
-        v = arith(v, multiplicative(), '-');
+        op = Op::kSub;
       } else {
-        return v;
+        return;
       }
+      multiplicative();
+      emit(op);
     }
   }
 
-  ExprValue multiplicative() {
-    ExprValue v = unary();
+  void multiplicative() {
+    unary();
     while (true) {
       skip_ws();
+      Op op;
       if (match("*")) {
-        v = arith(v, unary(), '*');
+        op = Op::kMul;
       } else if (match("/")) {
-        v = arith(v, unary(), '/');
+        op = Op::kDiv;
       } else if (match("%")) {
-        const std::int64_t rhs = to_int(unary());
-        if (rhs == 0) throw ExprError{"divide by zero"};
-        v = ExprValue::from_int(to_int(v) % rhs);
+        op = Op::kMod;
       } else {
-        return v;
+        return;
       }
+      unary();
+      emit(op);
     }
   }
 
-  ExprValue unary() {
+  void unary() {
     skip_ws();
-    if (match("!")) return ExprValue::from_bool(!unary().truthy());
-    if (match("~")) return ExprValue::from_int(~to_int(unary()));
-    if (match("-")) {
-      ExprValue v = unary();
-      if (v.kind == ExprValue::Kind::kDouble) {
-        return ExprValue::from_double(-v.d);
-      }
-      return ExprValue::from_int(-to_int(v));
+    Op op;
+    if (match("!")) {
+      op = Op::kNot;
+    } else if (match("~")) {
+      op = Op::kBitNot;
+    } else if (match("-")) {
+      op = Op::kNeg;
+    } else if (match("+")) {
+      const Nest nest{*this};
+      unary();
+      return;
+    } else {
+      primary();
+      return;
     }
-    if (match("+")) return unary();
-    return primary();
+    const Nest nest{*this};
+    unary();
+    emit(op);
   }
 
-  ExprValue primary() {
+  void primary() {
     skip_ws();
-    if (pos_ >= text_.size()) throw ExprError{"unexpected end of expression"};
+    if (pos_ >= text_.size()) fail("unexpected end of expression");
     const char c = text_[pos_];
     if (c == '(') {
       ++pos_;
-      ExprValue v = ternary();
+      ternary();
       skip_ws();
-      if (!match(")")) throw ExprError{"missing ')'"};
-      return v;
+      if (!match(")")) fail("missing ')'");
+    } else if (c == '$') {
+      variable();
+    } else if (c == '[') {
+      command_subst();
+    } else if (c == '"') {
+      quoted_string();
+    } else if (c == '{') {
+      braced_string();
+    } else if (std::isdigit(static_cast<unsigned char>(c)) != 0 || c == '.') {
+      number();
+    } else if (std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_') {
+      word_or_function();
+    } else {
+      fail("unexpected character '" + std::string(1, c) + "' in expression");
     }
-    if (c == '$') return variable();
-    if (c == '[') return command_subst();
-    if (c == '"') return quoted_string();
-    if (c == '{') return braced_string();
-    if (std::isdigit(static_cast<unsigned char>(c)) != 0 || c == '.') {
-      return number();
-    }
-    if (std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_') {
-      return word_or_function();
-    }
-    throw ExprError{"unexpected character '" + std::string(1, c) +
-                    "' in expression"};
   }
 
-  ExprValue number() {
+  void number() {
     const std::size_t start = pos_;
     if (text_.substr(pos_, 2) == "0x" || text_.substr(pos_, 2) == "0X") {
       pos_ += 2;
@@ -301,63 +407,87 @@ class ExprParser {
       }
     }
     ExprValue v = ExprValue::parse(text_.substr(start, pos_ - start));
-    if (!v.is_numeric()) throw ExprError{"malformed number"};
-    return v;
+    if (!v.is_numeric()) fail("malformed number");
+    emit_const(std::move(v));
   }
 
-  ExprValue variable() {
-    std::vector<parse::Part> parts;
-    std::vector<parse::Script> nested;
+  /// Lex the `$` reference at the cursor into reads; returns its index.
+  std::uint32_t lex_read() {
+    Expr::Read rd;
     std::string error;
     const std::size_t end =
-        parse::lex_var_ref(text_, pos_, parts, nested, error);
-    if (end == std::string_view::npos) throw ExprError{error};
+        parse::lex_var_ref(text_, pos_, rd.parts, rd.nested, error);
+    if (end == std::string_view::npos) fail(std::move(error));
     pos_ = end;
     // A lone `$` (or `${}`) names no variable: an operand needs one.
-    if (parts.front().kind == parse::Part::Kind::kLiteral) {
-      throw ExprError{"can't read \"\": no such variable"};
+    if (rd.parts.front().kind == parse::Part::Kind::kLiteral) {
+      fail("can't read \"\": no such variable");
     }
-    std::string value;
-    Result r = interp_.substitute(parts, nested, value);
-    if (r.is_error()) throw ExprError{r.value};
-    return ExprValue::parse(value);
+    out_.reads.push_back(std::move(rd));
+    return static_cast<std::uint32_t>(out_.reads.size() - 1);
   }
 
-  ExprValue command_subst() {
+  void variable() { emit(Op::kVar, lex_read()); }
+
+  void command_subst() {
     const std::size_t close = parse::match_bracket(text_, pos_);
-    if (close == std::string_view::npos) {
-      throw ExprError{"missing close-bracket"};
-    }
-    const std::string_view inner = text_.substr(pos_ + 1, close - pos_ - 1);
+    if (close == std::string_view::npos) fail("missing close-bracket");
+    out_.scripts.push_back(
+        parse::parse_script(text_.substr(pos_ + 1, close - pos_ - 1)));
     pos_ = close + 1;
-    Result r = interp_.eval(inner);
-    if (r.is_error()) throw ExprError{r.value};
-    return ExprValue::parse(r.value);
+    emit(Op::kCommand, static_cast<std::uint32_t>(out_.scripts.size() - 1));
   }
 
-  ExprValue quoted_string() {
+  /// `"..."`: backslash takes the next character literally, `$` reads
+  /// substitute (as the value they parse to), `[` is literal.
+  void quoted_string() {
     ++pos_;  // '"'
-    std::string out;
+    std::vector<Expr::Piece> pieces;
+    auto literal = [&pieces]() -> std::string& {
+      if (pieces.empty() || pieces.back().read >= 0) pieces.emplace_back();
+      return pieces.back().text;
+    };
+    // On a syntax error inside the string, the reads before it still run.
+    auto reads_then_fail = [&](std::string msg) {
+      for (const Expr::Piece& p : pieces) {
+        if (p.read >= 0) emit(Op::kVar, static_cast<std::uint32_t>(p.read));
+      }
+      fail(std::move(msg));
+    };
     while (pos_ < text_.size() && text_[pos_] != '"') {
       if (text_[pos_] == '\\' && pos_ + 1 < text_.size()) {
-        out += text_[pos_ + 1];
+        literal() += text_[pos_ + 1];
         pos_ += 2;
         continue;
       }
       if (text_[pos_] == '$') {
-        // reuse variable() by faking position
-        ExprValue v = variable();
-        out += v.str();
+        Expr::Read rd;
+        std::string error;
+        const std::size_t end =
+            parse::lex_var_ref(text_, pos_, rd.parts, rd.nested, error);
+        if (end == std::string_view::npos) reads_then_fail(std::move(error));
+        if (rd.parts.front().kind == parse::Part::Kind::kLiteral) {
+          reads_then_fail("can't read \"\": no such variable");
+        }
+        pos_ = end;
+        out_.reads.push_back(std::move(rd));
+        pieces.push_back({{}, static_cast<int>(out_.reads.size() - 1)});
         continue;
       }
-      out += text_[pos_++];
+      literal() += text_[pos_++];
     }
-    if (pos_ >= text_.size()) throw ExprError{"missing closing quote"};
+    if (pos_ >= text_.size()) reads_then_fail("missing closing quote");
     ++pos_;
-    return ExprValue::from_string(std::move(out));
+    if (pieces.size() <= 1 && (pieces.empty() || pieces[0].read < 0)) {
+      emit_const(
+          ExprValue::from_string(pieces.empty() ? "" : pieces[0].text));
+      return;
+    }
+    out_.quoted.push_back(std::move(pieces));
+    emit(Op::kQuoted, static_cast<std::uint32_t>(out_.quoted.size() - 1));
   }
 
-  ExprValue braced_string() {
+  void braced_string() {
     ++pos_;  // '{'
     std::string out;
     int depth = 1;
@@ -369,207 +499,481 @@ class ExprParser {
       }
       out += text_[pos_++];
     }
-    if (pos_ >= text_.size()) throw ExprError{"missing close-brace"};
+    if (pos_ >= text_.size()) fail("missing close-brace");
     ++pos_;
-    return ExprValue::from_string(std::move(out));
+    emit_const(ExprValue::from_string(std::move(out)));
   }
 
-  ExprValue word_or_function() {
+  void word_or_function() {
     const std::size_t start = pos_;
     pos_ = parse::name_end(text_, pos_);
     std::string name{text_.substr(start, pos_ - start)};
     skip_ws();
     if (peek() == '(') {
       ++pos_;
-      std::vector<ExprValue> args;
+      std::uint32_t nargs = 0;
       skip_ws();
       if (peek() != ')') {
-        args.push_back(ternary());
+        ternary();
+        ++nargs;
         skip_ws();
         while (match(",")) {
-          args.push_back(ternary());
+          ternary();
+          ++nargs;
           skip_ws();
         }
       }
-      if (!match(")")) throw ExprError{"missing ')' in function call"};
-      return call_function(name, args);
+      if (!match(")")) fail("missing ')' in function call");
+      const Expr::Fn fn = function_named(name);
+      out_.calls.push_back({fn, nargs, std::move(name)});
+      emit(Op::kCall, static_cast<std::uint32_t>(out_.calls.size() - 1));
+      return;
     }
     if (name == "true" || name == "yes" || name == "on") {
-      return ExprValue::from_bool(true);
+      emit_const(ExprValue::from_bool(true));
+    } else if (name == "false" || name == "no" || name == "off") {
+      emit_const(ExprValue::from_bool(false));
+    } else if (name == "eq" || name == "ne") {
+      // handled by equality(); reaching here means a misplaced operator
+      fail("misplaced operator \"" + name + "\"");
+    } else {
+      // Bare words are string literals (a lenient extension).
+      emit_const(ExprValue::from_string(std::move(name)));
     }
-    if (name == "false" || name == "no" || name == "off") {
-      return ExprValue::from_bool(false);
-    }
-    if (name == "eq" || name == "ne") {
-      // handled by equality(); reaching here means misplaced operator
-      throw ExprError{"misplaced operator \"" + name + "\""};
-    }
-    // Bare words are treated as string literals (lenient extension).
-    return ExprValue::from_string(std::move(name));
   }
 
-  ExprValue call_function(const std::string& name,
-                          const std::vector<ExprValue>& args) {
-    auto need = [&](std::size_t n) {
-      if (args.size() != n) {
-        throw ExprError{"wrong # args for function \"" + name + "\""};
-      }
-    };
-    if (name == "abs") {
-      need(1);
-      if (args[0].kind == ExprValue::Kind::kDouble) {
-        return ExprValue::from_double(std::fabs(args[0].d));
-      }
-      return ExprValue::from_int(std::llabs(to_int(args[0])));
-    }
-    if (name == "int") {
-      need(1);
-      return ExprValue::from_int(
-          static_cast<std::int64_t>(args[0].as_double()));
-    }
-    if (name == "double") {
-      need(1);
-      return ExprValue::from_double(args[0].as_double());
-    }
-    if (name == "round") {
-      need(1);
-      return ExprValue::from_int(
-          static_cast<std::int64_t>(std::llround(args[0].as_double())));
-    }
-    if (name == "floor") {
-      need(1);
-      return ExprValue::from_double(std::floor(args[0].as_double()));
-    }
-    if (name == "ceil") {
-      need(1);
-      return ExprValue::from_double(std::ceil(args[0].as_double()));
-    }
-    if (name == "sqrt") {
-      need(1);
-      return ExprValue::from_double(std::sqrt(args[0].as_double()));
-    }
-    if (name == "exp") {
-      need(1);
-      return ExprValue::from_double(std::exp(args[0].as_double()));
-    }
-    if (name == "log") {
-      need(1);
-      return ExprValue::from_double(std::log(args[0].as_double()));
-    }
-    if (name == "pow") {
-      need(2);
-      return ExprValue::from_double(
-          std::pow(args[0].as_double(), args[1].as_double()));
-    }
-    if (name == "fmod") {
-      need(2);
-      return ExprValue::from_double(
-          std::fmod(args[0].as_double(), args[1].as_double()));
-    }
-    if (name == "min" || name == "max") {
-      if (args.empty()) {
-        throw ExprError{"wrong # args for function \"" + name + "\""};
-      }
-      ExprValue best = args[0];
-      for (std::size_t i = 1; i < args.size(); ++i) {
-        const int c = compare(args[i], best);
-        if ((name == "min" && c < 0) || (name == "max" && c > 0)) {
-          best = args[i];
-        }
-      }
-      return best;
-    }
-    throw ExprError{"unknown function \"" + name + "\""};
-  }
+  std::string_view text_;
+  Expr& out_;
+  std::size_t pos_ = 0;
+  int depth_ = 0;    // stack slots in use after the code so far
+  int nesting_ = 0;  // Nest levels open
+};
 
-  // --- value helpers -------------------------------------------------------
-  static std::int64_t to_int(const ExprValue& v) {
-    switch (v.kind) {
-      case ExprValue::Kind::kInt: return v.i;
-      case ExprValue::Kind::kDouble: return static_cast<std::int64_t>(v.d);
-      case ExprValue::Kind::kString:
-        throw ExprError{"expected integer but got \"" + v.s + "\""};
-    }
-    return 0;
-  }
+// --- values ------------------------------------------------------------------
 
-  static int compare(const ExprValue& a, const ExprValue& b) {
-    if (a.is_numeric() && b.is_numeric()) {
-      if (a.kind == ExprValue::Kind::kInt &&
-          b.kind == ExprValue::Kind::kInt) {
-        return a.i < b.i ? -1 : (a.i > b.i ? 1 : 0);
-      }
-      const double x = a.as_double();
-      const double y = b.as_double();
-      return x < y ? -1 : (x > y ? 1 : 0);
-    }
-    const std::string x = a.str();
-    const std::string y = b.str();
-    return x < y ? -1 : (x > y ? 1 : 0);
+/// A double read as an integer: truncated toward zero, and, where that
+/// does not fit (NaN, out of range), the x86 conversion's INT64_MIN.
+std::int64_t double_to_int(double d) {
+  constexpr double kLimit = 9223372036854775808.0;  // 2^63
+  if (!(d > -kLimit - 1025.0 && d < kLimit)) {
+    return std::numeric_limits<std::int64_t>::min();
   }
+  return static_cast<std::int64_t>(d);
+}
 
-  static ExprValue arith(const ExprValue& a, const ExprValue& b, char op) {
-    if (a.kind == ExprValue::Kind::kInt && b.kind == ExprValue::Kind::kInt) {
-      switch (op) {
-        case '+': return ExprValue::from_int(a.i + b.i);
-        case '-': return ExprValue::from_int(a.i - b.i);
-        case '*': return ExprValue::from_int(a.i * b.i);
-        case '/':
-          if (b.i == 0) throw ExprError{"divide by zero"};
-          // Tcl floors integer division toward negative infinity.
-          {
-            std::int64_t q = a.i / b.i;
-            if ((a.i % b.i != 0) && ((a.i < 0) != (b.i < 0))) --q;
-            return ExprValue::from_int(q);
-          }
-        default: break;
-      }
-    }
-    if (!a.is_numeric() || !b.is_numeric()) {
-      throw ExprError{"can't use non-numeric string as operand of \"" +
-                      std::string(1, op) + "\""};
+std::int64_t to_int(const ExprValue& v) {
+  switch (v.kind) {
+    case Kind::kInt: return v.i;
+    case Kind::kDouble: return double_to_int(v.d);
+    case Kind::kString:
+      throw ExprError{"expected integer but got \"" + v.s + "\""};
+  }
+  return 0;
+}
+
+void set_int(ExprValue& v, std::int64_t x) {
+  v.kind = Kind::kInt;
+  v.i = x;
+}
+
+void set_double(ExprValue& v, double x) {
+  v.kind = Kind::kDouble;
+  v.d = x;
+}
+
+/// Two's-complement arithmetic: an overflow wraps instead of being
+/// undefined.
+std::int64_t wrap(std::uint64_t x) { return static_cast<std::int64_t>(x); }
+std::uint64_t bits(std::int64_t x) { return static_cast<std::uint64_t>(x); }
+
+int compare(const ExprValue& a, const ExprValue& b) {
+  if (a.is_numeric() && b.is_numeric()) {
+    if (a.kind == Kind::kInt && b.kind == Kind::kInt) {
+      return a.i < b.i ? -1 : (a.i > b.i ? 1 : 0);
     }
     const double x = a.as_double();
     const double y = b.as_double();
+    return x < y ? -1 : (x > y ? 1 : 0);
+  }
+  if (a.kind == Kind::kString && b.kind == Kind::kString) {
+    const int c = a.s.compare(b.s);
+    return c < 0 ? -1 : (c > 0 ? 1 : 0);
+  }
+  const std::string x = a.str();
+  const std::string y = b.str();
+  return x < y ? -1 : (x > y ? 1 : 0);
+}
+
+bool str_equal(const ExprValue& a, const ExprValue& b) {
+  if (a.kind == Kind::kString && b.kind == Kind::kString) return a.s == b.s;
+  return a.str() == b.str();
+}
+
+/// a = a <op> b for + - * /.
+void arith(ExprValue& a, const ExprValue& b, Op op) {
+  if (a.kind == Kind::kInt && b.kind == Kind::kInt) {
     switch (op) {
-      case '+': return ExprValue::from_double(x + y);
-      case '-': return ExprValue::from_double(x - y);
-      case '*': return ExprValue::from_double(x * y);
-      case '/':
-        if (y == 0.0) throw ExprError{"divide by zero"};
-        return ExprValue::from_double(x / y);
+      case Op::kAdd: set_int(a, wrap(bits(a.i) + bits(b.i))); return;
+      case Op::kSub: set_int(a, wrap(bits(a.i) - bits(b.i))); return;
+      case Op::kMul: set_int(a, wrap(bits(a.i) * bits(b.i))); return;
+      case Op::kDiv: {
+        if (b.i == 0) throw ExprError{"divide by zero"};
+        // Tcl floors integer division toward negative infinity.
+        std::int64_t q = a.i / b.i;
+        if ((a.i % b.i != 0) && ((a.i < 0) != (b.i < 0))) --q;
+        set_int(a, q);
+        return;
+      }
       default: break;
     }
-    throw ExprError{"bad arithmetic operator"};
   }
+  if (!a.is_numeric() || !b.is_numeric()) {
+    const char* sym = op == Op::kAdd   ? "+"
+                      : op == Op::kSub ? "-"
+                      : op == Op::kMul ? "*"
+                                       : "/";
+    throw ExprError{std::string("can't use non-numeric string as operand "
+                                "of \"") +
+                    sym + "\""};
+  }
+  const double x = a.as_double();
+  const double y = b.as_double();
+  switch (op) {
+    case Op::kAdd: set_double(a, x + y); return;
+    case Op::kSub: set_double(a, x - y); return;
+    case Op::kMul: set_double(a, x * y); return;
+    default:
+      if (y == 0.0) throw ExprError{"divide by zero"};
+      set_double(a, x / y);
+      return;
+  }
+}
 
-  bool word_op(std::string_view op) {
-    skip_ws();
-    if (text_.substr(pos_, op.size()) == op) {
-      const std::size_t after = pos_ + op.size();
-      if (after >= text_.size() ||
-          std::isspace(static_cast<unsigned char>(text_[after])) != 0) {
-        pos_ = after;
-        return true;
+/// args[0..n) = the call's arguments; the result goes to args[0].
+void call(const Expr::Call& c, ExprValue* args) {
+  const std::size_t n = c.nargs;
+  auto need = [&](std::size_t k) {
+    if (n != k) throw ExprError{"wrong # args for function \"" + c.name + "\""};
+  };
+  ExprValue& out = args[0];
+  switch (c.fn) {
+    case Expr::Fn::kAbs:
+      need(1);
+      if (out.kind == Kind::kDouble) {
+        set_double(out, std::fabs(out.d));
+      } else {
+        const std::int64_t x = to_int(out);
+        set_int(out, x < 0 ? wrap(0 - bits(x)) : x);
       }
+      return;
+    case Expr::Fn::kInt:
+      need(1);
+      set_int(out, double_to_int(out.as_double()));
+      return;
+    case Expr::Fn::kDouble:
+      need(1);
+      set_double(out, out.as_double());
+      return;
+    case Expr::Fn::kRound:
+      need(1);
+      set_int(out, static_cast<std::int64_t>(std::llround(out.as_double())));
+      return;
+    case Expr::Fn::kFloor:
+      need(1);
+      set_double(out, std::floor(out.as_double()));
+      return;
+    case Expr::Fn::kCeil:
+      need(1);
+      set_double(out, std::ceil(out.as_double()));
+      return;
+    case Expr::Fn::kSqrt:
+      need(1);
+      set_double(out, std::sqrt(out.as_double()));
+      return;
+    case Expr::Fn::kExp:
+      need(1);
+      set_double(out, std::exp(out.as_double()));
+      return;
+    case Expr::Fn::kLog:
+      need(1);
+      set_double(out, std::log(out.as_double()));
+      return;
+    case Expr::Fn::kPow:
+      need(2);
+      set_double(out, std::pow(out.as_double(), args[1].as_double()));
+      return;
+    case Expr::Fn::kFmod:
+      need(2);
+      set_double(out, std::fmod(out.as_double(), args[1].as_double()));
+      return;
+    case Expr::Fn::kMin:
+    case Expr::Fn::kMax: {
+      if (n == 0) {
+        throw ExprError{"wrong # args for function \"" + c.name + "\""};
+      }
+      std::size_t best = 0;
+      for (std::size_t i = 1; i < n; ++i) {
+        const int cmp = compare(args[i], args[best]);
+        if ((c.fn == Expr::Fn::kMin && cmp < 0) ||
+            (c.fn == Expr::Fn::kMax && cmp > 0)) {
+          best = i;
+        }
+      }
+      if (best != 0) std::swap(out, args[best]);
+      return;
     }
-    return false;
+    case Expr::Fn::kUnknown: break;
   }
+  throw ExprError{"unknown function \"" + c.name + "\""};
+}
 
-  Interp& interp_;
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
+/// A string condition reads as the number it spells, as its text would.
+bool condition_truth(const ExprValue& v) {
+  if (v.kind != Kind::kString) return v.truthy();
+  ExprValue parsed;
+  parsed.set_parsed(v.s);
+  return parsed.truthy();
+}
 
 }  // namespace
 
-Result Interp::eval_expr(std::string_view expr) {
-  try {
-    ExprParser parser{*this, expr};
-    return Result::ok(parser.parse().str());
-  } catch (const ExprError& e) {
-    return Result::error(e.msg);
+void Expr::compile(std::string_view text) {
+  code.clear();
+  consts.clear();
+  reads.clear();
+  scripts.clear();
+  quoted.clear();
+  calls.clear();
+  errors.clear();
+  max_stack = 0;
+  Compiler{text, *this}.run();
+}
+
+// --- the stack machine -------------------------------------------------------
+
+void Interp::exec_expr(const Expr& e, std::size_t base) {
+  std::size_t sp = base;  // the next free slot
+  // A load that may evaluate scripts marks the slots in use first, so that
+  // a nested expression stacks above them.
+  auto load_read = [&](const Expr::Read& rd) {
+    if (rd.scalar()) {
+      const std::string* v = find_var(rd.parts.front().text);
+      if (v == nullptr) {
+        throw ExprError{"can't read \"" + rd.parts.front().text +
+                        "\": no such variable"};
+      }
+      expr_stack_[sp].set_parsed(*v);
+      return;
+    }
+    std::string value;
+    expr_top_ = sp;
+    Result r = substitute(rd.parts, rd.nested, value);
+    if (r.is_error()) throw ExprError{std::move(r.value)};
+    expr_stack_[sp].set_parsed(value);
+  };
+  for (const Expr::Instr& in : e.code) {
+    switch (in.op) {
+      case Op::kConst:
+        expr_stack_[sp++] = e.consts[in.arg];
+        break;
+      case Op::kVar:
+        load_read(e.reads[in.arg]);
+        ++sp;
+        break;
+      case Op::kCommand: {
+        expr_top_ = sp;
+        Result r = eval_script(e.scripts[in.arg]);
+        if (r.is_error()) throw ExprError{std::move(r.value)};
+        expr_stack_[sp++].set_parsed(r.value);
+        break;
+      }
+      case Op::kQuoted: {
+        std::string out;
+        for (const Expr::Piece& p : e.quoted[in.arg]) {
+          if (p.read < 0) {
+            out += p.text;
+            continue;
+          }
+          load_read(e.reads[static_cast<std::size_t>(p.read)]);
+          out += expr_stack_[sp].str();
+        }
+        ExprValue& v = expr_stack_[sp++];
+        v.kind = Kind::kString;
+        v.s.swap(out);
+        break;
+      }
+      case Op::kCheckInt:
+        to_int(expr_stack_[sp - 1]);
+        break;
+      case Op::kNot: {
+        ExprValue& v = expr_stack_[sp - 1];
+        set_int(v, v.truthy() ? 0 : 1);
+        break;
+      }
+      case Op::kBitNot: {
+        ExprValue& v = expr_stack_[sp - 1];
+        set_int(v, ~to_int(v));
+        break;
+      }
+      case Op::kNeg: {
+        ExprValue& v = expr_stack_[sp - 1];
+        if (v.kind == Kind::kDouble) {
+          v.d = -v.d;
+        } else {
+          set_int(v, wrap(0 - bits(to_int(v))));
+        }
+        break;
+      }
+      case Op::kMul:
+      case Op::kDiv:
+      case Op::kAdd:
+      case Op::kSub:
+        --sp;
+        arith(expr_stack_[sp - 1], expr_stack_[sp], in.op);
+        break;
+      case Op::kMod: {
+        --sp;
+        ExprValue& a = expr_stack_[sp - 1];
+        const std::int64_t rhs = to_int(expr_stack_[sp]);
+        if (rhs == 0) throw ExprError{"divide by zero"};
+        set_int(a, to_int(a) % rhs);
+        break;
+      }
+      case Op::kShl:
+      case Op::kShr: {
+        --sp;
+        ExprValue& a = expr_stack_[sp - 1];
+        const std::int64_t lhs = to_int(a);
+        const std::int64_t n = to_int(expr_stack_[sp]) & 63;
+        set_int(a, in.op == Op::kShl ? lhs << n : lhs >> n);
+        break;
+      }
+      case Op::kLt:
+      case Op::kGt:
+      case Op::kLe:
+      case Op::kGe:
+      case Op::kEq:
+      case Op::kNe: {
+        --sp;
+        ExprValue& a = expr_stack_[sp - 1];
+        const int c = compare(a, expr_stack_[sp]);
+        const bool r = in.op == Op::kLt   ? c < 0
+                       : in.op == Op::kGt ? c > 0
+                       : in.op == Op::kLe ? c <= 0
+                       : in.op == Op::kGe ? c >= 0
+                       : in.op == Op::kEq ? c == 0
+                                          : c != 0;
+        set_int(a, r ? 1 : 0);
+        break;
+      }
+      case Op::kStrEq:
+      case Op::kStrNe: {
+        --sp;
+        ExprValue& a = expr_stack_[sp - 1];
+        const bool eq = str_equal(a, expr_stack_[sp]);
+        set_int(a, eq == (in.op == Op::kStrEq) ? 1 : 0);
+        break;
+      }
+      case Op::kBitAnd:
+      case Op::kBitXor:
+      case Op::kBitOr: {
+        --sp;
+        ExprValue& a = expr_stack_[sp - 1];
+        const std::int64_t x = to_int(a);
+        const std::int64_t y = to_int(expr_stack_[sp]);
+        set_int(a, in.op == Op::kBitAnd   ? (x & y)
+                   : in.op == Op::kBitXor ? (x ^ y)
+                                          : (x | y));
+        break;
+      }
+      case Op::kAnd:
+      case Op::kOr: {
+        --sp;
+        ExprValue& a = expr_stack_[sp - 1];
+        const bool x = a.truthy();
+        const bool y = expr_stack_[sp].truthy();
+        set_int(a, (in.op == Op::kAnd ? (x && y) : (x || y)) ? 1 : 0);
+        break;
+      }
+      case Op::kSelect: {
+        sp -= 2;
+        ExprValue& cond = expr_stack_[sp - 1];
+        std::swap(cond, expr_stack_[cond.truthy() ? sp : sp + 1]);
+        break;
+      }
+      case Op::kCall: {
+        const Expr::Call& c = e.calls[in.arg];
+        const std::size_t first = sp - c.nargs;
+        call(c, &expr_stack_[first]);  // no function takes zero arguments
+        sp = first + 1;
+        break;
+      }
+      case Op::kFail:
+        throw ExprError{e.errors[in.arg]};
+    }
   }
+}
+
+Result Interp::run_expr(const Expr& e, const ExprValue** value) {
+  const std::size_t base = expr_top_;
+  if (expr_stack_.size() < base + e.max_stack) {
+    expr_stack_.resize(base + e.max_stack);
+  }
+  try {
+    exec_expr(e, base);
+  } catch (ExprError& err) {
+    expr_top_ = base;
+    return Result::error(std::move(err.msg));
+  }
+  expr_top_ = base;
+  *value = &expr_stack_[base];
+  return Result::ok();
+}
+
+Result Interp::run_expr_text(std::string_view text, const ExprValue** value) {
+  if (expr_scratch_used_ == expr_scratch_.size()) {
+    expr_scratch_.push_back(std::make_unique<Expr>());
+  }
+  Expr& e = *expr_scratch_[expr_scratch_used_++];
+  e.compile(text);
+  Result r = run_expr(e, value);
+  --expr_scratch_used_;
+  return r;
+}
+
+const Expr& Interp::word_expr(const CallArgs& a, std::size_t i) {
+  const parse::Word& w = *a.literal_word(i);
+  if (w.expr == nullptr) {
+    auto e = std::make_shared<Expr>();
+    e->compile(w.value());
+    w.expr = std::move(e);
+  }
+  return *w.expr;
+}
+
+Result Interp::eval_expr(std::string_view expr) {
+  const ExprValue* v = nullptr;
+  Result r = run_expr_text(expr, &v);
+  if (!r.is_ok()) return r;
+  return Result::ok(v->str());
+}
+
+Result Interp::eval_expr_word(const CallArgs& a, std::size_t i) {
+  const ExprValue* v = nullptr;
+  Result r = a.literal_word(i) != nullptr ? run_expr(word_expr(a, i), &v)
+                                          : run_expr_text(a[i], &v);
+  if (!r.is_ok()) return r;
+  return Result::ok(v->str());
+}
+
+Result Interp::eval_condition(const CallArgs& a, std::size_t i,
+                              bool& truthy) {
+  const ExprValue* v = nullptr;
+  Result r = a.literal_word(i) != nullptr ? run_expr(word_expr(a, i), &v)
+                                          : run_expr_text(a[i], &v);
+  if (!r.is_ok()) return r;
+  truthy = condition_truth(*v);
+  return r;
 }
 
 }  // namespace pfi::script

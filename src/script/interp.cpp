@@ -1,23 +1,45 @@
 #include "script/interp.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <utility>
 
+#include "script/expr.hpp"
+
 namespace pfi::script {
+
+namespace {
+
+/// Generations come from one process-wide sequence, so a resolution cached
+/// on a parse by one interpreter never passes for another's.
+std::uint64_t next_generation() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+}  // namespace
+
+std::vector<std::string> CallArgs::tail(std::size_t from) const {
+  std::vector<std::string> out;
+  for (std::size_t i = from; i < n_; ++i) out.push_back(*words_[i]);
+  return out;
+}
 
 // ---------------------------------------------------------------------------
 // Interp
 // ---------------------------------------------------------------------------
 
-Interp::Interp() {
+Interp::Interp() : generation_(next_generation()) {
   frames_.emplace_back();  // global frame
-  install_builtins();
 }
 
-Result Interp::eval(std::string_view script) {
+Interp::~Interp() = default;
+
+Interp::Program Interp::compile(std::string_view script) {
   auto it = parse_cache_.find(script);
   if (it == parse_cache_.end()) {
     if (parse_cache_.size() >= kParseCacheCapacity) parse_cache_.clear();
@@ -27,9 +49,13 @@ Result Interp::eval(std::string_view script) {
                           parse::parse_script(script)))
              .first;
   }
+  return it->second;
+}
+
+Result Interp::eval(std::string_view script) {
   // Hold a reference: a nested eval may clear the cache under this one.
-  const std::shared_ptr<const parse::Script> parsed = it->second;
-  return eval_script(*parsed);
+  const Program program = compile(script);
+  return eval_script(*program);
 }
 
 Result Interp::eval_script(const parse::Script& script) {
@@ -38,11 +64,12 @@ Result Interp::eval_script(const parse::Script& script) {
     --depth_;
     return Result::error("too many nested evaluations (infinite recursion?)");
   }
+  const auto level = static_cast<std::size_t>(depth_);
+  if (word_frames_.size() <= level) word_frames_.resize(level + 1);
+  WordFrame& wf = word_frames_[level];
   Result last = Result::ok();
-  std::vector<std::string> words;
   for (const parse::Command& cmd : script.commands) {
-    last = substitute_words(cmd, words);
-    if (last.is_ok()) last = invoke(words);
+    last = run_command(cmd, wf);
     if (last.code != Code::kOk) {
       // Re-stamp even when an inner eval already set a line: the innermost
       // number is relative to a body string the caller never saw, while
@@ -53,7 +80,14 @@ Result Interp::eval_script(const parse::Script& script) {
     }
   }
   if (!script.ok()) {
-    last = substitute_words(script.failed, words);
+    // The words the error cut short still substitute what they reached
+    // (their flags may not say so: the parse stopped inside them).
+    for (const parse::Word& w : script.failed.words) {
+      if (w.kind == parse::Word::Kind::kBraced) continue;
+      std::string value;
+      last = substitute(w.parts, w.nested, value);
+      if (!last.is_ok()) break;
+    }
     if (last.is_ok()) last = Result::error(script.error);
     last.line = script.failed.line;
   }
@@ -61,18 +95,21 @@ Result Interp::eval_script(const parse::Script& script) {
   return last;
 }
 
-Result Interp::substitute_words(const parse::Command& cmd,
-                                std::vector<std::string>& words) {
-  words.resize(cmd.words.size());
-  for (std::size_t i = 0; i < cmd.words.size(); ++i) {
+Result Interp::substitute_words(const parse::Command& cmd, WordFrame& wf) {
+  const std::size_t n = cmd.words.size();
+  wf.values.resize(n);
+  wf.args.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
     const parse::Word& w = cmd.words[i];
-    if (w.kind == parse::Word::Kind::kBraced) {
-      words[i] = w.text;
+    if (w.literal()) {
+      wf.args[i] = &w.value();
       continue;
     }
-    words[i].clear();
-    Result r = substitute(w.parts, w.nested, words[i]);
+    std::string& value = wf.values[i];
+    value.clear();
+    Result r = substitute(w.parts, w.nested, value);
     if (!r.is_ok()) return r;
+    wf.args[i] = &value;
   }
   return Result::ok();
 }
@@ -113,46 +150,110 @@ Result Interp::substitute(const std::vector<parse::Part>& parts,
   return Result::ok();
 }
 
-Result Interp::invoke(const std::vector<std::string>& words) {
+Result Interp::run_command(const parse::Command& cmd, WordFrame& wf) {
+  Result r = substitute_words(cmd, wf);
+  if (!r.is_ok()) return r;
   ++stats_.commands;
   if (watchdog_tripped()) {
     return Result::error("watchdog: execution budget exceeded");
   }
-  auto it = commands_.find(std::string_view{words[0]});
-  if (it == commands_.end()) {
-    return Result::error("invalid command name \"" + words[0] + "\"");
+  const std::string& name = *wf.args[0];
+  const Binding* b = nullptr;
+  if (cmd.words[0].literal()) {
+    if (cmd.generation != generation_) {
+      cmd.binding = resolve(name);
+      cmd.generation = generation_;
+    }
+    b = cmd.binding;
+  } else {
+    b = resolve(name);
   }
-  const CommandSig& sig = it->second.sig;
-  const int nargs = static_cast<int>(words.size()) - 1;
-  if (nargs < sig.min_args || (sig.max_args >= 0 && nargs > sig.max_args)) {
-    return wrong_args(sig.usage);
+  if (b == nullptr) {
+    return Result::error("invalid command name \"" + name + "\"");
   }
-  return it->second.fn(*this, words);
+  const std::size_t n = cmd.words.size();
+  const int nargs = static_cast<int>(n) - 1;
+  if (nargs < b->sig.min_args ||
+      (b->sig.max_args >= 0 && nargs > b->sig.max_args)) {
+    return wrong_args(b->sig.usage);
+  }
+  if (b->builtin != nullptr) {
+    return b->builtin(*this, CallArgs{wf.args.data(), n, &cmd});
+  }
+  // Host commands and procs take every word as a string.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (wf.args[i] != &wf.values[i]) wf.values[i] = *wf.args[i];
+  }
+  return b->fn(*this, wf.values);
+}
+
+const Binding* Interp::resolve(std::string_view name) const {
+  if (auto it = commands_.find(name); it != commands_.end()) {
+    return &it->second;
+  }
+  const std::span<const Binding> core = core_commands();
+  const auto it = std::lower_bound(
+      core.begin(), core.end(), name,
+      [](const Binding& b, std::string_view n) { return b.sig.name < n; });
+  return it != core.end() && it->sig.name == name ? &*it : nullptr;
 }
 
 void Interp::register_command(const CommandSig& sig, Command fn) {
-  auto [it, fresh] = commands_.try_emplace(sig.name, sig, std::move(fn));
+  generation_ = next_generation();
+  auto [it, fresh] =
+      commands_.try_emplace(sig.name, sig, nullptr, std::move(fn));
   if (fresh) return;
   // The old key views the old binding's name (a redefined proc owns it), so
   // re-key the node along with its binding.
   auto node = commands_.extract(it);
   node.key() = sig.name;
-  node.mapped() = Binding{sig, std::move(fn)};
+  node.mapped() = Binding{sig, nullptr, std::move(fn)};
   commands_.insert(std::move(node));
 }
 
 std::vector<std::string> Interp::command_names() const {
   std::vector<std::string> out;
-  out.reserve(commands_.size());
-  for (const auto& [name, _] : commands_) out.emplace_back(name);
+  for (const CommandSig& sig : signatures()) out.emplace_back(sig.name);
   return out;
 }
 
 std::vector<CommandSig> Interp::signatures() const {
+  // The core table and the registered map are both sorted by name; a
+  // registered name shadows the core command of that name.
   std::vector<CommandSig> out;
-  out.reserve(commands_.size());
-  for (const auto& [_, binding] : commands_) out.push_back(binding.sig);
+  const std::span<const Binding> core = core_commands();
+  auto c = core.begin();
+  auto r = commands_.begin();
+  while (c != core.end() || r != commands_.end()) {
+    if (r == commands_.end() ||
+        (c != core.end() && c->sig.name < r->first)) {
+      out.push_back((c++)->sig);
+      continue;
+    }
+    if (c != core.end() && c->sig.name == r->first) ++c;
+    out.push_back((r++)->second.sig);
+  }
   return out;
+}
+
+Interp::Program Interp::word_program(const CallArgs& a, std::size_t i) {
+  const parse::Word* w = a.literal_word(i);
+  if (w == nullptr) return compile(a[i]);
+  if (w->body == nullptr) {
+    w->body = std::make_shared<const parse::Script>(
+        parse::parse_script(w->value()));
+  }
+  return w->body;
+}
+
+Result Interp::eval_word(const CallArgs& a, std::size_t i) {
+  const parse::Word* w = a.literal_word(i);
+  if (w == nullptr) return eval(a[i]);
+  if (w->body == nullptr) {
+    w->body = std::make_shared<const parse::Script>(
+        parse::parse_script(w->value()));
+  }
+  return eval_script(*w->body);
 }
 
 Result wrong_args(std::string_view usage) {
@@ -359,6 +460,12 @@ std::string ExprValue::str() const {
 }
 
 ExprValue ExprValue::parse(std::string_view text) {
+  ExprValue v;
+  v.set_parsed(text);
+  return v;
+}
+
+void ExprValue::set_parsed(std::string_view text) {
   // Trim surrounding whitespace.
   std::size_t b = 0;
   std::size_t e = text.size();
@@ -367,10 +474,8 @@ ExprValue ExprValue::parse(std::string_view text) {
     --e;
   }
   const std::string_view t = text.substr(b, e - b);
-  if (t.empty()) return from_string(std::string{text});
-
-  // Try integer (decimal or 0x hex).
-  {
+  if (!t.empty()) {
+    // Try integer (decimal or 0x hex).
     std::int64_t v = 0;
     const char* first = t.data();
     const char* last = t.data() + t.size();
@@ -384,17 +489,22 @@ ExprValue ExprValue::parse(std::string_view text) {
     } else {
       r = std::from_chars(first, last, v, 10);
     }
-    if (r.ec == std::errc{} && r.ptr == last) return from_int(v);
+    if (r.ec == std::errc{} && r.ptr == last) {
+      kind = Kind::kInt;
+      i = v;
+      return;
+    }
+    // Try double.
+    double dv = 0.0;
+    const auto rd = std::from_chars(first, last, dv);
+    if (rd.ec == std::errc{} && rd.ptr == last) {
+      kind = Kind::kDouble;
+      d = dv;
+      return;
+    }
   }
-  // Try double.
-  {
-    double v = 0.0;
-    const char* first = t.data();
-    const char* last = t.data() + t.size();
-    auto r = std::from_chars(first, last, v);
-    if (r.ec == std::errc{} && r.ptr == last) return from_double(v);
-  }
-  return from_string(std::string{text});
+  kind = Kind::kString;
+  s.assign(text);
 }
 
 }  // namespace pfi::script

@@ -25,22 +25,35 @@
 // Interpreter state (variables, procs) persists across eval() calls, so a
 // filter script can keep counters across messages, exactly as §3 describes.
 //
-// Evaluation model: eval() parses a script text once per interpreter with
-// the one Tcl parser (parse.hpp) and caches the immutable command form by
-// text, so the per-message filter, loop and `if` arms, proc bodies and
-// `eval`ed strings are tokenized once, not on every call. The cache holds
-// syntax only — every evaluation reads variables and commands afresh — and
-// is bounded by kParseCacheCapacity. A syntax error surfaces at the failing
-// command: the commands before it, and the `[...]` substitutions the text
-// reaches before it, run first.
+// Evaluation model: a script text is compiled once per interpreter and the
+// compiled form is evaluated on every call. compile() parses the text with
+// the one Tcl parser (parse.hpp) and keeps the result in a cache by text,
+// bounded by kParseCacheCapacity; eval(text) looks the text up there, and a
+// host that runs one text often (PfiLayer's filters) holds the Program
+// instead, so a message costs no hashing of the text. The compiled form
+// fills in on first use and is then only read:
+//   * a command whose name is literal resolves it once; the resolution is
+//     re-checked against a generation that every register_command bumps;
+//   * every literal body and condition that `if`, `while`, `for`,
+//     `foreach`, `catch` and `expr` evaluate keeps its parse or its compiled
+//     expression (expr.hpp) on its word, so running it copies and hashes no
+//     text. Texts built at run time (`eval`, `expr $a + 1`) are compiled
+//     each time into reused storage, not cached as expressions.
+// The core commands are one static table shared by every interpreter;
+// register_command binds host commands and procs in front of it. Every
+// evaluation still reads variables and commands afresh. A syntax error
+// surfaces at the failing command: the commands before it, and the `[...]`
+// substitutions the text reaches before it, run first.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -100,10 +113,82 @@ struct ProcSignature {
 ProcSignature proc_signature(std::string_view name,
                              const std::vector<std::string>& params);
 
-class Interp {
+/// Numeric/string value used by the expression engine; exposed for tests.
+struct ExprValue {
+  enum class Kind { kInt, kDouble, kString } kind = Kind::kInt;
+  std::int64_t i = 0;
+  double d = 0.0;
+  std::string s;
+
+  static ExprValue from_int(std::int64_t v);
+  static ExprValue from_double(double v);
+  static ExprValue from_string(std::string v);
+  static ExprValue from_bool(bool b) { return from_int(b ? 1 : 0); }
+
+  [[nodiscard]] bool is_numeric() const { return kind != Kind::kString; }
+  [[nodiscard]] double as_double() const;
+  [[nodiscard]] bool truthy() const;
+  [[nodiscard]] std::string str() const;
+
+  /// Parse a string into int/double/string (Tcl numeric rules, 0x hex ok).
+  static ExprValue parse(std::string_view text);
+  /// parse() into this value, reusing its string's storage.
+  void set_parsed(std::string_view text);
+};
+
+class Interp;
+class Expr;
+
+/// The words of a core command's call, borrowed: a literal word's value
+/// from its parse, a substituted one's from the interpreter's word storage.
+/// Valid for the duration of the call.
+class CallArgs {
  public:
+  CallArgs(const std::string* const* words, std::size_t n,
+           const parse::Command* cmd)
+      : words_(words), n_(n), cmd_(cmd) {}
+
+  [[nodiscard]] std::size_t size() const { return n_; }
+  [[nodiscard]] const std::string& operator[](std::size_t i) const {
+    return *words_[i];
+  }
+  [[nodiscard]] const std::string& back() const { return *words_[n_ - 1]; }
+  /// Copies of words [from, size()).
+  [[nodiscard]] std::vector<std::string> tail(std::size_t from) const;
+  /// Word i's parse when its value is literal (the place its compiled
+  /// forms are kept), else null.
+  [[nodiscard]] const parse::Word* literal_word(std::size_t i) const {
+    return cmd_ != nullptr && cmd_->words[i].literal() ? &cmd_->words[i]
+                                                       : nullptr;
+  }
+
+ private:
+  const std::string* const* words_;
+  std::size_t n_;
+  const parse::Command* cmd_;
+};
+
+/// What a command name is bound to: a core command from the shared static
+/// table, or a registered host command or proc.
+struct Binding {
+  using Builtin = Result (*)(Interp&, const CallArgs&);
   using Command =
       std::function<Result(Interp&, const std::vector<std::string>&)>;
+
+  CommandSig sig;
+  Builtin builtin = nullptr;
+  Command fn;  // when builtin is null
+};
+
+/// The core commands, sorted by name: one static table that every
+/// interpreter falls back to for a name it has not registered itself.
+std::span<const Binding> core_commands();
+
+class Interp {
+ public:
+  using Command = Binding::Command;
+  /// A compiled script text; see compile().
+  using Program = std::shared_ptr<const parse::Script>;
 
   /// Intrinsic execution counters, always on (each is one integer add on an
   /// already-expensive path). A campaign exports them per cell into the
@@ -117,25 +202,32 @@ class Interp {
   };
 
   Interp();
+  ~Interp();
   Interp(const Interp&) = delete;
   Interp& operator=(const Interp&) = delete;
 
   /// Evaluate a script (sequence of commands). Break/Continue escaping a
   /// top-level script are reported as errors by callers that care.
   Result eval(std::string_view script);
+  /// The compiled form of `script`, from the parse cache. Holding it keeps
+  /// it alive past the cache's eviction; eval(program) runs it without
+  /// looking the text up.
+  [[nodiscard]] Program compile(std::string_view script);
+  /// Evaluate a compiled script. The caller keeps `program` alive.
+  Result eval(const Program& program) { return eval_script(*program); }
 
   /// Evaluate an expression string (the `expr` engine). Performs its own
   /// `$`/`[...]` substitution, like Tcl's expr on braced arguments.
   Result eval_expr(std::string_view expr);
 
-  /// Bind `fn` to sig.name, replacing any existing binding. invoke() fails
-  /// a call whose argument count is outside [sig.min_args, sig.max_args]
-  /// with wrong_args(sig.usage) before `fn` runs, so `fn` checks only what
-  /// a count cannot express. The signature's views must outlive the
-  /// binding.
+  /// Bind `fn` to sig.name, in front of any binding of that name (a core
+  /// command's included). The interpreter fails a call whose argument
+  /// count is outside [sig.min_args, sig.max_args] with
+  /// wrong_args(sig.usage) before `fn` runs, so `fn` checks only what a
+  /// count cannot express. The signature's views must outlive the binding.
   void register_command(const CommandSig& sig, Command fn);
   [[nodiscard]] std::vector<std::string> command_names() const;
-  /// Every registered signature, sorted by name.
+  /// Every command's signature, core and registered, sorted by name.
   [[nodiscard]] std::vector<CommandSig> signatures() const;
 
   /// Variable access in the *current* frame (global frame between evals).
@@ -188,8 +280,9 @@ class Interp {
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  /// Distinct script texts whose parse is kept; reaching it empties the
-  /// cache, so generated texts (`eval "set x $i"` in a loop) stay bounded.
+  /// Distinct script texts whose compiled form is kept; reaching it empties
+  /// the cache, so generated texts (`eval "set x $i"` in a loop) stay
+  /// bounded.
   static constexpr std::size_t kParseCacheCapacity = 256;
   [[nodiscard]] std::size_t parse_cache_size() const {
     return parse_cache_.size();
@@ -204,12 +297,19 @@ class Interp {
     std::map<std::string, std::string> vars;
     std::set<std::string> globals;  // names aliased to the global frame
   };
-  Result invoke(const std::vector<std::string>& words);
   /// Append the value of a word's `parts` to `out`, reading variables and
   /// running `[...]` bodies (positions in `nested`). Returns only errors.
   Result substitute(const std::vector<parse::Part>& parts,
                     const std::vector<parse::Script>& nested,
                     std::string& out);
+  /// Word i of a core command's call as a script: a literal word's body
+  /// parsed once and kept on the word, any other word through the cache.
+  [[nodiscard]] Program word_program(const CallArgs& a, std::size_t i);
+  Result eval_word(const CallArgs& a, std::size_t i);
+  /// Word i as an `expr` argument / as an if, while or for condition: a
+  /// literal word through the expression compiled once and kept on it.
+  Result eval_expr_word(const CallArgs& a, std::size_t i);
+  Result eval_condition(const CallArgs& a, std::size_t i, bool& truthy);
   void push_frame() { frames_.emplace_back(); }
   void pop_frame() {
     if (frames_.size() > 1) frames_.pop_back();
@@ -224,20 +324,35 @@ class Interp {
       return std::hash<std::string_view>{}(text);
     }
   };
-
-  void install_builtins();
-  Result eval_script(const parse::Script& script);
-  Result substitute_words(const parse::Command& cmd,
-                          std::vector<std::string>& words);
-  [[nodiscard]] const std::string* find_var(const std::string& name) const;
-
-  struct Binding {
-    CommandSig sig;
-    Command fn;
+  /// One evaluation depth's words, reused by every command at that depth.
+  struct WordFrame {
+    std::vector<std::string> values;  // substituted words; host calls: all
+    std::vector<const std::string*> args;  // each word's value
   };
 
+  Result eval_script(const parse::Script& script);
+  Result run_command(const parse::Command& cmd, WordFrame& wf);
+  Result substitute_words(const parse::Command& cmd, WordFrame& wf);
+  [[nodiscard]] const Binding* resolve(std::string_view name) const;
+  [[nodiscard]] const std::string* find_var(const std::string& name) const;
+  /// Run compiled expression `e`. On success `*value` is its result, valid
+  /// until the interpreter next evaluates anything.
+  Result run_expr(const Expr& e, const ExprValue** value);
+  void exec_expr(const Expr& e, std::size_t base);
+  /// Compile a run-time text into reused storage and run it.
+  Result run_expr_text(std::string_view text, const ExprValue** value);
+  const Expr& word_expr(const CallArgs& a, std::size_t i);
+
   std::map<std::string_view, Binding, std::less<>> commands_;  // by sig.name
+  /// Bumped by register_command; command resolutions cached on a parse
+  /// hold the generation they were made in.
+  std::uint64_t generation_;
   std::vector<Frame> frames_;  // frames_[0] is the global frame
+  std::deque<WordFrame> word_frames_;  // by depth_
+  std::vector<ExprValue> expr_stack_;
+  std::size_t expr_top_ = 0;
+  std::vector<std::unique_ptr<Expr>> expr_scratch_;  // run-time texts
+  std::size_t expr_scratch_used_ = 0;
   std::string output_;
   int depth_ = 0;
   int max_depth_ = 200;
@@ -246,30 +361,8 @@ class Interp {
   std::uint64_t watchdog_probe_ = 0;
   bool watchdog_tripped_cache_ = false;
   Stats stats_;
-  std::unordered_map<std::string, std::shared_ptr<const parse::Script>,
-                     TextHash, std::equal_to<>>
+  std::unordered_map<std::string, Program, TextHash, std::equal_to<>>
       parse_cache_;
-};
-
-/// Numeric/string value used by the expression engine; exposed for tests.
-struct ExprValue {
-  enum class Kind { kInt, kDouble, kString } kind = Kind::kInt;
-  std::int64_t i = 0;
-  double d = 0.0;
-  std::string s;
-
-  static ExprValue from_int(std::int64_t v);
-  static ExprValue from_double(double v);
-  static ExprValue from_string(std::string v);
-  static ExprValue from_bool(bool b) { return from_int(b ? 1 : 0); }
-
-  [[nodiscard]] bool is_numeric() const { return kind != Kind::kString; }
-  [[nodiscard]] double as_double() const;
-  [[nodiscard]] bool truthy() const;
-  [[nodiscard]] std::string str() const;
-
-  /// Parse a string into int/double/string (Tcl numeric rules, 0x hex ok).
-  static ExprValue parse(std::string_view text);
 };
 
 }  // namespace pfi::script

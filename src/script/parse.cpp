@@ -68,6 +68,7 @@ struct Sink {
   std::vector<VarRef>* vars = nullptr;  // read sites
   std::vector<Script>* nested = nullptr;  // parsed `[...]` bodies
   std::vector<Part>* parts = nullptr;   // the substituted value
+  int depth = 0;  // `[...]` and `$a(index)` levels around the cursor
 
   char take(Cursor& cur) const {
     const char c = cur.advance();
@@ -85,6 +86,16 @@ struct Sink {
 };
 
 bool scan_one(Cursor& cur, const Sink& s, Error& err);
+Script parse_nested(std::string_view text, int line, int col, int depth);
+
+/// Entering one more `[...]` or `$a(index)` level at the cursor.
+bool nest(const Cursor& cur, const Sink& s, Error& err) {
+  if (s.depth < kMaxNesting) return true;
+  err = {"nesting too deep: more than " + std::to_string(kMaxNesting) +
+             " levels of [...] or $a(...)",
+         cur.line(), cur.col()};
+  return false;
+}
 
 /// A backslash group: `\c` is c's escape, backslash-newline a space, and a
 /// trailing backslash itself.
@@ -108,14 +119,16 @@ bool scan_cmd_subst(Cursor& cur, const Sink& s, Error& err) {
     err = {"missing close-bracket", cur.line(), cur.col()};
     return false;
   }
+  if (!nest(cur, s, err)) return false;
   s.take(cur);  // '['
   const int inner_line = cur.line();
   const int inner_col = cur.col();
   while (cur.pos() < close) s.take(cur);
   s.take(cur);  // ']'
   if (s.nested == nullptr) return true;
-  s.nested->push_back(parse_script(
-      cur.text().substr(open + 1, close - open - 1), inner_line, inner_col));
+  s.nested->push_back(
+      parse_nested(cur.text().substr(open + 1, close - open - 1), inner_line,
+                   inner_col, s.depth + 1));
   if (s.parts != nullptr) {
     Part& p = s.parts->emplace_back();
     p.kind = Part::Kind::kCommand;
@@ -150,9 +163,11 @@ bool scan_var_ref(Cursor& cur, const Sink& s, Error& err) {
     while (!cur.at_end() && is_name_char(cur.peek())) name += s.take(cur);
     // Array element: $a(index); the index may itself contain $var / [cmd].
     if (!name.empty() && !cur.at_end() && cur.peek() == '(') {
+      if (!nest(cur, s, err)) return false;
       array = true;
       s.take(cur);  // '('
       Sink in = s;
+      in.depth = s.depth + 1;
       if (s.parts != nullptr) in.parts = &index;
       bool ok = true;
       while (ok && !cur.at_end() && cur.peek() != ')') {
@@ -200,8 +215,8 @@ bool scan_one(Cursor& cur, const Sink& s, Error& err) {
 
 class StaticParser {
  public:
-  StaticParser(std::string_view text, int line, int col)
-      : cur_(text, line, col) {}
+  StaticParser(std::string_view text, int line, int col, int depth)
+      : cur_(text, line, col), depth_(depth) {}
 
   Script run() {
     Script out;
@@ -318,7 +333,8 @@ class StaticParser {
     const char c = cur_.peek();
     const std::size_t reads = w.vars.size();
     Error err;
-    if (!scan_one(cur_, Sink{&w.text, &w.vars, &w.nested, &w.parts}, err)) {
+    if (!scan_one(cur_, Sink{&w.text, &w.vars, &w.nested, &w.parts, depth_},
+                  err)) {
       return fail(out, std::move(err));
     }
     if (c == '$' && w.vars.size() > reads) w.has_var = true;
@@ -327,12 +343,23 @@ class StaticParser {
   }
 
   Cursor cur_;
+  int depth_;
 };
+
+Script parse_nested(std::string_view text, int line, int col, int depth) {
+  return StaticParser{text, line, col, depth}.run();
+}
 
 }  // namespace
 
+const std::string& Word::value() const {
+  static const std::string kEmpty;
+  if (kind == Kind::kBraced) return text;
+  return parts.empty() ? kEmpty : parts.front().text;
+}
+
 Script parse_script(std::string_view text, int line, int col) {
-  return StaticParser{text, line, col}.run();
+  return parse_nested(text, line, col, 0);
 }
 
 ExprScan scan_expr(std::string_view text, int line, int col) {

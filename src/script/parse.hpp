@@ -3,8 +3,13 @@
 // A script is parsed once, without evaluating anything, into an immutable
 // command form. Both consumers read that form:
 //
-//   * the interpreter (interp.cpp) caches it per script text and evaluates
-//     it, substituting each word from its pre-split `parts`;
+//   * the interpreter (interp.cpp) parses each script text once and
+//     evaluates the parse, substituting each word from its pre-split
+//     `parts`. It keeps its compiled forms on the parse itself: a command
+//     remembers the binding its literal name resolved to, and a literal
+//     word remembers its value parsed as a script body and compiled as an
+//     expression (expr.hpp), so a body or condition is compiled on first
+//     use and never re-read;
 //   * the static analyzer (src/lint/) walks it with source positions.
 //
 // The grammar: word separators, `{...}` / `"..."` words, `$var` and
@@ -25,19 +30,33 @@
 //     the failing command's words up to it, so evaluation runs everything
 //     the text asked for before the syntax error, in order.
 //
+// `[...]` and `$a(index)` nest at most kMaxNesting deep: a deeper text is a
+// syntax error at the construct that passes the limit, so no input can
+// exhaust the stack of the parser or of anything that walks its result.
+//
 // `expr` (expr.cpp) lexes its `$` references and `[...]` bodies with the
 // same scanners (lex_var_ref, match_bracket), and Tcl lists are split here
 // too (parse_list).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+namespace pfi::script {
+struct Binding;  // interp.hpp
+class Expr;      // expr.hpp
+}  // namespace pfi::script
+
 namespace pfi::script::parse {
 
 struct Script;
+
+/// Deepest nesting of `[...]` and `$a(index)` a script may use.
+inline constexpr int kMaxNesting = 200;
 
 /// One `$name` / `${name}` / `$arr(index)` read site. `name` is the base
 /// variable name (array references are normalized to the array name; reads
@@ -82,12 +101,25 @@ struct Word {
   [[nodiscard]] bool literal() const {
     return kind == Kind::kBraced || (!has_var && !has_cmd);
   }
+  /// The runtime value of a literal() word, without copying it.
+  [[nodiscard]] const std::string& value() const;
+
+  /// The interpreter's compiled forms of a literal() word, each built the
+  /// first time a command uses the word that way: its value parsed as a
+  /// script body, and compiled as an expression. Syntax only, so they stay
+  /// valid as long as the word does.
+  mutable std::shared_ptr<const Script> body;
+  mutable std::shared_ptr<const Expr> expr;
 };
 
 struct Command {
   std::vector<Word> words;
   int line = 1;
   int col = 1;
+  /// The interpreter's resolution of a literal command name: the binding
+  /// it found, valid while `generation` is the interpreter's current one.
+  mutable const Binding* binding = nullptr;
+  mutable std::uint64_t generation = 0;
 };
 
 struct Script {
