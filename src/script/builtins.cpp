@@ -55,7 +55,9 @@ Result cmd_incr(Interp& in, const Args& a) {
     }
     value = v.i;
   }
-  value += delta;
+  // Two's complement: an increment past INT64_MAX wraps.
+  value = static_cast<std::int64_t>(static_cast<std::uint64_t>(value) +
+                                    static_cast<std::uint64_t>(delta));
   std::string out = std::to_string(value);
   in.set_var(a[1], out);
   return Result::ok(std::move(out));

@@ -586,6 +586,15 @@ void set_double(ExprValue& v, double x) {
 std::int64_t wrap(std::uint64_t x) { return static_cast<std::int64_t>(x); }
 std::uint64_t bits(std::int64_t x) { return static_cast<std::uint64_t>(x); }
 
+/// The remainder of Tcl's floored division, so that
+/// (a / b) * b + a % b == a; it takes the sign of b. x % -1 is 0.
+std::int64_t floored_mod(std::int64_t a, std::int64_t b) {
+  if (b == -1) return 0;
+  std::int64_t r = a % b;
+  if (r != 0 && ((r < 0) != (b < 0))) r += b;
+  return r;
+}
+
 int compare(const ExprValue& a, const ExprValue& b) {
   if (a.is_numeric() && b.is_numeric()) {
     if (a.kind == Kind::kInt && b.kind == Kind::kInt) {
@@ -618,6 +627,11 @@ void arith(ExprValue& a, const ExprValue& b, Op op) {
       case Op::kMul: set_int(a, wrap(bits(a.i) * bits(b.i))); return;
       case Op::kDiv: {
         if (b.i == 0) throw ExprError{"divide by zero"};
+        // INT64_MIN / -1 wraps to INT64_MIN rather than trapping.
+        if (b.i == -1) {
+          set_int(a, wrap(0 - bits(a.i)));
+          return;
+        }
         // Tcl floors integer division toward negative infinity.
         std::int64_t q = a.i / b.i;
         if ((a.i % b.i != 0) && ((a.i < 0) != (b.i < 0))) --q;
@@ -836,7 +850,7 @@ void Interp::exec_expr(const Expr& e, std::size_t base) {
         ExprValue& a = expr_stack_[sp - 1];
         const std::int64_t rhs = to_int(expr_stack_[sp]);
         if (rhs == 0) throw ExprError{"divide by zero"};
-        set_int(a, to_int(a) % rhs);
+        set_int(a, floored_mod(to_int(a), rhs));
         break;
       }
       case Op::kShl:

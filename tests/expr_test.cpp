@@ -224,6 +224,61 @@ TEST(Expr, SubstitutionMatchesWordForm) {
   EXPECT_EQ(ex(in, "[string length \\]] + 1"), "2");
 }
 
+// Integer arithmetic wraps in two's complement instead of relying on
+// undefined signed overflow, and the trapping corner INT64_MIN / -1 wraps.
+TEST(Expr, IntegerOverflowWraps) {
+  Interp in;
+  EXPECT_EQ(ex(in, "9223372036854775807 + 1"), "-9223372036854775808");
+  EXPECT_EQ(ex(in, "(-9223372036854775807 - 1) - 1"), "9223372036854775807");
+  EXPECT_EQ(ex(in, "9223372036854775807 * 2"), "-2");
+  EXPECT_EQ(ex(in, "-(-9223372036854775807 - 1)"), "-9223372036854775808");
+  EXPECT_EQ(ex(in, "(-9223372036854775807 - 1) / -1"),
+            "-9223372036854775808");
+  EXPECT_EQ(ex(in, "abs(-9223372036854775807 - 1)"), "-9223372036854775808");
+}
+
+// `%` is the remainder of the floored division `/` already does, as in
+// Tcl: it takes the divisor's sign, and x % -1 is 0.
+TEST(Expr, ModuloIsFloored) {
+  Interp in;
+  EXPECT_EQ(ex(in, "-5 % 3"), "1");
+  EXPECT_EQ(ex(in, "5 % -3"), "-1");
+  EXPECT_EQ(ex(in, "-5 % -3"), "-2");
+  EXPECT_EQ(ex(in, "7 % -1"), "0");
+  EXPECT_EQ(ex(in, "(-9223372036854775807 - 1) % -1"), "0");
+  EXPECT_EQ(in.eval_expr("5 % 0").value, "divide by zero");
+  for (int a = -7; a <= 7; ++a) {
+    for (int b = -4; b <= 4; ++b) {
+      if (b == 0) continue;
+      const std::string e = "(" + std::to_string(a) + " / " +
+                            std::to_string(b) + ") * " + std::to_string(b) +
+                            " + " + std::to_string(a) + " % " +
+                            std::to_string(b);
+      EXPECT_EQ(ex(in, e), std::to_string(a)) << e;
+    }
+  }
+}
+
+// Nesting is bounded: a deeper expression is an error, not a stack
+// overflow, and nothing past the limit runs.
+TEST(Expr, NestingIsBounded) {
+  Interp in;
+  const std::string deep =
+      std::string(5000, '(') + "1" + std::string(5000, ')');
+  Result r = in.eval_expr(deep);
+  ASSERT_TRUE(r.is_error());
+  EXPECT_EQ(r.value.rfind("expression nested too deeply", 0), 0u) << r.value;
+  r = in.eval("expr {" + deep + "}");
+  ASSERT_TRUE(r.is_error());
+  EXPECT_EQ(r.value.rfind("expression nested too deeply", 0), 0u) << r.value;
+  EXPECT_TRUE(in.eval_expr(std::string(6000, '!') + "1").is_error());
+  EXPECT_TRUE(in.eval_expr(std::string(6000, '-') + "1").is_error());
+  EXPECT_TRUE(in.eval_expr("1" + std::string(3000, '?') + "1").is_error());
+  // Well inside the limit, nesting works.
+  EXPECT_EQ(ex(in, std::string(150, '(') + "7" + std::string(150, ')')), "7");
+  EXPECT_EQ(ex(in, std::string(150, '!') + "1"), "1");
+}
+
 // Property sweep: integer round-trip through the engine.
 class ExprIntRoundTrip : public ::testing::TestWithParam<std::int64_t> {};
 

@@ -249,6 +249,25 @@ TEST(LintScript, BadExpr) {
   EXPECT_TRUE(check_script("if {(1 + 2) * 0} { msg_log hit }\n").size());
 }
 
+// Lint folds guards with the interpreter's expression engine and reads the
+// interpreter's parse, so an input that is too deep for either becomes a
+// diagnostic, and an arithmetic corner folds instead of trapping.
+TEST(LintScript, AdversarialGuardsFailClosed) {
+  const std::string deep =
+      std::string(5000, '(') + "1" + std::string(5000, ')');
+  EXPECT_TRUE(has_rule(check_script("if {" + deep + "} { msg_log hit }\n"),
+                       "bad-expr"));
+  EXPECT_TRUE(has_rule(check_script("set x " + std::string(20000, '[') +
+                                    "list" + std::string(20000, ']') + "\n"),
+                       "parse-error"));
+  for (const char* op : {"/", "%"}) {
+    const auto diags = check_script(
+        std::string("set x 1\nif {(-9223372036854775807 - 1) ") + op +
+        " -1} { msg_log $x }\n");
+    EXPECT_TRUE(has_rule(diags, "constant-condition")) << op;
+  }
+}
+
 TEST(LintScript, InfiniteLoop) {
   const auto diags = check_script("while 1 { msg_log spin }\n");
   const auto* d = find_rule(diags, "infinite-loop");

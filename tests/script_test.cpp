@@ -562,6 +562,39 @@ TEST(Interp, StrayCloseBracketIsLiteral) {
   EXPECT_EQ(in.eval("set a {b}]").value, "extra characters after close-brace");
 }
 
+// The parser bounds its nesting: a deeper script is a positioned syntax
+// error, not a stack overflow.
+TEST(Interp, NestingIsBounded) {
+  Interp in;
+  const std::string deep =
+      "set x " + std::string(20000, '[') + "list" + std::string(20000, ']');
+  // The `[...]` levels the text reaches before the error run first, as
+  // for any syntax error, and hit the evaluation depth limit.
+  EXPECT_TRUE(in.eval(deep).is_error());
+  const parse::Script parsed = parse::parse_script(deep);
+  EXPECT_EQ(parsed.error,
+            "nesting too deep: more than 200 levels of [...] or $a(...)");
+  EXPECT_EQ(parsed.error_line, 1);
+  EXPECT_EQ(parsed.error_col, 7 + 200);  // the 201st `[`
+  std::string index = "set y ";
+  for (int i = 0; i < 3000; ++i) index += "$a(";
+  EXPECT_TRUE(in.eval(index).is_error());
+  const std::string paren =
+      std::string(5000, '(') + "1" + std::string(5000, ')');
+  EXPECT_TRUE(in.eval("expr {" + paren + "}").is_error());
+  // Well inside the limit, nesting works.
+  std::string lists = "set x ";
+  for (int i = 0; i < 100; ++i) lists += "[list ";
+  EXPECT_EQ(eval_ok(in, lists + "a" + std::string(100, ']')), "a");
+}
+
+TEST(Interp, IncrWrapsPastInt64Max) {
+  Interp in;
+  EXPECT_EQ(eval_ok(in, "set i 9223372036854775807; incr i"),
+            "-9223372036854775808");
+  EXPECT_EQ(eval_ok(in, "incr i -1"), "9223372036854775807");
+}
+
 TEST(Interp, StatsCountEvalsAndCommands) {
   Interp in;
   eval_ok(in, "set x [expr {1 + 1}]; if {$x} {incr x}");
