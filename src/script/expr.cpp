@@ -39,14 +39,14 @@ int stack_effect(Op op, std::uint32_t nargs) {
     case Op::kNot:
     case Op::kBitNot:
     case Op::kNeg:
+    case Op::kBool:
+    case Op::kJump:
     case Op::kFail:
       return 0;
-    case Op::kSelect:
-      return -2;
     case Op::kCall:
       return 1 - static_cast<int>(nargs);
     default:
-      return -1;  // binary operators
+      return -1;  // binary operators; the jumps that pop, on fall-through
   }
 }
 
@@ -100,11 +100,27 @@ class Compiler {
     emit(Op::kConst, static_cast<std::uint32_t>(out_.consts.size() - 1));
   }
 
-  /// The text breaks here: everything emitted so far runs, then `msg`.
+  /// The text breaks here: everything emitted so far runs, then `msg`;
+  /// every jump still open lands on the failure too.
   [[noreturn]] void fail(std::string msg) {
     out_.errors.push_back(std::move(msg));
+    for (const std::size_t j : open_jumps_) out_.code[j].arg = here();
     emit(Op::kFail, static_cast<std::uint32_t>(out_.errors.size() - 1));
     throw Stop{};
+  }
+
+  [[nodiscard]] std::uint32_t here() const {
+    return static_cast<std::uint32_t>(out_.code.size());
+  }
+  /// Emit a jump whose target the matching land() fills in.
+  std::size_t jump(Op op) {
+    open_jumps_.push_back(out_.code.size());
+    emit(op);
+    return open_jumps_.back();
+  }
+  void land(std::size_t at) {
+    out_.code[at].arg = here();
+    std::erase(open_jumps_, at);
   }
 
   /// One more level of parentheses, unary operator or `?:` arm.
@@ -170,11 +186,16 @@ class Compiler {
     logical_or();
     skip_ws();
     if (match("?")) {
+      const std::size_t to_else = jump(Op::kJumpIfFalse);
+      const int depth = depth_;
       ternary();
       skip_ws();
       if (!match(":")) fail("expected ':' in ?: expression");
+      const std::size_t to_end = jump(Op::kJump);
+      land(to_else);
+      depth_ = depth;  // the else arm starts where the then arm did
       ternary();
-      emit(Op::kSelect);
+      land(to_end);
     }
   }
 
@@ -183,8 +204,10 @@ class Compiler {
     while (true) {
       skip_ws();
       if (!match("||")) return;
+      const std::size_t skip = jump(Op::kOrJump);
       logical_and();
-      emit(Op::kOr);
+      emit(Op::kBool);
+      land(skip);
     }
   }
 
@@ -193,8 +216,10 @@ class Compiler {
     while (true) {
       skip_ws();
       if (!match("&&")) return;
+      const std::size_t skip = jump(Op::kAndJump);
       bit_or();
-      emit(Op::kAnd);
+      emit(Op::kBool);
+      land(skip);
     }
   }
 
@@ -547,6 +572,7 @@ class Compiler {
   std::size_t pos_ = 0;
   int depth_ = 0;    // stack slots in use after the code so far
   int nesting_ = 0;  // Nest levels open
+  std::vector<std::size_t> open_jumps_;  // jumps not yet landed
 };
 
 // --- values ------------------------------------------------------------------
@@ -785,7 +811,8 @@ void Interp::exec_expr(const Expr& e, std::size_t base) {
     if (r.is_error()) throw ExprError{std::move(r.value)};
     expr_stack_[sp].set_parsed(value);
   };
-  for (const Expr::Instr& in : e.code) {
+  for (std::size_t pc = 0; pc < e.code.size(); ++pc) {
+    const Expr::Instr& in = e.code[pc];
     switch (in.op) {
       case Op::kConst:
         expr_stack_[sp++] = e.consts[in.arg];
@@ -900,21 +927,30 @@ void Interp::exec_expr(const Expr& e, std::size_t base) {
                                           : (x | y));
         break;
       }
-      case Op::kAnd:
-      case Op::kOr: {
+      case Op::kAndJump:
+      case Op::kOrJump: {
+        ExprValue& v = expr_stack_[sp - 1];
+        const bool decided = v.truthy() == (in.op == Op::kOrJump);
+        if (!decided) {
+          --sp;
+          break;
+        }
+        set_int(v, in.op == Op::kOrJump ? 1 : 0);
+        pc = in.arg - 1;
+        break;
+      }
+      case Op::kBool: {
+        ExprValue& v = expr_stack_[sp - 1];
+        set_int(v, v.truthy() ? 1 : 0);
+        break;
+      }
+      case Op::kJumpIfFalse:
         --sp;
-        ExprValue& a = expr_stack_[sp - 1];
-        const bool x = a.truthy();
-        const bool y = expr_stack_[sp].truthy();
-        set_int(a, (in.op == Op::kAnd ? (x && y) : (x || y)) ? 1 : 0);
+        if (!expr_stack_[sp].truthy()) pc = in.arg - 1;
         break;
-      }
-      case Op::kSelect: {
-        sp -= 2;
-        ExprValue& cond = expr_stack_[sp - 1];
-        std::swap(cond, expr_stack_[cond.truthy() ? sp : sp + 1]);
+      case Op::kJump:
+        pc = in.arg - 1;
         break;
-      }
       case Op::kCall: {
         const Expr::Call& c = e.calls[in.arg];
         const std::size_t first = sp - c.nargs;

@@ -5,10 +5,13 @@
 // The code lists every operand and operator in the order the text is read,
 // left to right, which is the order the operands are evaluated in: a `$`
 // read, a `[...]` and an operator that can fail all happen exactly when
-// reading the text would reach them. A syntax error therefore compiles to a
-// kFail at the point where the text breaks, after the code for everything
-// before it, so the reads, substitutions and errors that come before a
-// syntax error still come first.
+// reading the text would reach them. `&&`, `||` and `?:` short-circuit as
+// in Tcl: the right operand, or the arm not chosen, is jumped over and
+// never evaluated. A syntax error compiles to a kFail at the point where
+// the text breaks, after the code for everything before it, and every jump
+// left open at that point lands on it, so the reads, substitutions and
+// errors that come before a syntax error still come first and the error
+// is always raised.
 //
 // `$` references and `[...]` bodies are lexed and parsed by the script
 // parser (parse.hpp), so they read the same in an expression as in a word.
@@ -54,11 +57,13 @@ class Expr {
     kBitAnd,
     kBitXor,
     kBitOr,
-    kAnd,
-    kOr,
-    kSelect,  // cond a b -> a when cond is true, else b
-    kCall,    // calls[arg]
-    kFail,    // raise errors[arg]
+    kAndJump,  // a false top becomes 0 and jumps to arg; else it is popped
+    kOrJump,   // a true top becomes 1 and jumps to arg; else it is popped
+    kBool,     // the top becomes 1 or 0 by its truth
+    kJumpIfFalse,  // pop the top; jump to arg when it is false
+    kJump,         // jump to arg
+    kCall,         // calls[arg]
+    kFail,         // raise errors[arg]
   };
   enum class Fn : std::uint8_t {
     kAbs, kInt, kDouble, kRound, kFloor, kCeil, kSqrt, kExp, kLog, kPow,

@@ -224,6 +224,41 @@ TEST(Expr, SubstitutionMatchesWordForm) {
   EXPECT_EQ(ex(in, "[string length \\]] + 1"), "2");
 }
 
+// `&&`, `||` and `?:` evaluate the right operand, or the arm not chosen,
+// only when Tcl would.
+TEST(Expr, LogicalOperatorsShortCircuit) {
+  Interp in;
+  EXPECT_EQ(ex(in, "1 || [error boom]"), "1");
+  EXPECT_EQ(ex(in, "0 && [error boom]"), "0");
+  EXPECT_EQ(ex(in, "1 ? 2 : [error boom]"), "2");
+  EXPECT_EQ(ex(in, "0 ? [error boom] : 3"), "3");
+  EXPECT_EQ(in.eval_expr("0 || [error boom]").value, "boom");
+  EXPECT_EQ(in.eval_expr("1 && [error boom]").value, "boom");
+  // The standard Tcl existence guard.
+  EXPECT_EQ(ex(in, "[info exists x] && $x > 0"), "0");
+  in.set_var("x", "5");
+  EXPECT_EQ(ex(in, "[info exists x] && $x > 0"), "1");
+  // Skipped operands have no side effects; evaluated ones keep theirs.
+  in.set_var("n", "0");
+  EXPECT_EQ(ex(in, "0 && [incr n]"), "0");
+  EXPECT_EQ(ex(in, "1 || [incr n]"), "1");
+  EXPECT_EQ(ex(in, "1 ? [incr n] : [incr n 10]"), "1");
+  EXPECT_EQ(ex(in, "[incr n] && [incr n] || [incr n 100]"), "1");
+  EXPECT_EQ(in.get_var("n").value_or(""), "3");
+  // Results are still booleans, and chains group left to right.
+  EXPECT_EQ(ex(in, "2 && 3"), "1");
+  EXPECT_EQ(ex(in, "0 || 0.5"), "1");
+  EXPECT_EQ(ex(in, "0 && 1 || 1"), "1");
+  EXPECT_EQ(ex(in, "1 ? 0 ? 1 : 2 : 3"), "2");
+  // A syntax error in a skipped operand is still raised.
+  EXPECT_EQ(in.eval_expr("0 && (1 +").value, "unexpected end of expression");
+  EXPECT_EQ(in.eval_expr("1 || [incr n] junk").value,
+            "syntax error in expression near \"junk\"");
+  EXPECT_EQ(in.eval_expr("0 ? 1 : (").value, "unexpected end of expression");
+  EXPECT_EQ(in.eval_expr("1 ? 1").value, "expected ':' in ?: expression");
+  EXPECT_EQ(in.get_var("n").value_or(""), "3");
+}
+
 // Integer arithmetic wraps in two's complement instead of relying on
 // undefined signed overflow, and the trapping corner INT64_MIN / -1 wraps.
 TEST(Expr, IntegerOverflowWraps) {

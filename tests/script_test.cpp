@@ -588,6 +588,19 @@ TEST(Interp, NestingIsBounded) {
   EXPECT_EQ(eval_ok(in, lists + "a" + std::string(100, ']')), "a");
 }
 
+TEST(Interp, ExistenceGuardShortCircuits) {
+  Interp in;
+  EXPECT_EQ(eval_ok(in, "if {[info exists x] && $x > 0} {set r yes} "
+                        "else {set r no}"),
+            "no");
+  EXPECT_EQ(eval_ok(in, "set x 3; if {[info exists x] && $x > 0} "
+                        "{set r yes} else {set r no}"),
+            "yes");
+  EXPECT_EQ(eval_ok(in, "set i 0; while {![info exists y] || $y < 3} "
+                        "{set y [incr i]}; set i"),
+            "3");
+}
+
 TEST(Interp, IncrWrapsPastInt64Max) {
   Interp in;
   EXPECT_EQ(eval_ok(in, "set i 9223372036854775807; incr i"),
