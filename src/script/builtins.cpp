@@ -407,17 +407,28 @@ Result cmd_lappend(Interp& in, const Args& a) {
 
 Result cmd_lrange(Interp&, const Args& a) {
   const auto items = parse_list(a[1]);
-  auto to_index = [&](const std::string& t) -> std::int64_t {
-    if (t == "end") return static_cast<std::int64_t>(items.size()) - 1;
-    if (t.rfind("end-", 0) == 0) {
-      return static_cast<std::int64_t>(items.size()) - 1 -
-             ExprValue::parse(t.substr(4)).i;
+  const auto last = static_cast<std::int64_t>(items.size()) - 1;
+  // An integer, `end` or `end-<integer>`; anything else is not an index.
+  auto to_index = [&](const std::string& t, std::int64_t& out) {
+    if (t == "end") {
+      out = last;
+      return true;
     }
-    return ExprValue::parse(t).i;
+    const bool from_end = t.rfind("end-", 0) == 0;
+    const ExprValue v =
+        ExprValue::parse(std::string_view{t}.substr(from_end ? 4 : 0));
+    if (v.kind != ExprValue::Kind::kInt) return false;
+    out = from_end ? static_cast<std::int64_t>(static_cast<std::uint64_t>(
+                         last) - static_cast<std::uint64_t>(v.i))
+                   : v.i;
+    return true;
   };
-  std::int64_t lo = std::max<std::int64_t>(to_index(a[2]), 0);
-  std::int64_t hi = std::min<std::int64_t>(
-      to_index(a[3]), static_cast<std::int64_t>(items.size()) - 1);
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+  if (!to_index(a[2], lo)) return Result::error("bad index \"" + a[2] + "\"");
+  if (!to_index(a[3], hi)) return Result::error("bad index \"" + a[3] + "\"");
+  lo = std::max<std::int64_t>(lo, 0);
+  hi = std::min<std::int64_t>(hi, last);
   std::vector<std::string> out;
   for (std::int64_t i = lo; i <= hi; ++i) {
     out.push_back(items[static_cast<std::size_t>(i)]);

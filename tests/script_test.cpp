@@ -588,6 +588,21 @@ TEST(Interp, NestingIsBounded) {
   EXPECT_EQ(eval_ok(in, lists + "a" + std::string(100, ']')), "a");
 }
 
+// lrange reads its indices as lindex does: an integer, `end` or
+// `end-<integer>`; anything else is an error, not a silent 0.
+TEST(Interp, LrangeRejectsBadIndex) {
+  Interp in;
+  EXPECT_EQ(eval_ok(in, "lrange {a b c} 1 end"), "b c");
+  EXPECT_EQ(eval_ok(in, "lrange {a b c} 0 end-1"), "a b");
+  EXPECT_EQ(eval_ok(in, "lrange {a b c} end-1 end"), "b c");
+  EXPECT_EQ(eval_ok(in, "lrange {a b c} -5 0x1"), "a b");
+  EXPECT_EQ(eval_ok(in, "lrange {a b c} 2 1"), "");
+  EXPECT_EQ(in.eval("lrange {a b c} x 1").value, "bad index \"x\"");
+  EXPECT_EQ(in.eval("lrange {a b c} 0 y").value, "bad index \"y\"");
+  EXPECT_EQ(in.eval("lrange {a b c} end-z 1").value, "bad index \"end-z\"");
+  EXPECT_EQ(in.eval("lrange {a b c} 0 1.5").value, "bad index \"1.5\"");
+}
+
 TEST(Interp, ExistenceGuardShortCircuits) {
   Interp in;
   EXPECT_EQ(eval_ok(in, "if {[info exists x] && $x > 0} {set r yes} "
