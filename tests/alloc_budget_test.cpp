@@ -23,6 +23,9 @@
 #include "gmp/message.hpp"
 #include "gmp/reliable.hpp"
 #include "net/layers.hpp"
+#include "pfi/gmp_stub.hpp"
+#include "pfi/pfi_layer.hpp"
+#include "script/interp.hpp"
 #include "sim/scheduler.hpp"
 #include "xk/layer.hpp"
 #include "xk/message.hpp"
@@ -168,6 +171,62 @@ TEST(AllocBudget, ScheduledMessageClosureAllocatesNothing) {
   EXPECT_EQ(delivered, 32u);
 }
 
+/// Top of a test stack: keeps the last frame that came up.
+class Top : public xk::Layer {
+ public:
+  Top() : Layer("top") {}
+  void push(xk::Message msg) override { send_down(std::move(msg)); }
+  void pop(xk::Message msg) override { last = std::move(msg); }
+  std::optional<xk::Message> last;
+};
+
+// The interpreter compiles the filter once; a warm filter run that leaves a
+// message alone (type lookup, a compare, an untaken branch) allocates
+// nothing.
+TEST(AllocBudget, CompiledGmpReceiveFilterAllocatesNothingOnAPassedMessage) {
+  std::string err;
+  const auto spec = campaign::load_spec_file(
+      std::string(PFI_SCRIPTS_DIR) + "/campaign_gmp_omission.spec", &err);
+  ASSERT_TRUE(spec.has_value()) << err;
+  const core::failure::Scripts scripts =
+      campaign::plan(*spec).front().schedule.compile();
+  ASSERT_FALSE(scripts.receive.empty());
+
+  sim::Scheduler sched;
+  core::PfiConfig cfg;
+  cfg.stub = std::make_shared<core::GmpStub>();
+  xk::Stack stack;
+  auto* top = static_cast<Top*>(stack.add(std::make_unique<Top>()));
+  xk::Layer* pfi = stack.add(std::make_unique<core::PfiLayer>(sched, cfg));
+  auto& layer = static_cast<core::PfiLayer&>(*pfi);
+  ASSERT_TRUE(layer.run_setup(scripts.setup).is_ok());
+  layer.set_receive_script(scripts.receive);
+
+  const auto message = cfg.stub->generate({{"type", "gmp-ack"}});
+  ASSERT_TRUE(message.has_value());
+  ASSERT_EQ(cfg.stub->type_of(*message), "gmp-ack");
+  auto deliver = [&] {
+    xk::Message msg = *message;
+    return allocs_during([&] { pfi->pop(std::move(msg)); });
+  };
+  deliver();  // warm-up: compiles the filter's bodies, sizes the buffers
+  EXPECT_EQ(deliver(), 0u);
+  EXPECT_EQ(layer.stats().recvs_intercepted, 2u);
+  EXPECT_EQ(layer.stats().script_errors, 0u) << layer.last_error();
+  EXPECT_EQ(layer.stats().dropped, 0u);
+  ASSERT_TRUE(top->last.has_value());
+}
+
+// The core commands are one table every interpreter shares, so building
+// an interpreter costs a fixed handful of allocations, none per builtin.
+TEST(AllocBudget, InterpreterSharesTheCoreCommandTable) {
+  const std::size_t builtins = script::core_commands().size();
+  ASSERT_GE(builtins, 30u);
+  const std::uint64_t n =
+      allocs_during([] { const script::Interp interp; (void)interp; });
+  EXPECT_LE(n, 4u);
+}
+
 /// Allocations of one run_cell, after a warm-up run of the same cell has
 /// paid for lazily built tables.
 std::uint64_t steady_cell_allocs(const campaign::RunCell& cell) {
@@ -189,7 +248,7 @@ TEST(AllocBudget, GmpCampaignCellCeiling) {
   const std::uint64_t n = steady_cell_allocs(cells.front());
   std::printf("allocations for %s: %llu\n", cells.front().id.c_str(),
               static_cast<unsigned long long>(n));
-  EXPECT_LE(n, 4900u);
+  EXPECT_LE(n, 1850u);
 }
 
 TEST(AllocBudget, TcpSuiteCellCeiling) {
@@ -200,7 +259,7 @@ TEST(AllocBudget, TcpSuiteCellCeiling) {
   const std::uint64_t n = steady_cell_allocs(cells->front());
   std::printf("allocations for %s: %llu\n", cells->front().id.c_str(),
               static_cast<unsigned long long>(n));
-  EXPECT_LE(n, 7000u);
+  EXPECT_LE(n, 4700u);
 }
 
 }  // namespace
