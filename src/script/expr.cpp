@@ -991,14 +991,16 @@ Result Interp::run_expr_text(std::string_view text, const ExprValue** value) {
   return r;
 }
 
-const Expr& Interp::word_expr(const CallArgs& a, std::size_t i) {
-  const parse::Word& w = *a.literal_word(i);
-  if (w.expr == nullptr) {
+Result Interp::run_expr_word(const CallArgs& a, std::size_t i,
+                             const ExprValue** value) {
+  const parse::Word* w = a.literal_word(i);
+  if (w == nullptr) return run_expr_text(a[i], value);
+  if (w->expr == nullptr) {
     auto e = std::make_shared<Expr>();
-    e->compile(w.value());
-    w.expr = std::move(e);
+    e->compile(w->value());
+    w->expr = std::move(e);
   }
-  return *w.expr;
+  return run_expr(*w->expr, value);
 }
 
 Result Interp::eval_expr(std::string_view expr) {
@@ -1010,8 +1012,7 @@ Result Interp::eval_expr(std::string_view expr) {
 
 Result Interp::eval_expr_word(const CallArgs& a, std::size_t i) {
   const ExprValue* v = nullptr;
-  Result r = a.literal_word(i) != nullptr ? run_expr(word_expr(a, i), &v)
-                                          : run_expr_text(a[i], &v);
+  Result r = run_expr_word(a, i, &v);
   if (!r.is_ok()) return r;
   return Result::ok(v->str());
 }
@@ -1019,10 +1020,8 @@ Result Interp::eval_expr_word(const CallArgs& a, std::size_t i) {
 Result Interp::eval_condition(const CallArgs& a, std::size_t i,
                               bool& truthy) {
   const ExprValue* v = nullptr;
-  Result r = a.literal_word(i) != nullptr ? run_expr(word_expr(a, i), &v)
-                                          : run_expr_text(a[i], &v);
-  if (!r.is_ok()) return r;
-  truthy = condition_truth(*v);
+  Result r = run_expr_word(a, i, &v);
+  if (r.is_ok()) truthy = condition_truth(*v);
   return r;
 }
 

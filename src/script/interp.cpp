@@ -236,24 +236,27 @@ std::vector<CommandSig> Interp::signatures() const {
   return out;
 }
 
+namespace {
+
+/// A literal word's value parsed as a script, on first use.
+const Interp::Program& body_of(const parse::Word& w) {
+  if (w.body == nullptr) {
+    w.body = std::make_shared<const parse::Script>(
+        parse::parse_script(w.value()));
+  }
+  return w.body;
+}
+
+}  // namespace
+
 Interp::Program Interp::word_program(const CallArgs& a, std::size_t i) {
   const parse::Word* w = a.literal_word(i);
-  if (w == nullptr) return compile(a[i]);
-  if (w->body == nullptr) {
-    w->body = std::make_shared<const parse::Script>(
-        parse::parse_script(w->value()));
-  }
-  return w->body;
+  return w == nullptr ? compile(a[i]) : body_of(*w);
 }
 
 Result Interp::eval_word(const CallArgs& a, std::size_t i) {
   const parse::Word* w = a.literal_word(i);
-  if (w == nullptr) return eval(a[i]);
-  if (w->body == nullptr) {
-    w->body = std::make_shared<const parse::Script>(
-        parse::parse_script(w->value()));
-  }
-  return eval_script(*w->body);
+  return w == nullptr ? eval(a[i]) : eval_script(*body_of(*w));
 }
 
 Result wrong_args(std::string_view usage) {

@@ -341,7 +341,10 @@ class Interp {
   void exec_expr(const Expr& e, std::size_t base);
   /// Compile a run-time text into reused storage and run it.
   Result run_expr_text(std::string_view text, const ExprValue** value);
-  const Expr& word_expr(const CallArgs& a, std::size_t i);
+  /// Run word i of a call as an expression: a literal word through the
+  /// expression compiled once and kept on it.
+  Result run_expr_word(const CallArgs& a, std::size_t i,
+                       const ExprValue** value);
 
   std::map<std::string_view, Binding, std::less<>> commands_;  // by sig.name
   /// Bumped by register_command; command resolutions cached on a parse
