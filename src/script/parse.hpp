@@ -55,8 +55,11 @@ namespace pfi::script::parse {
 
 struct Script;
 
-/// Deepest nesting of `[...]` and `$a(index)` a script may use.
-inline constexpr int kMaxNesting = 200;
+/// Deepest nesting of `[...]` and `$a(index)` a script may use. It stays
+/// below Interp's default evaluation depth (200), so running the partial
+/// words of a too-deep command reaches the innermost level and raises this
+/// syntax error rather than the depth limit.
+inline constexpr int kMaxNesting = 100;
 
 /// One `$name` / `${name}` / `$arr(index)` read site. `name` is the base
 /// variable name (array references are normalized to the array name; reads

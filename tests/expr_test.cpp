@@ -310,8 +310,8 @@ TEST(Expr, NestingIsBounded) {
   EXPECT_TRUE(in.eval_expr(std::string(6000, '-') + "1").is_error());
   EXPECT_TRUE(in.eval_expr("1" + std::string(3000, '?') + "1").is_error());
   // Well inside the limit, nesting works.
-  EXPECT_EQ(ex(in, std::string(150, '(') + "7" + std::string(150, ')')), "7");
-  EXPECT_EQ(ex(in, std::string(150, '!') + "1"), "1");
+  EXPECT_EQ(ex(in, std::string(90, '(') + "7" + std::string(90, ')')), "7");
+  EXPECT_EQ(ex(in, std::string(90, '!') + "1"), "1");
 }
 
 // Property sweep: integer round-trip through the engine.

@@ -569,13 +569,16 @@ TEST(Interp, NestingIsBounded) {
   const std::string deep =
       "set x " + std::string(20000, '[') + "list" + std::string(20000, ']');
   // The `[...]` levels the text reaches before the error run first, as
-  // for any syntax error, and hit the evaluation depth limit.
-  EXPECT_TRUE(in.eval(deep).is_error());
+  // for any syntax error; the innermost one raises it.
+  const Result r = in.eval(deep);
+  ASSERT_TRUE(r.is_error());
+  EXPECT_EQ(r.value,
+            "nesting too deep: more than 100 levels of [...] or $a(...)");
+  EXPECT_EQ(r.line, 1);
   const parse::Script parsed = parse::parse_script(deep);
-  EXPECT_EQ(parsed.error,
-            "nesting too deep: more than 200 levels of [...] or $a(...)");
+  EXPECT_EQ(parsed.error, r.value);
   EXPECT_EQ(parsed.error_line, 1);
-  EXPECT_EQ(parsed.error_col, 7 + 200);  // the 201st `[`
+  EXPECT_EQ(parsed.error_col, 7 + 100);  // the 101st `[`
   std::string index = "set y ";
   for (int i = 0; i < 3000; ++i) index += "$a(";
   EXPECT_TRUE(in.eval(index).is_error());
@@ -584,8 +587,8 @@ TEST(Interp, NestingIsBounded) {
   EXPECT_TRUE(in.eval("expr {" + paren + "}").is_error());
   // Well inside the limit, nesting works.
   std::string lists = "set x ";
-  for (int i = 0; i < 100; ++i) lists += "[list ";
-  EXPECT_EQ(eval_ok(in, lists + "a" + std::string(100, ']')), "a");
+  for (int i = 0; i < 90; ++i) lists += "[list ";
+  EXPECT_EQ(eval_ok(in, lists + "a" + std::string(90, ']')), "a");
 }
 
 // lrange reads its indices as lindex does: an integer, `end` or
