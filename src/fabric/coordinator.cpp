@@ -139,21 +139,18 @@ void Engine::accept_pending() {
   conns_.push_back(std::move(c));
 }
 
-void Engine::forget_worker(const std::string& id) {
-  auto it = workers_.find(id);
-  if (it == workers_.end()) return;
-  WorkerState& w = it->second;
+void Engine::requeue_outstanding(const std::string& id, WorkerState* w) {
   // Front of the queue: a lost lease should complete before untouched work
   // so the campaign's tail latency doesn't double on every worker death.
   // Reverse iteration keeps the requeued slots in slot order at the front.
-  for (auto ot = w.outstanding.rbegin(); ot != w.outstanding.rend(); ++ot) {
+  for (auto ot = w->outstanding.rbegin(); ot != w->outstanding.rend(); ++ot) {
     const int job = ot->first.first;
     const int slot = ot->first.second;
     auto bt = batches_.find(job);
     if (bt == batches_.end()) continue;
     Batch& b = bt->second;
     if (b.filled[static_cast<std::size_t>(slot)] != 0) {
-      continue;  // raced: the result arrived before the death verdict
+      continue;  // raced: the result arrived before the verdict
     }
     b.queue.push_front(slot);
     b.enqueued_at[static_cast<std::size_t>(slot)] = Clock::now();
@@ -162,6 +159,13 @@ void Engine::forget_worker(const std::string& id) {
       opts_.flight->record(FlightEvent::kRequeue, id, job, slot, ot->second);
     }
   }
+  w->outstanding.clear();
+}
+
+void Engine::forget_worker(const std::string& id) {
+  auto it = workers_.find(id);
+  if (it == workers_.end()) return;
+  requeue_outstanding(id, &it->second);
   ++stats.workers_lost;
   workers_.erase(it);
 }
@@ -227,6 +231,7 @@ bool Engine::handle_hello(std::size_t i, const Hello& h) {
         return false;
       }
       it->second.fd = c.fd;
+      it->second.resumed = true;
       ++it->second.reattaches;
       ++stats.workers_reattached;
       if (opts_.flight) opts_.flight->record(FlightEvent::kReattach, id);
@@ -291,6 +296,15 @@ bool Engine::handle_frame(std::size_t i, const Frame& f) {
     case FrameType::kLease: {
       int want = 0;
       if (!decode_lease_request(f.payload, &want)) return false;
+      auto wt = workers_.find(c.worker_id);
+      if (wt != workers_.end() && wt->second.resumed) {
+        // The first LEASE after a reattach follows every result the worker
+        // re-sent or computed from grants it salvaged off the dead link, so
+        // a slot it still holds without a result was lost in flight with
+        // that link: nobody will ever answer it unless it goes back.
+        wt->second.resumed = false;
+        requeue_outstanding(c.worker_id, &wt->second);
+      }
       c.pending_want = want;
       if (opts_.flight) {
         opts_.flight->record(FlightEvent::kLeaseRequest, c.worker_id);

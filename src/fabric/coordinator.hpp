@@ -233,6 +233,9 @@ class Engine {
     /// (job, slot) -> epoch of the grant this worker holds.
     std::map<std::pair<int, int>, std::int64_t> outstanding;
     std::chrono::steady_clock::time_point detached_at;
+    /// Reattached and not yet asked for work: its next LEASE requeues
+    /// whatever it still holds without a result.
+    bool resumed = false;
     int leases = 0;      // grants ever sent to this id
     int reattaches = 0;  // reconnects resumed under this id
   };
@@ -244,6 +247,8 @@ class Engine {
   bool handle_hello(std::size_t i, const Hello& h);
   void drop_conn(std::size_t i, bool requeue);
   void forget_worker(const std::string& id);  // grace expired: requeue
+  /// Push every slot `w` holds without a result back to the queue front.
+  void requeue_outstanding(const std::string& id, WorkerState* w);
   void grant_leases();
   void reap_dead();
   void beat_workers();

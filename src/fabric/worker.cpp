@@ -5,8 +5,10 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <deque>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include <poll.h>
@@ -73,6 +75,38 @@ bool read_frame(int fd, FrameReader* reader, Frame* out, int idle_timeout_ms,
     reader->feed(buf, static_cast<std::size_t>(n));
   }
 }
+
+/// Whether a non-blocking pull found a frame, found none yet, or found the
+/// link dead (EOF, a socket error, a corrupt stream).
+enum class Pull { kFrame, kEmpty, kDead };
+
+/// The next complete frame without blocking: one the reader already holds,
+/// else whatever the kernel holds for the socket right now.
+Pull pull_frame(int fd, FrameReader* reader, Frame* out) {
+  for (;;) {
+    if (reader->next(out)) return Pull::kFrame;
+    if (reader->corrupt() || fd < 0) return Pull::kDead;
+    char buf[65536];
+    const ssize_t n = recv(fd, buf, sizeof buf, MSG_DONTWAIT);
+    if (n > 0) {
+      reader->feed(buf, static_cast<std::size_t>(n));
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return Pull::kEmpty;
+    }
+    return Pull::kDead;
+  }
+}
+
+/// One decoded LEASE grant.
+struct Grant {
+  int job = 0;
+  std::vector<int> slots;
+  std::vector<std::int64_t> epochs;
+  std::vector<campaign::RunCell> cells;
+};
 
 /// Capped exponential backoff: 100 ms doubling to a 2 s ceiling.
 int backoff_ms(int attempt) {
@@ -258,10 +292,31 @@ int run_worker(const WorkerOptions& opts) {
       }
     };
 
-    /// Dial + handshake (presenting our stable id) + re-send unacked +
-    /// park a fresh lease request. 0 = back in business, else exit code.
-    auto reconnect = [&]() -> int {
+    /// Grants read off a dead link: the coordinator sent them before the
+    /// link died, so they are finished before the first LEASE on the new
+    /// link (which tells the coordinator that anything still held without
+    /// a result was lost in flight).
+    std::deque<Grant> salvaged;
+
+    /// Drain the dead link + dial + handshake (presenting our stable id) +
+    /// re-send unacked + park a fresh lease request unless salvaged grants
+    /// come first. nullopt = back in business, else the exit code (0 when
+    /// the dead link still held the coordinator's BYE).
+    auto reconnect = [&]() -> std::optional<int> {
       if (opts.flight) opts.flight->record(FlightEvent::kDetach, worker_id);
+      Frame f;
+      while (pull_frame(fd, &reader, &f) == Pull::kFrame) {
+        if (f.type == FrameType::kBye) {
+          if (opts.flight) opts.flight->record(FlightEvent::kBye, worker_id);
+          return 0;
+        }
+        Grant g;
+        if (f.type == FrameType::kLease &&
+            decode_lease_grant(f.payload, &g.job, &g.slots, &g.epochs,
+                               &g.cells)) {
+          salvaged.push_back(std::move(g));
+        }
+      }
       {
         std::lock_guard<std::mutex> lock(write_mu);
         live_fd.store(-1, std::memory_order_relaxed);
@@ -298,7 +353,9 @@ int run_worker(const WorkerOptions& opts) {
             break;
           }
         }
-        if (ok) ok = send_all(nfd, lease_req.data(), lease_req.size());
+        if (ok && salvaged.empty()) {
+          ok = send_all(nfd, lease_req.data(), lease_req.size());
+        }
         if (!ok) {
           close(nfd);
           continue;
@@ -316,62 +373,67 @@ int run_worker(const WorkerOptions& opts) {
         }
         if (opts.on_log) {
           opts.on_log("reconnected as " + worker_id + " (" +
-                      std::to_string(unacked.size()) +
-                      " result(s) re-sent)");
+                      std::to_string(unacked.size()) + " result(s) re-sent, " +
+                      std::to_string(salvaged.size()) +
+                      " grant(s) salvaged)");
         }
-        return 0;
+        return std::nullopt;
       }
       return 1;
     };
 
     auto lease_req_at = SClock::now();
     if (!send_locked(lease_req)) {
-      const int r = reconnect();
-      if (r != 0) {
+      if (const auto exit = reconnect()) {
         if (fd >= 0) close(fd);
-        return r;
+        return *exit;
       }
       lease_req_at = SClock::now();
     }
 
     for (;;) {
-      Frame f;
-      ReadFail why = ReadFail::kNone;
-      if (!read_frame(fd, &reader, &f, idle_timeout, &hb_failed, &why)) {
-        if (opts.flight && why == ReadFail::kIdle) {
-          opts.flight->record(FlightEvent::kIdleTimeout, worker_id);
-        } else if (opts.flight && why == ReadFail::kHeartbeat) {
-          opts.flight->record(FlightEvent::kHeartbeatMiss, worker_id);
+      Grant grant;
+      if (!salvaged.empty()) {
+        grant = std::move(salvaged.front());
+        salvaged.pop_front();
+      } else {
+        Frame f;
+        ReadFail why = ReadFail::kNone;
+        if (!read_frame(fd, &reader, &f, idle_timeout, &hb_failed, &why)) {
+          if (opts.flight && why == ReadFail::kIdle) {
+            opts.flight->record(FlightEvent::kIdleTimeout, worker_id);
+          } else if (opts.flight && why == ReadFail::kHeartbeat) {
+            opts.flight->record(FlightEvent::kHeartbeatMiss, worker_id);
+          }
+          if (const auto exit = reconnect()) {
+            rc = *exit;
+            break;
+          }
+          lease_req_at = SClock::now();
+          continue;
         }
-        const int r = reconnect();
-        if (r != 0) {
-          rc = r;
+        if (f.type == FrameType::kBye) {
+          if (opts.flight) opts.flight->record(FlightEvent::kBye, worker_id);
+          rc = 0;
           break;
         }
-        lease_req_at = SClock::now();
-        continue;
-      }
-      if (f.type == FrameType::kBye) {
-        if (opts.flight) opts.flight->record(FlightEvent::kBye, worker_id);
-        rc = 0;
-        break;
-      }
-      if (f.type == FrameType::kHeartbeat) continue;
-      if (f.type != FrameType::kLease) {
-        if (static_cast<std::uint8_t>(f.type) <= kMaxReservedFrameType) {
-          continue;  // a newer coordinator's frame: ignore, keep the link
+        if (f.type == FrameType::kHeartbeat) continue;
+        if (f.type != FrameType::kLease) {
+          if (static_cast<std::uint8_t>(f.type) <= kMaxReservedFrameType) {
+            continue;  // a newer coordinator's frame: ignore, keep the link
+          }
+          break;  // protocol violation
         }
-        break;  // protocol violation
+        if (!decode_lease_grant(f.payload, &grant.job, &grant.slots,
+                                &grant.epochs, &grant.cells)) {
+          break;
+        }
+        lease_rtt->observe(us_between(lease_req_at, SClock::now()));
       }
-
-      int job = 0;
-      std::vector<int> slots;
-      std::vector<std::int64_t> epochs;
-      std::vector<campaign::RunCell> cells;
-      if (!decode_lease_grant(f.payload, &job, &slots, &epochs, &cells)) {
-        break;
-      }
-      lease_rtt->observe(us_between(lease_req_at, SClock::now()));
+      const int job = grant.job;
+      const std::vector<int>& slots = grant.slots;
+      const std::vector<std::int64_t>& epochs = grant.epochs;
+      const std::vector<campaign::RunCell>& cells = grant.cells;
       leases_taken->inc();
       if (opts.flight) {
         opts.flight->record(FlightEvent::kLeaseGrant, worker_id, job,
@@ -441,11 +503,10 @@ int run_worker(const WorkerOptions& opts) {
       if (link_ok.load(std::memory_order_relaxed)) send_stats();
       const bool need_reconnect =
           !link_ok.load(std::memory_order_relaxed) ||
-          !send_locked(lease_req);
+          (salvaged.empty() && !send_locked(lease_req));
       if (need_reconnect) {
-        const int r = reconnect();
-        if (r != 0) {
-          rc = r;
+        if (const auto exit = reconnect()) {
+          rc = *exit;
           break;
         }
       }

@@ -80,9 +80,11 @@ struct Grant {
 };
 
 /// A scripted worker: HELLO, LEASE {want}, then step `engine` until the
-/// grant arrives. Returns the (nonblocking) socket, or -1 when no grant came.
+/// grant arrives. Returns the (nonblocking) socket, or -1 when no grant came;
+/// `id` receives the worker id the coordinator assigned.
 int lease_as_scripted_worker(Engine* engine, const std::string& address,
-                             const char* name, Grant* grant, int want = 4) {
+                             const char* name, Grant* grant, int want = 4,
+                             std::string* id = nullptr) {
   std::string err;
   const int fd = dial(address, &err);
   if (fd < 0) return -1;
@@ -105,6 +107,11 @@ int lease_as_scripted_worker(Engine* engine, const std::string& address,
       reader.feed(buf, static_cast<std::size_t>(n));
     }
     while (reader.next(&f)) {
+      Hello reply;
+      if (id != nullptr && f.type == FrameType::kHello &&
+          decode_hello(f.payload, &reply)) {
+        *id = reply.id;
+      }
       if (f.type == FrameType::kLease &&
           decode_lease_grant(f.payload, &grant->job, &grant->slots,
                              &grant->epochs, &grant->cells)) {
@@ -616,6 +623,107 @@ TEST(Fabric, LinkFlapsKeepRecordsByteIdentical) {
   EXPECT_GE(stats.workers_reattached, 1);
   EXPECT_EQ(stats.cells_requeued, 0);  // every flap reattached in time
   EXPECT_EQ(stats.workers_lost, 0);
+}
+
+TEST(Fabric, GrantLostWithItsLinkRequeuesAtTheFirstLeaseAfterReattach) {
+  // A scripted worker leases cells and loses its link before computing
+  // them, as a worker whose reconnect closes a socket with an unread grant
+  // queued in it. It reattaches under its id well within the grace window,
+  // keeps heartbeating, and asks for work like any worker after a
+  // reconnect. That LEASE follows everything the worker still had to say
+  // about its old grants, so the coordinator must put the lost slots back;
+  // otherwise they stay outstanding and the batch never completes.
+  const auto cells = campaign::plan(small_gmp_spec());
+  const auto baseline = record_strings(campaign::run_cells(cells, {}));
+
+  Listener listener;
+  std::string err;
+  ASSERT_TRUE(listener.open("127.0.0.1:0", &err)) << err;
+  Engine engine(&listener, Engine::Options{});
+  std::vector<RunResult> results(cells.size());
+  bool done = false;
+  engine.add_batch(
+      &cells,
+      [&](int slot, RunResult r) {
+        results[static_cast<std::size_t>(slot)] = std::move(r);
+      },
+      [&] { done = true; });
+
+  Grant lost;
+  std::string id;
+  const int old_fd = lease_as_scripted_worker(&engine, listener.address(),
+                                              "lossy", &lost, /*want=*/2, &id);
+  ASSERT_GE(old_fd, 0) << "lossy worker never got a lease";
+  ASSERT_EQ(lost.slots.size(), 2u);
+  ASSERT_FALSE(id.empty());
+  close(old_fd);
+  for (int i = 0; i < 200 && engine.stats.links_dropped == 0; ++i) {
+    engine.step(10);
+  }
+  ASSERT_EQ(engine.stats.links_dropped, 1);
+
+  const int fd = dial(listener.address(), &err);
+  ASSERT_GE(fd, 0) << err;
+  fcntl(fd, F_SETFL, O_NONBLOCK);
+  Hello hello;
+  hello.role = "worker";
+  hello.name = "lossy";
+  hello.id = id;
+  std::string bytes = encode_frame(FrameType::kHello, encode_hello(hello));
+  ASSERT_TRUE(send_all(fd, bytes.data(), bytes.size()));
+  const std::string lease =
+      encode_frame(FrameType::kLease, encode_lease_request(2));
+  ASSERT_TRUE(send_all(fd, lease.data(), lease.size()));
+
+  // A real worker finishes the rest.
+  WorkerOptions wopts;
+  wopts.connect = listener.address();
+  LocalWorkerPool pool;
+  ASSERT_TRUE(spawn_local_workers(wopts, 1, listener.fd(), &pool, &err))
+      << err;
+
+  // The scripted worker heartbeats and computes whatever it is granted
+  // from now on, so only the lost grant can keep the batch from finishing.
+  const std::string beat = encode_frame(FrameType::kHeartbeat, "");
+  FrameReader reader;
+  for (int i = 0; i < 500 && !done; ++i) {
+    engine.step(20);
+    if (i % 10 == 0) {
+      ASSERT_TRUE(send_all(fd, beat.data(), beat.size()));
+    }
+    char buf[65536];
+    for (;;) {
+      const ssize_t n = recv(fd, buf, sizeof buf, 0);
+      if (n <= 0) break;
+      reader.feed(buf, static_cast<std::size_t>(n));
+    }
+    Frame f;
+    while (reader.next(&f)) {
+      Grant g;
+      if (f.type != FrameType::kLease ||
+          !decode_lease_grant(f.payload, &g.job, &g.slots, &g.epochs,
+                              &g.cells)) {
+        continue;
+      }
+      for (std::size_t k = 0; k < g.cells.size(); ++k) {
+        bytes = encode_frame(
+            FrameType::kResult,
+            encode_result(g.job, g.slots[k], g.epochs[k],
+                          campaign::run_cell(g.cells[k])));
+        ASSERT_TRUE(send_all(fd, bytes.data(), bytes.size()));
+      }
+      ASSERT_TRUE(send_all(fd, lease.data(), lease.size()));
+    }
+  }
+  close(fd);
+  ASSERT_TRUE(done) << "the lost grant's slots were never requeued";
+  engine.shutdown("test complete");
+  reap_local_workers(&pool);
+
+  EXPECT_EQ(record_strings(results), baseline);
+  EXPECT_EQ(engine.stats.cells_requeued, 2);
+  EXPECT_EQ(engine.stats.workers_reattached, 1);
+  EXPECT_EQ(engine.stats.workers_lost, 0);
 }
 
 // --- hostile input ----------------------------------------------------------
