@@ -700,6 +700,7 @@ std::vector<campaign::RunResult> run_fabric(
 
   bool done = cells.empty();
   std::size_t results_seen = 0;
+  std::size_t last_flap = 0;
   if (!done) {
     eng.add_batch(
         &cells,
@@ -708,12 +709,20 @@ std::vector<campaign::RunResult> run_fabric(
           results[s] = std::move(r);
           ++results_seen;
           if (opts.on_result) opts.on_result(results[s]);
+          // Chaos: sever as the result is accepted, while other leases are
+          // surely held — after the step that accepted it, every remaining
+          // result may already be in, with no holder left to sever.
+          if (opts.flap_every > 0 &&
+              results_seen - last_flap >=
+                  static_cast<std::size_t>(opts.flap_every) &&
+              eng.sever_worker_link()) {
+            last_flap = results_seen;
+          }
         },
         [&] { done = true; });
   }
 
   auto worker_seen = Clock::now();
-  std::size_t last_flap = 0;
   bool interrupted = false;
   while (!done) {
     if (opts.should_stop && opts.should_stop()) {
@@ -721,10 +730,6 @@ std::vector<campaign::RunResult> run_fabric(
       break;
     }
     eng.step(200);
-    if (opts.flap_every > 0 &&
-        results_seen - last_flap >= static_cast<std::size_t>(opts.flap_every)) {
-      if (eng.sever_worker_link()) last_flap = results_seen;
-    }
     if (eng.worker_count() > 0) {
       worker_seen = Clock::now();
     } else if (opts.no_worker_timeout_ms > 0 &&

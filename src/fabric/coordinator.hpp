@@ -278,9 +278,10 @@ struct FabricOptions : FleetOptions {
   /// Abort (returning the partial result vector) when no worker has been
   /// connected for this long while work remains. 0 = wait forever.
   int no_worker_timeout_ms = 0;
-  /// Chaos: after every N accepted results, sever the link of a worker
-  /// holding leases, as soon as one does (0 = never). Proves reconnect-and-
-  /// resume keeps reports byte-identical.
+  /// Chaos: as the N-th result since the last flap is accepted, sever the
+  /// link of a worker holding leases (when none does, the next accepted
+  /// result tries again; 0 = never). Proves reconnect-and-resume keeps
+  /// reports byte-identical.
   int flap_every = 0;
   /// Completion-order stream, same contract as ExecutorOptions::on_result.
   std::function<void(const campaign::RunResult&)> on_result;
