@@ -10,31 +10,53 @@
 // fails closed.
 #pragma once
 
-#include <cerrno>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <string_view>
+#include <system_error>
 
 namespace pfi::campaign::kv {
 
+/// The decimal digits of `v`, written into `buf` (no heap, no sign).
+template <typename Int>
+std::string_view digits(char (&buf)[24], Int v) {
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, v);
+  return {buf, static_cast<std::size_t>(r.ptr - buf)};
+}
+
+/// One entry whose value is the concatenation of `parts`, written in place:
+/// callers compose a value ("<count> <name>") without building it first.
+inline void put_parts(std::string* out, const char* key,
+                      std::initializer_list<std::string_view> parts) {
+  std::size_t len = 0;
+  for (const std::string_view p : parts) len += p.size();
+  char buf[24];
+  const std::string_view n = digits(buf, len);
+  out->append(key);
+  out->push_back(' ');
+  out->append(n.data(), n.size());
+  out->push_back('\n');
+  for (const std::string_view p : parts) out->append(p.data(), p.size());
+  out->push_back('\n');
+}
+
 inline void put(std::string* out, const char* key, std::string_view v) {
-  *out += key;
-  *out += ' ';
-  *out += std::to_string(v.size());
-  *out += '\n';
-  out->append(v.data(), v.size());
-  *out += '\n';
+  put_parts(out, key, {v});
 }
 
 inline void put_u64(std::string* out, const char* key, std::uint64_t v) {
-  put(out, key, std::to_string(v));
+  char buf[24];
+  put(out, key, digits(buf, v));
 }
 
 inline void put_i64(std::string* out, const char* key, std::int64_t v) {
-  put(out, key, std::to_string(v));
+  char buf[24];
+  put(out, key, digits(buf, v));
 }
 
 /// Doubles travel as C99 hex floats: exact round-trip, no locale.
@@ -44,95 +66,104 @@ inline void put_double(std::string* out, const char* key, double v) {
   put(out, key, buf);
 }
 
-/// Cursor over `key len\nbytes\n` entries. Unknown keys are skipped by the
-/// caller; a malformed entry ends the scan (next() returns false).
+/// A whole-token unsigned or signed decimal: digits with at most a leading
+/// '-' (signed only), nothing before or after, in range. Anything else —
+/// "+5", " 5", "5 ", "0x5", an overflow — is refused, not read as a prefix
+/// or a saturated value.
+template <typename Int>
+bool parse_int(std::string_view v, Int* out) {
+  const char* end = v.data() + v.size();
+  const std::from_chars_result r = std::from_chars(v.data(), end, *out);
+  return !v.empty() && r.ec == std::errc{} && r.ptr == end;
+}
+
+/// Cursor over `key len\nbytes\n` entries. Key and value are views into
+/// `bytes`, valid while it is. Unknown keys are skipped by the caller; a
+/// malformed entry ends the scan (next() returns false).
 struct Scan {
   std::string_view bytes;
   std::size_t pos = 0;
 
-  bool next(std::string* key, std::string* value) {
+  bool next(std::string_view* key, std::string_view* value) {
     if (pos >= bytes.size()) return false;
     const std::size_t sp = bytes.find(' ', pos);
     if (sp == std::string_view::npos) return false;
     const std::size_t nl = bytes.find('\n', sp + 1);
     if (nl == std::string_view::npos) return false;
-    char* end = nullptr;
-    // The length token is NUL-free inside a string_view; copy it out.
-    const std::string len_tok(bytes.substr(sp + 1, nl - sp - 1));
-    // Digits only (strtoull would happily wrap "-1") and no ERANGE
-    // saturation: the payload is parsed pre-auth, so a hostile length
-    // token must die here, not in the bounds arithmetic below.
-    if (len_tok.empty() || len_tok[0] < '0' || len_tok[0] > '9') return false;
-    errno = 0;
-    const unsigned long long len = std::strtoull(len_tok.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || errno == ERANGE) return false;
+    // Digits only, whole token, no overflow: the payload is parsed
+    // pre-auth, so a hostile length token must die here, not in the
+    // bounds arithmetic below.
+    std::uint64_t len = 0;
+    if (!parse_int(bytes.substr(sp + 1, nl - sp - 1), &len)) return false;
     // Overflow-proof bounds: the value plus its trailing '\n' must fit in
     // what remains after the header newline. The naive `nl + 1 + len + 1`
     // wraps for a crafted len, passing the check into an OOB read — or
     // sends `pos` backwards so the scan re-parses the same entry forever.
     if (nl + 2 > bytes.size() || len > bytes.size() - (nl + 2)) return false;
     if (bytes[nl + 1 + len] != '\n') return false;
-    key->assign(bytes.substr(pos, sp - pos));
-    value->assign(bytes.substr(nl + 1, len));
+    *key = bytes.substr(pos, sp - pos);
+    *value = bytes.substr(nl + 1, len);
     pos = nl + 1 + len + 1;
     return true;
   }
 };
 
-/// Strict numeric parses: the whole string must be one in-range number.
-/// A failed parse (empty, trailing bytes, ERANGE over/underflow, a minus
-/// sign where only unsigned makes sense) yields 0 and reports through *ok
-/// when given — frame decoders reject such entries instead of letting a
-/// silently saturated value masquerade as a real count, slot or epoch.
-inline std::int64_t to_i64(const std::string& v, bool* ok = nullptr) {
-  char* end = nullptr;
-  errno = 0;
-  const long long r = std::strtoll(v.c_str(), &end, 10);
-  const bool good =
-      !v.empty() && end != nullptr && *end == '\0' && errno != ERANGE;
+/// Strict numeric parses: the whole token must be one in-range number (see
+/// parse_int). A failed parse yields 0 and reports through *ok when given —
+/// frame decoders reject such entries instead of letting a silently
+/// saturated value masquerade as a real count, slot or epoch.
+inline std::int64_t to_i64(std::string_view v, bool* ok = nullptr) {
+  std::int64_t r = 0;
+  const bool good = parse_int(v, &r);
   if (ok != nullptr) *ok = good;
-  return good ? static_cast<std::int64_t>(r) : 0;
+  return good ? r : 0;
 }
 
-inline std::uint64_t to_u64(const std::string& v, bool* ok = nullptr) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long r = std::strtoull(v.c_str(), &end, 10);
-  const bool good = !v.empty() && v[0] != '-' && end != nullptr &&
-                    *end == '\0' && errno != ERANGE;
+inline std::uint64_t to_u64(std::string_view v, bool* ok = nullptr) {
+  std::uint64_t r = 0;
+  const bool good = parse_int(v, &r);
   if (ok != nullptr) *ok = good;
-  return good ? static_cast<std::uint64_t>(r) : 0;
+  return good ? r : 0;
 }
 
-inline double to_double(const std::string& v, bool* ok = nullptr) {
-  char* end = nullptr;
-  const double r = std::strtod(v.c_str(), &end);
-  const bool good = !v.empty() && end != nullptr && *end == '\0';
+/// strtod over a NUL-terminated stack copy: hex floats ("0x1.ep+4", the
+/// form put_double writes) and inf/nan parse exactly as they always did.
+inline double to_double(std::string_view v, bool* ok = nullptr) {
+  char buf[64];
+  bool good = !v.empty() && v.size() < sizeof buf;
+  double r = 0.0;
+  if (good) {
+    std::memcpy(buf, v.data(), v.size());
+    buf[v.size()] = '\0';
+    char* end = nullptr;
+    r = std::strtod(buf, &end);
+    good = end == buf + v.size();
+  }
   if (ok != nullptr) *ok = good;
   return good ? r : 0.0;
 }
 
 /// Accumulates numeric-parse health across one decoder: any token that
-/// over/underflows or carries trailing bytes poisons `ok`, and the decoder
+/// over/underflows or carries stray bytes poisons `ok`, and the decoder
 /// rejects the whole payload instead of acting on a misparsed value.
 struct Num {
   bool ok = true;
 
-  std::int64_t i64(const std::string& v) {
+  std::int64_t i64(std::string_view v) {
     bool good = true;
     const std::int64_t r = to_i64(v, &good);
     ok = ok && good;
     return r;
   }
 
-  std::uint64_t u64(const std::string& v) {
+  std::uint64_t u64(std::string_view v) {
     bool good = true;
     const std::uint64_t r = to_u64(v, &good);
     ok = ok && good;
     return r;
   }
 
-  double f64(const std::string& v) {
+  double f64(std::string_view v) {
     bool good = true;
     const double r = to_double(v, &good);
     ok = ok && good;

@@ -59,22 +59,23 @@ std::string wire_encode(const RunResult& r) {
   for (const std::string& v : r.violations) kv::put(&out, "viol", v);
   for (const std::string& s : r.steps) kv::put(&out, "step", s);
   // Coverage fingerprint: digest + the three sets. Counted pairs travel as
-  // "<count> <name>" so names may contain spaces.
+  // "<count> <name>" so names may contain spaces. Composite values are
+  // written in place, never built as a string first.
+  char buf[24];
   if (!r.coverage.empty()) {
     kv::put(&out, "cvd", r.coverage.digest);
     for (const auto& [type, n] : r.coverage.msg_types) {
-      kv::put(&out, "cvt", std::to_string(n) + " " + type);
+      kv::put_parts(&out, "cvt", {kv::digits(buf, n), " ", type});
     }
     for (const auto& [action, n] : r.coverage.actions) {
-      kv::put(&out, "cva", std::to_string(n) + " " + action);
+      kv::put_parts(&out, "cva", {kv::digits(buf, n), " ", action});
     }
     for (const std::string& t : r.coverage.transitions) kv::put(&out, "cvx", t);
   }
   // Metric snapshot: "<kind> <value> <name>".
   for (const obs::MetricSample& m : r.metrics) {
-    kv::put(&out, "met",
-            std::string(1, m.kind) + " " + std::to_string(m.value) + " " +
-                m.name);
+    kv::put_parts(&out, "met", {std::string_view(&m.kind, 1), " ",
+                                kv::digits(buf, m.value), " ", m.name});
   }
   if (!r.timeline.empty()) kv::put(&out, "tl", r.timeline);
   kv::put(&out, "end", "");
@@ -85,19 +86,21 @@ bool wire_decode(std::string_view bytes, RunResult* out) {
   kv::Scan scan{bytes};
   kv::Num num;
   RunResult r;
-  std::string key, value;
+  std::string_view key, value;
   bool complete = false;
+  // Fields are built as std::string(view): exact-size, where assigning the
+  // view into an empty string rounds a short value up to a doubled capacity.
   while (scan.next(&key, &value)) {
     if (key == "index") {
       r.index = static_cast<int>(num.i64(value));
     } else if (key == "id") {
-      r.id = value;
+      r.id = std::string(value);
     } else if (key == "pass") {
       r.pass = value == "1";
     } else if (key == "reason") {
-      r.reason = value;
+      r.reason = std::string(value);
     } else if (key == "oracle") {
-      r.oracle = value;
+      r.oracle = std::string(value);
     } else if (key == "seed") {
       r.seed = num.u64(value);
     } else if (key == "faults") {
@@ -111,34 +114,35 @@ bool wire_decode(std::string_view bytes, RunResult* out) {
     } else if (key == "sim") {
       r.sim_seconds = num.f64(value);
     } else if (key == "error") {
-      r.error = value;
+      r.error = std::string(value);
     } else if (key == "viol") {
-      r.violations.push_back(value);
+      r.violations.emplace_back(value);
     } else if (key == "step") {
-      r.steps.push_back(value);
+      r.steps.emplace_back(value);
     } else if (key == "cvd") {
-      r.coverage.digest = value;
+      r.coverage.digest = std::string(value);
     } else if (key == "cvt" || key == "cva") {
       // "<count> <name>"
       const std::size_t sp = value.find(' ');
-      if (sp == std::string::npos) return false;
+      if (sp == std::string_view::npos) return false;
       auto& dst = key == "cvt" ? r.coverage.msg_types : r.coverage.actions;
-      dst.emplace_back(value.substr(sp + 1), num.u64(value.substr(0, sp)));
+      dst.emplace_back(std::string(value.substr(sp + 1)),
+                       num.u64(value.substr(0, sp)));
     } else if (key == "cvx") {
-      r.coverage.transitions.push_back(value);
+      r.coverage.transitions.emplace_back(value);
     } else if (key == "met") {
       // "<kind> <value> <name>"
       const std::size_t sp2 =
           value.size() > 2 && value[1] == ' ' ? value.find(' ', 2)
-                                              : std::string::npos;
-      if (sp2 == std::string::npos) return false;
+                                              : std::string_view::npos;
+      if (sp2 == std::string_view::npos) return false;
       obs::MetricSample m;
       m.kind = value[0];
       m.value = num.u64(value.substr(2, sp2 - 2));
-      m.name = value.substr(sp2 + 1);
+      m.name = std::string(value.substr(sp2 + 1));
       r.metrics.push_back(std::move(m));
     } else if (key == "tl") {
-      r.timeline = value;
+      r.timeline = std::string(value);
     } else if (key == "end") {
       complete = true;
     }

@@ -79,7 +79,7 @@ std::string encode_hello(const Hello& h) {
 
 bool decode_hello(std::string_view payload, Hello* out) {
   kv::Scan scan{payload};
-  std::string key, value;
+  std::string_view key, value;
   bool has_version = false;
   Num num;
   Hello h;
@@ -88,13 +88,13 @@ bool decode_hello(std::string_view payload, Hello* out) {
       h.version = static_cast<std::uint32_t>(num.u64(value));
       has_version = true;
     } else if (key == "role") {
-      h.role = value;
+      h.role = std::string(value);
     } else if (key == "name") {
-      h.name = value;
+      h.name = std::string(value);
     } else if (key == "token") {
-      h.token = value;
+      h.token = std::string(value);
     } else if (key == "id") {
-      h.id = value;
+      h.id = std::string(value);
     }
   }
   if (!num.ok || !has_version || h.role.empty()) return false;
@@ -126,7 +126,7 @@ std::string encode_lease_request(int want) {
 
 bool decode_lease_request(std::string_view payload, int* want) {
   kv::Scan scan{payload};
-  std::string key, value;
+  std::string_view key, value;
   while (scan.next(&key, &value)) {
     if (key == "want") {
       Num num;
@@ -161,7 +161,7 @@ bool decode_lease_grant(std::string_view payload, int* job,
   cells->clear();
   *job = 0;
   kv::Scan scan{payload};
-  std::string key, value;
+  std::string_view key, value;
   std::uint64_t n = 0;
   int pending_slot = -1;
   std::int64_t pending_epoch = 0;
@@ -234,7 +234,7 @@ std::string encode_cell(const campaign::RunCell& cell) {
 
 namespace {
 
-bool parse_kind(const std::string& s, core::scriptgen::FaultKind* out) {
+bool parse_kind(std::string_view s, core::scriptgen::FaultKind* out) {
   using core::scriptgen::FaultKind;
   for (FaultKind k : {FaultKind::kDrop, FaultKind::kDelay,
                       FaultKind::kDuplicate, FaultKind::kCorrupt,
@@ -249,12 +249,12 @@ bool parse_kind(const std::string& s, core::scriptgen::FaultKind* out) {
 
 bool decode_event(std::string_view payload, campaign::FaultEvent* out) {
   kv::Scan scan{payload};
-  std::string key, value;
+  std::string_view key, value;
   campaign::FaultEvent e;
   Num num;
   while (scan.next(&key, &value)) {
     if (key == "type") {
-      e.type = value;
+      e.type = std::string(value);
     } else if (key == "kind") {
       if (!parse_kind(value, &e.kind)) return false;
     } else if (key == "occ") {
@@ -280,7 +280,7 @@ bool decode_event(std::string_view payload, campaign::FaultEvent* out) {
 
 bool decode_cell(std::string_view payload, campaign::RunCell* out) {
   kv::Scan scan{payload};
-  std::string key, value;
+  std::string_view key, value;
   campaign::RunCell cell;
   std::uint64_t nev = 0;
   Num num;
@@ -288,19 +288,19 @@ bool decode_cell(std::string_view payload, campaign::RunCell* out) {
     if (key == "index") {
       cell.index = static_cast<int>(num.i64(value));
     } else if (key == "id") {
-      cell.id = value;
+      cell.id = std::string(value);
     } else if (key == "protocol") {
-      cell.protocol = value;
+      cell.protocol = std::string(value);
     } else if (key == "oracle") {
-      cell.oracle = value;
+      cell.oracle = std::string(value);
     } else if (key == "vendor") {
-      cell.vendor = value;
+      cell.vendor = std::string(value);
     } else if (key == "script_file") {
-      cell.script_file = value;
+      cell.script_file = std::string(value);
     } else if (key == "conform") {
-      cell.conform_file = value;
+      cell.conform_file = std::string(value);
     } else if (key == "scenario") {
-      cell.scenario = value;
+      cell.scenario = std::string(value);
     } else if (key == "seed") {
       cell.seed = num.u64(value);
     } else if (key == "nodes") {
@@ -350,7 +350,7 @@ std::string encode_result(int job, int slot, std::int64_t epoch,
 bool decode_result(std::string_view payload, int* job, int* slot,
                    std::int64_t* epoch, campaign::RunResult* out) {
   kv::Scan scan{payload};
-  std::string key, value;
+  std::string_view key, value;
   bool have_slot = false, have_res = false;
   *job = 0;
   *epoch = 0;
@@ -391,7 +391,7 @@ bool decode_stats(std::string_view payload,
                   std::vector<obs::MetricSample>* out) {
   out->clear();
   kv::Scan scan{payload};
-  std::string key, value;
+  std::string_view key, value;
   std::uint64_t n = 0;
   bool have_n = false;
   Num num;
@@ -403,12 +403,12 @@ bool decode_stats(std::string_view payload,
     } else if (key == "s") {
       if (out->size() >= kMaxStatsSamples) return false;
       kv::Scan inner{value};
-      std::string ik, iv;
+      std::string_view ik, iv;
       obs::MetricSample m;
       bool have_name = false, have_kind = false, have_value = false;
       while (inner.next(&ik, &iv)) {
         if (ik == "name") {
-          m.name = iv;
+          m.name = std::string(iv);
           have_name = true;
         } else if (ik == "k") {
           if (iv.size() != 1) return false;
@@ -440,9 +440,9 @@ std::string encode_bye(std::string_view reason) {
 
 std::string decode_bye(std::string_view payload) {
   kv::Scan scan{payload};
-  std::string key, value;
+  std::string_view key, value;
   while (scan.next(&key, &value)) {
-    if (key == "reason") return value;
+    if (key == "reason") return std::string(value);
   }
   return "";
 }
@@ -464,16 +464,16 @@ std::string encode_submit(const Submit& s) {
 
 bool decode_submit(std::string_view payload, Submit* out) {
   kv::Scan scan{payload};
-  std::string key, value;
+  std::string_view key, value;
   Submit s;
   bool have_spec = false;
   Num num;
   while (scan.next(&key, &value)) {
     if (key == "spec") {
-      s.spec_text = value;
+      s.spec_text = std::string(value);
       have_spec = true;
     } else if (key == "filter") {
-      s.filter = value;
+      s.filter = std::string(value);
     } else if (key == "timeout_ms") {
       s.timeout_ms = static_cast<int>(num.i64(value));
     } else if (key == "max_events") {
@@ -485,7 +485,7 @@ bool decode_submit(std::string_view payload, Submit* out) {
     } else if (key == "max_workers") {
       s.max_workers = static_cast<int>(num.i64(value));
     } else if (key == "have") {
-      s.have.push_back(value);
+      s.have.emplace_back(value);
     }
   }
   if (!num.ok || !have_spec) return false;
@@ -501,9 +501,9 @@ std::string encode_json_line(FrameType type, std::string_view json) {
 
 std::string decode_json_line(std::string_view payload) {
   kv::Scan scan{payload};
-  std::string key, value;
+  std::string_view key, value;
   while (scan.next(&key, &value)) {
-    if (key == "json") return value;
+    if (key == "json") return std::string(value);
   }
   return "";
 }
@@ -520,18 +520,18 @@ std::string encode_artifact(std::string_view name, std::string_view bytes,
 bool decode_artifact(std::string_view payload, std::string* name,
                      std::string* bytes, std::string* chunk) {
   kv::Scan scan{payload};
-  std::string key, value;
+  std::string_view key, value;
   bool have_name = false, have_bytes = false;
   if (chunk != nullptr) chunk->clear();
   while (scan.next(&key, &value)) {
     if (key == "name") {
-      *name = value;
+      *name = std::string(value);
       have_name = true;
     } else if (key == "bytes") {
-      *bytes = value;
+      *bytes = std::string(value);
       have_bytes = true;
     } else if (key == "chunk") {
-      if (chunk != nullptr) *chunk = value;
+      if (chunk != nullptr) *chunk = std::string(value);
     }
   }
   return have_name && have_bytes;

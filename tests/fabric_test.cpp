@@ -30,6 +30,7 @@
 #include "campaign/kv.hpp"
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
+#include "campaign/sandbox.hpp"
 #include "campaign/schedule.hpp"
 #include "campaign/spec.hpp"
 #include "fabric/coordinator.hpp"
@@ -740,17 +741,21 @@ TEST(FabricKv, ScanRejectsHostileLengthTokens) {
       "key 12a\nxxxxxxxxxxxx\n",        // trailing garbage in the token
       "key \nx\n",                      // empty token
       "key 4\nab\n",                    // claims more than is present
+      "key +1\nx\n",                    // a sign is not a digit
+      "key  1\nx\n",                    // leading blank
+      "key 1 \nx\n",                    // trailing blank
+      "key 0x1\nx\n",                   // not decimal
   };
   for (const char* payload : hostile) {
     kv::Scan scan{payload};
-    std::string key, value;
+    std::string_view key, value;
     int entries = 0;
     while (scan.next(&key, &value) && entries < 4) ++entries;
     EXPECT_EQ(entries, 0) << payload;
   }
   // And the well-formed shape still parses, including an embedded newline.
   kv::Scan ok{std::string_view("key 3\na\nb\n", 10)};
-  std::string key, value;
+  std::string_view key, value;
   ASSERT_TRUE(ok.next(&key, &value));
   EXPECT_EQ(key, "key");
   EXPECT_EQ(value, std::string("a\nb", 3));
@@ -787,6 +792,140 @@ TEST(FabricWire, DecodersRejectOverflowedNumericFields) {
     Hello h;
     EXPECT_FALSE(decode_hello(p, &h));
   }
+  // A number is digits (and, signed, one leading '-') and nothing else: no
+  // sign, no blank on either side, no radix prefix, nothing out of range.
+  for (const char* bad : {"+5", " 5", "5 ", "0x5"}) {
+    std::string p;
+    kv::put(&p, "want", bad);
+    int want = 0;
+    EXPECT_FALSE(decode_lease_request(p, &want)) << bad;
+    p.clear();
+    kv::put(&p, "v", bad);
+    kv::put(&p, "role", "worker");
+    Hello h;
+    EXPECT_FALSE(decode_hello(p, &h)) << bad;
+  }
+  {
+    std::string p;  // INT64_MAX + 1 on the signed epoch of a RESULT
+    kv::put(&p, "job", "1");
+    kv::put(&p, "slot", "0");
+    kv::put(&p, "epoch", "9223372036854775808");
+    kv::put(&p, "res", campaign::wire_encode(RunResult{}));
+    int job = 0, slot = 0;
+    std::int64_t epoch = 0;
+    RunResult r;
+    EXPECT_FALSE(decode_result(p, &job, &slot, &epoch, &r));
+    p.clear();
+    kv::put(&p, "want", "9223372036854775808");
+    int want = 0;
+    EXPECT_FALSE(decode_lease_request(p, &want));
+  }
+}
+
+TEST(FabricWire, TpcResultFrameBytesArePinned) {
+  // One RESULT of a 2PC cell (tpc-vote-req, drop, seed 1000, 30 s, receive
+  // side, oracle atomic) for job 3, slot 5, epoch 42, captured byte for byte
+  // from the encoder that built each entry's value as a string first. The
+  // in-place encoder and the view decoder must reproduce it exactly.
+  const std::string payload =
+    "job 1\n3\n"
+    "slot 1\n5\n"
+    "epoch 2\n42\n"
+    "res 2081\n"
+    "index 1\n0\n"
+    "id 27\ntpc/tpc-vote-req/drop/s1000\n"
+    "pass 1\n1\n"
+    "reason 0\n\n"
+    "oracle 6\natomic\n"
+    "seed 4\n1000\n"
+    "faults 1\n1\n"
+    "msgs 2\n11\n"
+    "serr 1\n0\n"
+    "trace 2\n22\n"
+    "sim 8\n0x1.ep+4\n"
+    "error 0\n\n"
+    "nviol 1\n0\n"
+    "cvd 16\ndb9a29b99146215f\n"
+    "cvt 9\n3 tpc-ack\n"
+    "cvt 14\n3 tpc-decision\n"
+    "cvt 14\n3 tpc-vote-req\n"
+    "cvt 14\n2 tpc-vote-yes\n"
+    "cva 9\n1 dropped\n"
+    "cvx 17\ntpc-1:tpc-applied\n"
+    "cvx 15\ntpc-1:tpc-begin\n"
+    "cvx 16\ntpc-1:tpc-decide\n"
+    "cvx 22\ntpc-1:tpc-vote-timeout\n"
+    "cvx 17\ntpc-2:tpc-applied\n"
+    "cvx 18\ntpc-2:tpc-prepared\n"
+    "cvx 17\ntpc-3:tpc-applied\n"
+    "cvx 18\ntpc-3:tpc-prepared\n"
+    "met 26\nc 23 net.frame_bytes.count\n"
+    "met 26\nc 17 net.frame_bytes.le_32\n"
+    "met 25\nc 6 net.frame_bytes.le_64\n"
+    "met 25\nc 0 net.frames_blackholed\n"
+    "met 25\nc 23 net.frames_delivered\n"
+    "met 19\nc 0 net.frames_lost\n"
+    "met 20\nc 23 net.frames_sent\n"
+    "met 27\nc 0 net.link.1-2.blackholed\n"
+    "met 26\nc 6 net.link.1-2.delivered\n"
+    "met 21\nc 0 net.link.1-2.lost\n"
+    "met 27\nc 0 net.link.1-3.blackholed\n"
+    "met 26\nc 6 net.link.1-3.delivered\n"
+    "met 21\nc 0 net.link.1-3.lost\n"
+    "met 27\nc 0 net.link.2-1.blackholed\n"
+    "met 26\nc 5 net.link.2-1.delivered\n"
+    "met 21\nc 0 net.link.2-1.lost\n"
+    "met 27\nc 0 net.link.3-1.blackholed\n"
+    "met 26\nc 6 net.link.3-1.delivered\n"
+    "met 21\nc 0 net.link.3-1.lost\n"
+    "met 24\nc 0 pfi.action.corrupted\n"
+    "met 22\nc 0 pfi.action.delayed\n"
+    "met 22\nc 1 pfi.action.dropped\n"
+    "met 25\nc 0 pfi.action.duplicated\n"
+    "met 19\nc 0 pfi.action.held\n"
+    "met 23\nc 0 pfi.action.injected\n"
+    "met 23\nc 0 pfi.action.released\n"
+    "met 24\nc 11 pfi.msg_bytes.count\n"
+    "met 24\nc 11 pfi.msg_bytes.le_32\n"
+    "met 24\nc 3 pfi.msg_type.tpc-ack\n"
+    "met 29\nc 3 pfi.msg_type.tpc-decision\n"
+    "met 29\nc 3 pfi.msg_type.tpc-vote-req\n"
+    "met 29\nc 2 pfi.msg_type.tpc-vote-yes\n"
+    "met 25\nc 6 pfi.recvs_intercepted\n"
+    "met 21\nc 0 pfi.script_errors\n"
+    "met 25\nc 5 pfi.sends_intercepted\n"
+    "met 25\nc 27 script.recv.commands\n"
+    "met 22\nc 17 script.recv.evals\n"
+    "met 26\nc 0 script.recv.loop_ticks\n"
+    "met 31\nc 0 script.recv.watchdog_probes\n"
+    "met 24\nc 1 script.send.commands\n"
+    "met 21\nc 1 script.send.evals\n"
+    "met 26\nc 0 script.send.loop_ticks\n"
+    "met 31\nc 0 script.send.watchdog_probes\n"
+    "met 26\nc 27 sim.events_dispatched\n"
+    "met 24\ng 5 sim.queue_high_water\n"
+    "met 24\nc 7 sim.timers_cancelled\n"
+    "met 25\nc 34 sim.timers_scheduled\n"
+    "met 17\nc 0 trace.dropped\n"
+    "met 18\nc 22 trace.records\n"
+    "end 0\n\n"
+    "\n";
+  int job = 0, slot = 0;
+  std::int64_t epoch = 0;
+  RunResult r;
+  ASSERT_TRUE(decode_result(payload, &job, &slot, &epoch, &r));
+  EXPECT_EQ(job, 3);
+  EXPECT_EQ(slot, 5);
+  EXPECT_EQ(epoch, 42);
+  EXPECT_EQ(r.id, "tpc/tpc-vote-req/drop/s1000");
+  EXPECT_EQ(r.metrics.size(), 49u);
+  EXPECT_EQ(r.coverage.msg_types.size(), 4u);
+  EXPECT_EQ(r.sim_seconds, 30.0);
+  EXPECT_EQ(encode_result(job, slot, epoch, r), payload);
+  std::string frame = {0, 0, 0x08, 0x48, 3};  // length 2120, type RESULT
+  frame += payload;
+  EXPECT_EQ(encode_frame(FrameType::kResult, encode_result(3, 5, 42, r)),
+            frame);
 }
 
 TEST(Fabric, SilentPreAuthConnectionIsDropped) {
