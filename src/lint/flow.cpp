@@ -167,6 +167,19 @@ Fold fold_guard(const cfg::Guard& g, const ConstEnv* ce, const Env& env) {
   return f;
 }
 
+/// A guard as a diagnostic quotes it: whole up to kQuoteMax bytes, else
+/// cut there (never inside a UTF-8 sequence) and marked "...", so a
+/// pathological guard cannot turn one diagnostic into a 10 KB line.
+std::string quote_guard(const std::string& text) {
+  constexpr std::size_t kQuoteMax = 60;
+  if (text.size() <= kQuoteMax) return text;
+  std::size_t cut = kQuoteMax;
+  while (cut > 0 && (static_cast<unsigned char>(text[cut]) & 0xC0) == 0x80) {
+    --cut;
+  }
+  return text.substr(0, cut) + "...";
+}
+
 std::string fold_hint(const Fold& f) {
   if (f.substs.empty()) return {};
   std::string h = "folded with ";
@@ -440,7 +453,9 @@ class Analysis {
       const Fold f = fold_guard(g, ce, env_);
       if (f.state == Fold::State::kBadExpr) {
         diag_(Severity::kError, "bad-expr", g.line, g.col,
-              "condition {" + g.text + "} fails to evaluate: " + f.error, {});
+              "condition {" + quote_guard(g.text) +
+                  "} fails to evaluate: " + f.error,
+              {});
         continue;
       }
       if (f.state == Fold::State::kFolded) {

@@ -268,6 +268,27 @@ TEST(LintScript, AdversarialGuardsFailClosed) {
   }
 }
 
+// A failing guard is quoted whole when short and cut to 60 bytes plus
+// "..." when long: 5,000 parentheses once made one 10 KB diagnostic line.
+TEST(LintScript, BadExprQuotesALongGuardCut) {
+  const auto short_guard = check_script("if {1 +} { msg_log hit }\n");
+  const auto* d = find_rule(short_guard, "bad-expr");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->message.rfind("condition {1 +} fails to evaluate: ", 0), 0u)
+      << d->message;
+  const std::string deep =
+      std::string(5000, '(') + "1" + std::string(5000, ')');
+  const auto diags = check_script("if {" + deep + "} { msg_log hit }\n");
+  d = find_rule(diags, "bad-expr");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->message.rfind("condition {" + std::string(60, '(') +
+                                 "...} fails to evaluate: ",
+                             0),
+            0u)
+      << d->message.substr(0, 200);
+  EXPECT_LT(d->message.size(), 200u);
+}
+
 TEST(LintScript, InfiniteLoop) {
   const auto diags = check_script("while 1 { msg_log spin }\n");
   const auto* d = find_rule(diags, "infinite-loop");
