@@ -495,14 +495,17 @@ int Engine::lease_holders(int job) const {
   return n;
 }
 
-int Engine::pick_job_for(const std::string& worker_id) {
+int Engine::pick_job_for(const std::string& worker_id, int want) {
   if (rr_jobs_.empty()) return -1;
+  const auto wt = workers_.find(worker_id);
+  const bool busy = wt != workers_.end() && !wt->second.outstanding.empty();
   const auto holds = [&](int job) {
-    const auto wt = workers_.find(worker_id);
     if (wt == workers_.end()) return false;
     const auto it = wt->second.outstanding.lower_bound({job, kSlotMin});
     return it != wt->second.outstanding.end() && it->first.first == job;
   };
+  const std::size_t others =
+      static_cast<std::size_t>(std::max(0, worker_count() - 1));
   for (std::size_t k = 0; k < rr_jobs_.size(); ++k) {
     const std::size_t at = (rr_pos_ + k) % rr_jobs_.size();
     const int job = rr_jobs_[at];
@@ -515,6 +518,13 @@ int Engine::pick_job_for(const std::string& worker_id) {
         lease_holders(job) >= b.max_workers) {
       continue;
     }
+    // The tail rule: a worker still holding cells asks ahead (pipelining)
+    // and gets a grant only while the queue keeps one as large for every
+    // other connected worker, so a job's last cells never wait behind one
+    // worker's prefetch while another worker sits idle.
+    const std::size_t take = std::min<std::size_t>(
+        {static_cast<std::size_t>(std::min(want, kMaxGrant)), b.queue.size()});
+    if (busy && b.queue.size() < take * (others + 1)) continue;
     rr_pos_ = (at + 1) % rr_jobs_.size();
     return job;
   }
@@ -532,7 +542,7 @@ void Engine::grant_leases() {
     if (c.role != Conn::Role::kWorker || c.pending_want <= 0) continue;
     // One job per grant: a worker's slot bookkeeping is per-grant, and
     // cells of different jobs may reuse campaign-plan indices.
-    const int job = pick_job_for(c.worker_id);
+    const int job = pick_job_for(c.worker_id, c.pending_want);
     if (job < 0) continue;
     Batch& b = batches_[job];
     const int take = std::min<int>(
@@ -744,8 +754,8 @@ std::vector<campaign::RunResult> run_fabric(
     }
   }
   if (!interrupted && opts.worker_stats_out != nullptr) {
-    // Each worker ships one last STATS right after its final batch; those
-    // frames may still be in flight when the last result lands. Drain
+    // Each worker ships a STATS as it goes idle after its final grant;
+    // those frames may still be in flight when the last result lands. Drain
     // until the fleet goes quiet (two steps with no new STATS), bounded —
     // best-effort freshness for a side channel, so a capped wait is the
     // right trade.

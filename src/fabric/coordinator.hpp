@@ -6,10 +6,15 @@
 // speaks the worker side of the wire protocol (wire.hpp), and dispatches
 // any number of concurrent *batches* (jobs) over one worker pool:
 //
-//   * pull-based work stealing — an idle worker sends LEASE {want}; the
-//     request parks until cells exist, so fast workers drain the queue and
-//     a late joiner is handed the next available (or requeued) cells. A
-//     grant carries at most 8 cells, whatever the worker wants.
+//   * pull-based work stealing — a worker sends LEASE {want} on joining
+//     and again as each grant arrives (pipelined: the next grant waits in
+//     its socket while it computes); the request parks until cells exist,
+//     so fast workers drain the queue and a late joiner is handed the next
+//     available (or requeued) cells. A grant carries at most 8 cells,
+//     whatever the worker wants, and a worker still holding cells is
+//     granted only while the queue keeps a grant as large for every other
+//     connected worker, so a job's last cells never wait behind one
+//     worker's prefetch.
 //   * fair multi-job scheduling — each grant serves exactly one job,
 //     chosen round-robin across jobs with queued cells, subject to the
 //     job's max_workers quota (distinct workers holding its leases).
@@ -20,8 +25,11 @@
 //     losing the link *detaches* it (leases stay put, the worker keeps
 //     computing) and a reconnect within reconnect_grace_ms reattaches it,
 //     finished results re-sent by the worker deduped by (job, slot,
-//     epoch). Only grace expiry requeues, and only that counts as a lost
-//     worker.
+//     epoch). The reattached worker's first LEASE follows every result it
+//     re-sent or computed from grants salvaged off the dead link, so a
+//     slot it still holds without a result was lost with that link and
+//     requeues. Otherwise only grace expiry requeues, and only that counts
+//     as a lost worker.
 //   * results are deduped by slot — if a "dead" worker's results race its
 //     replacement's, the first to arrive wins; since records are pure
 //     functions of the cell, both copies are byte-identical anyway. A
@@ -252,7 +260,7 @@ class Engine {
   void grant_leases();
   void reap_dead();
   void beat_workers();
-  [[nodiscard]] int pick_job_for(const std::string& worker_id);
+  [[nodiscard]] int pick_job_for(const std::string& worker_id, int want);
   [[nodiscard]] int lease_holders(int job) const;
 
   Listener* listener_;

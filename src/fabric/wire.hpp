@@ -17,20 +17,28 @@
 //                           version/auth mismatch — negotiation is "exact
 //                           match or go away"; the BYE reason names the
 //                           version the coordinator expected)
-//   worker -> coordinator   LEASE {want=N}        pull-based work stealing:
-//                           an idle worker asks; the coordinator parks the
-//                           request until cells exist, so a fast worker
-//                           drains the queue and a late joiner still gets
-//                           the next requeued batch
+//   worker -> coordinator   LEASE {want=N}        pull-based work stealing,
+//                           pipelined: a worker asks on joining and again
+//                           as soon as each grant arrives, so the next grant
+//                           waits in its socket while it computes this one;
+//                           the coordinator parks a request until cells
+//                           exist, so a fast worker drains the queue and a
+//                           late joiner still gets the next requeued batch
+//                           (a request from a worker still holding cells
+//                           also parks while the queue cannot keep a grant
+//                           for every other connected worker)
 //   coordinator -> worker   LEASE {job, n, slot+epoch+cell ...}  all cells
 //                           of one grant belong to one job; every slot is
 //                           stamped with a fresh lease epoch
 //   worker -> coordinator   RESULT {job, slot, epoch, res}  one per cell,
-//                           streamed as the executor completes them; after
-//                           a reconnect the whole batch is re-sent and the
-//                           coordinator dedupes by (job, slot, epoch); a
-//                           record whose index is not the leased cell's
-//                           drops the link
+//                           streamed as the executor completes them; a
+//                           grant acks the results sent before the LEASE it
+//                           answers, and after a reconnect the unacked ones
+//                           are re-sent and the coordinator dedupes by
+//                           (job, slot, epoch); the first LEASE after a
+//                           reattach requeues whatever the worker still
+//                           holds without a result; a record whose index is
+//                           not the leased cell's drops the link
 //   worker -> coordinator   HEARTBEAT {}          liveness while computing
 //   either direction        BYE {reason}          graceful close; from the
 //                           coordinator it means "campaign finished" (or
@@ -49,7 +57,9 @@
 //   worker -> coordinator   STATS {n, s...}  a cumulative obs::Registry
 //                           snapshot of the worker process, shipped from
 //                           the worker's main thread (never the
-//                           pre-encoded heartbeat thread) so the
+//                           pre-encoded heartbeat thread) when it goes idle
+//                           (no grant queued) and at most once per
+//                           heartbeat interval while busy, so the
 //                           coordinator can fold fleet-wide metrics
 //   client -> daemon        STATUS {}        status request; the daemon
 //                           replies with a STATUS frame carrying one JSON

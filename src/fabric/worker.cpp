@@ -258,38 +258,63 @@ int run_worker(const WorkerOptions& opts) {
         std::chrono::duration_cast<std::chrono::microseconds>(b - a).count());
   };
 
-  // Two cells per executor slot (at least 2): enough to overlap computing
-  // with the next lease round trip. The coordinator caps a grant at 8.
+  // Two cells per executor slot (at least 2); the coordinator caps a grant
+  // at 8. Pipelining, not a bigger grant, hides the lease round trip.
   const int want = std::max(2, 2 * opts.jobs);
   const std::string lease_req =
       encode_frame(FrameType::kLease, encode_lease_request(want));
   std::mutex write_mu;
   std::atomic<int> live_fd{fd};
-  /// Encoded RESULT frames sent since the last grant on this connection.
-  /// A new grant implies the coordinator read everything before our LEASE
-  /// request (TCP ordering), so these are cleared then; on a reconnect the
-  /// whole set is re-sent and the coordinator dedupes.
+  /// Encoded RESULT frames the coordinator may not have read yet. A grant
+  /// answers the LEASE sent before it, so it acks only the results sent
+  /// before that LEASE: the first `acked_by_grant` entries. The rest — the
+  /// results of the grant computed while the answer waited — stay, so the
+  /// tail is at most two grants' worth. A reconnect re-sends all of them
+  /// and the coordinator dedupes.
   std::vector<std::string> unacked;
+  std::size_t acked_by_grant = 0;
+  bool lease_in_flight = false;  // a LEASE on this link awaits its grant
   std::atomic<bool> hb_failed{false};
   int rc = 1;  // pessimistic: overwritten by a graceful BYE
   {
     Heartbeat heartbeat(&live_fd, &write_mu, opts.heartbeat_ms, &hb_failed);
-    auto send_locked = [&](const std::string& bytes) {
-      std::lock_guard<std::mutex> lock(write_mu);
-      return send_all(fd, bytes.data(), bytes.size());
-    };
 
     /// Ship a cumulative registry snapshot. Main thread only — the encode
     /// allocates, which the (forking) executor and the heartbeat thread
     /// must never do. A failed send is left for the next read to notice
     /// (STATS is a side channel, never worth a reconnect of its own).
+    auto stats_sent_at = SClock::time_point{};
+    bool stats_dirty = false;  // the registry moved since the last STATS
     auto send_stats = [&] {
       if (!opts.ship_stats) return;
       const std::string bytes =
           encode_frame(FrameType::kStats, encode_stats(reg.snapshot()));
-      if (send_locked(bytes) && opts.flight) {
+      std::lock_guard<std::mutex> lock(write_mu);
+      if (send_all(fd, bytes.data(), bytes.size()) && opts.flight) {
         opts.flight->record(FlightEvent::kStats, worker_id);
       }
+      stats_sent_at = SClock::now();
+      stats_dirty = false;
+    };
+
+    /// Ask for the next grant. Every result sent so far precedes the
+    /// request on the stream, so its grant acks them all.
+    auto request_lease = [&] {
+      std::lock_guard<std::mutex> lock(write_mu);
+      acked_by_grant = unacked.size();
+      lease_in_flight = true;
+      return send_all(fd, lease_req.data(), lease_req.size());
+    };
+
+    /// A grant arrived: the coordinator read everything before the LEASE
+    /// it answers.
+    auto ack_grant = [&] {
+      std::lock_guard<std::mutex> lock(write_mu);
+      unacked.erase(unacked.begin(),
+                    unacked.begin() +
+                        static_cast<std::ptrdiff_t>(acked_by_grant));
+      acked_by_grant = 0;
+      lease_in_flight = false;
     };
 
     /// Grants read off a dead link: the coordinator sent them before the
@@ -299,9 +324,9 @@ int run_worker(const WorkerOptions& opts) {
     std::deque<Grant> salvaged;
 
     /// Drain the dead link + dial + handshake (presenting our stable id) +
-    /// re-send unacked + park a fresh lease request unless salvaged grants
-    /// come first. nullopt = back in business, else the exit code (0 when
-    /// the dead link still held the coordinator's BYE).
+    /// re-send unacked. nullopt = back in business (the loop asks for work
+    /// once the salvaged grants are done), else the exit code (0 when the
+    /// dead link still held the coordinator's BYE).
     auto reconnect = [&]() -> std::optional<int> {
       if (opts.flight) opts.flight->record(FlightEvent::kDetach, worker_id);
       Frame f;
@@ -314,6 +339,7 @@ int run_worker(const WorkerOptions& opts) {
         if (f.type == FrameType::kLease &&
             decode_lease_grant(f.payload, &g.job, &g.slots, &g.epochs,
                                &g.cells)) {
+          ack_grant();
           salvaged.push_back(std::move(g));
         }
       }
@@ -342,19 +368,9 @@ int run_worker(const WorkerOptions& opts) {
           close(nfd);
           return hs;  // deliberate rejection: no point retrying
         }
-        if (hs != 0) {
-          close(nfd);
-          continue;
-        }
-        bool ok = true;
-        for (const std::string& b : unacked) {
-          if (!send_all(nfd, b.data(), b.size())) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok && salvaged.empty()) {
-          ok = send_all(nfd, lease_req.data(), lease_req.size());
+        bool ok = hs == 0;
+        for (std::size_t i = 0; ok && i < unacked.size(); ++i) {
+          ok = send_all(nfd, unacked[i].data(), unacked[i].size());
         }
         if (!ok) {
           close(nfd);
@@ -364,8 +380,11 @@ int run_worker(const WorkerOptions& opts) {
         fd = nfd;
         reader = std::move(fresh);
         worker_id = id;
+        lease_in_flight = false;
+        acked_by_grant = 0;
         reconnects->inc();
         results_resent->inc(unacked.size());
+        stats_dirty = true;
         hb_failed.store(false, std::memory_order_relaxed);
         live_fd.store(fd, std::memory_order_relaxed);
         if (opts.flight) {
@@ -382,34 +401,40 @@ int run_worker(const WorkerOptions& opts) {
       return 1;
     };
 
-    auto lease_req_at = SClock::now();
-    if (!send_locked(lease_req)) {
-      if (const auto exit = reconnect()) {
-        if (fd >= 0) close(fd);
-        return *exit;
-      }
-      lease_req_at = SClock::now();
-    }
-
+    // When the worker last found no grant queued and began to wait: the
+    // lease round trip it could not hide. Unset while grants keep coming.
+    std::optional<SClock::time_point> waiting_since;
     for (;;) {
       Grant grant;
-      if (!salvaged.empty()) {
+      const bool from_salvage = !salvaged.empty();
+      if (from_salvage) {
         grant = std::move(salvaged.front());
         salvaged.pop_front();
       } else {
         Frame f;
-        ReadFail why = ReadFail::kNone;
-        if (!read_frame(fd, &reader, &f, idle_timeout, &hb_failed, &why)) {
-          if (opts.flight && why == ReadFail::kIdle) {
-            opts.flight->record(FlightEvent::kIdleTimeout, worker_id);
-          } else if (opts.flight && why == ReadFail::kHeartbeat) {
-            opts.flight->record(FlightEvent::kHeartbeatMiss, worker_id);
+        bool got = lease_in_flight || request_lease();
+        if (got) {
+          const Pull pulled = pull_frame(fd, &reader, &f);
+          got = pulled == Pull::kFrame;
+          if (pulled == Pull::kEmpty) {
+            // Idle: no grant queued. Ship the finished work's stats while
+            // the coordinator is still listening, then wait.
+            if (stats_dirty) send_stats();
+            if (!waiting_since) waiting_since = SClock::now();
+            ReadFail why = ReadFail::kNone;
+            got = read_frame(fd, &reader, &f, idle_timeout, &hb_failed, &why);
+            if (opts.flight && why == ReadFail::kIdle) {
+              opts.flight->record(FlightEvent::kIdleTimeout, worker_id);
+            } else if (opts.flight && why == ReadFail::kHeartbeat) {
+              opts.flight->record(FlightEvent::kHeartbeatMiss, worker_id);
+            }
           }
+        }
+        if (!got) {
           if (const auto exit = reconnect()) {
             rc = *exit;
             break;
           }
-          lease_req_at = SClock::now();
           continue;
         }
         if (f.type == FrameType::kBye) {
@@ -428,7 +453,11 @@ int run_worker(const WorkerOptions& opts) {
                                 &grant.epochs, &grant.cells)) {
           break;
         }
-        lease_rtt->observe(us_between(lease_req_at, SClock::now()));
+        ack_grant();
+        if (waiting_since) {
+          lease_rtt->observe(us_between(*waiting_since, SClock::now()));
+          waiting_since.reset();
+        }
       }
       const int job = grant.job;
       const std::vector<int>& slots = grant.slots;
@@ -440,19 +469,20 @@ int run_worker(const WorkerOptions& opts) {
                             slots.empty() ? -1 : slots.front(),
                             epochs.empty() ? 0 : epochs.front());
       }
-      {
-        // The grant arrived after our RESULT + LEASE sends on this
-        // connection, so everything previously sent was delivered.
-        std::lock_guard<std::mutex> lock(write_mu);
-        unacked.clear();
-      }
-      // Post-grant snapshot: the coordinator is provably alive and reading
-      // right now, so this is the reliable delivery point for cumulative
-      // stats (the post-batch one below can race campaign shutdown).
-      send_stats();
       if (opts.on_log) {
         opts.on_log("lease: job " + std::to_string(job) + ", " +
                     std::to_string(cells.size()) + " cell(s)");
+      }
+      // Pipelining: ask for the next grant before computing this one, so
+      // it waits in the socket by the time this one is done. Not for a
+      // salvaged grant: the first LEASE on a new link must follow every
+      // result of the grants the dead link held.
+      std::atomic<bool> link_ok{from_salvage || request_lease()};
+      // Busy: a snapshot at most once per heartbeat interval.
+      if (link_ok.load(std::memory_order_relaxed) &&
+          SClock::now() - stats_sent_at >=
+              std::chrono::milliseconds(opts.heartbeat_ms)) {
+        send_stats();
       }
 
       // The executor returns results[i] == cells[i] and r.index keeps the
@@ -461,7 +491,6 @@ int run_worker(const WorkerOptions& opts) {
       for (std::size_t i = 0; i < cells.size(); ++i) {
         pos_of_index[cells[i].index] = i;
       }
-      std::atomic<bool> link_ok{true};
       // Completion-to-completion execute timing: exact when the executor
       // runs one cell at a time (jobs=1), an arrival-spacing approximation
       // above that. last_done is only touched under write_mu.
@@ -496,21 +525,14 @@ int run_worker(const WorkerOptions& opts) {
         }
       };
       campaign::run_cells(cells, eopts);
+      stats_dirty = true;
 
-      // Final snapshot for this batch, then the next lease request — the
-      // coordinator reads them in order, so by the time it grants (or
-      // finishes the campaign and drains), the stats are current.
-      if (link_ok.load(std::memory_order_relaxed)) send_stats();
-      const bool need_reconnect =
-          !link_ok.load(std::memory_order_relaxed) ||
-          (salvaged.empty() && !send_locked(lease_req));
-      if (need_reconnect) {
+      if (!link_ok.load(std::memory_order_relaxed)) {
         if (const auto exit = reconnect()) {
           rc = *exit;
           break;
         }
       }
-      lease_req_at = SClock::now();
     }
   }  // heartbeat joins before the fd closes
   if (fd >= 0) close(fd);

@@ -1,16 +1,23 @@
 // Worker process: pulls cell leases from a coordinator, executes them
 // through the campaign executor (so --jobs, --isolate, retries and the
 // per-cell watchdog all still apply *inside* the worker), and streams each
-// result back the moment it finishes. A heartbeat thread keeps the
-// coordinator's dead-worker detector quiet while a long cell computes.
+// result back the moment it finishes. Leasing is pipelined: the worker asks
+// for its next grant as soon as one arrives, so that grant waits in the
+// socket while the current one computes and the lease round trip hides
+// behind the work. A heartbeat thread keeps the coordinator's dead-worker
+// detector quiet while a long cell computes.
 //
 // Losing the link is not fatal: the worker keeps computing its lease,
-// remembers every encoded RESULT it has sent since the last grant (a new
-// grant on the same connection proves delivery — TCP ordering), and
-// reconnects with capped exponential backoff presenting the stable worker
-// id the coordinator assigned in HELLO. After the handshake it re-sends
-// the unacknowledged results (the coordinator dedupes by job/slot/epoch)
-// and parks a fresh lease request — the campaign's bytes never notice.
+// remembers every encoded RESULT the coordinator may not have read (a grant
+// proves delivery of everything sent before the LEASE it answers — TCP
+// ordering — so the unacked tail is at most two grants), and reconnects
+// with capped exponential backoff presenting the stable worker id the
+// coordinator assigned in HELLO. Before closing the dead link it reads the
+// complete frames still queued there. After the handshake it re-sends the
+// unacknowledged results (the coordinator dedupes by job/slot/epoch),
+// finishes any grant it salvaged, and only then asks for work: that first
+// LEASE tells the coordinator that a cell it still holds for this worker
+// without a result was lost in flight — the campaign's bytes never notice.
 //
 // Fork-safety: the heartbeat thread sends a pre-encoded frame and never
 // allocates, so the executor's --isolate path (which forks children while
@@ -48,9 +55,10 @@ struct WorkerOptions {
   std::string name;      // diagnostic label sent in HELLO
   std::function<void(const std::string&)> on_log;
   /// Ship cumulative obs::Registry snapshots (stage histograms, lease/cell
-  /// counters) as STATS frames after each grant and each finished batch.
-  /// Encoded on the main thread (the heartbeat thread stays pre-encoded
-  /// and allocation-free).
+  /// counters) as STATS frames when the worker goes idle (no grant queued)
+  /// and at most once per heartbeat_ms while it is busy. Encoded on the
+  /// main thread (the heartbeat thread stays pre-encoded and
+  /// allocation-free).
   bool ship_stats = true;
   /// Optional flight recorder for this worker's own control-plane view
   /// (connects, grants, results, detaches, reattaches, idle timeouts).

@@ -80,6 +80,36 @@ struct Grant {
   std::vector<RunCell> cells;
 };
 
+/// Step `engine` while reading the scripted worker's (nonblocking) `fd`
+/// until a LEASE grant arrives; false after `steps` steps without one. The
+/// worker id a HELLO reply assigns lands in `id`.
+bool await_grant(Engine* engine, int fd, FrameReader* reader, Grant* grant,
+                 int steps, std::string* id = nullptr) {
+  Frame f;
+  for (int i = 0; i < steps; ++i) {
+    engine->step(10);
+    char buf[65536];
+    for (;;) {
+      const ssize_t n = recv(fd, buf, sizeof buf, 0);
+      if (n <= 0) break;
+      reader->feed(buf, static_cast<std::size_t>(n));
+    }
+    while (reader->next(&f)) {
+      Hello reply;
+      if (id != nullptr && f.type == FrameType::kHello &&
+          decode_hello(f.payload, &reply)) {
+        *id = reply.id;
+      }
+      if (f.type == FrameType::kLease &&
+          decode_lease_grant(f.payload, &grant->job, &grant->slots,
+                             &grant->epochs, &grant->cells)) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 /// A scripted worker: HELLO, LEASE {want}, then step `engine` until the
 /// grant arrives. Returns the (nonblocking) socket, or -1 when no grant came;
 /// `id` receives the worker id the coordinator assigned.
@@ -98,28 +128,7 @@ int lease_as_scripted_worker(Engine* engine, const std::string& address,
   bytes = encode_frame(FrameType::kLease, encode_lease_request(want));
   ok = ok && send_all(fd, bytes.data(), bytes.size());
   FrameReader reader;
-  Frame f;
-  for (int i = 0; ok && i < 400; ++i) {
-    engine->step(10);
-    char buf[65536];
-    for (;;) {
-      const ssize_t n = recv(fd, buf, sizeof buf, 0);
-      if (n <= 0) break;
-      reader.feed(buf, static_cast<std::size_t>(n));
-    }
-    while (reader.next(&f)) {
-      Hello reply;
-      if (id != nullptr && f.type == FrameType::kHello &&
-          decode_hello(f.payload, &reply)) {
-        *id = reply.id;
-      }
-      if (f.type == FrameType::kLease &&
-          decode_lease_grant(f.payload, &grant->job, &grant->slots,
-                             &grant->epochs, &grant->cells)) {
-        return fd;
-      }
-    }
-  }
+  if (ok && await_grant(engine, fd, &reader, grant, 400, id)) return fd;
   close(fd);
   return -1;
 }
@@ -522,6 +531,62 @@ TEST(Fabric, LeaseGrantIsCappedWhateverTheWorkerWants) {
   EXPECT_EQ(grant.slots.size(), 8u);
   EXPECT_EQ(grant.cells.size(), grant.slots.size());
   close(fd);
+  engine.shutdown("test complete");
+}
+
+TEST(Fabric, BusyWorkerIsNotGrantedTheLastCellsWhileAnotherHoldsNone) {
+  // A pipelining worker asks for its next grant while it still holds
+  // cells. The coordinator grants such a request only while the queue keeps
+  // a grant as large for every other connected worker; otherwise it parks,
+  // and the queue's last grant goes to a worker that holds nothing instead
+  // of waiting behind the busy worker's current one.
+  const auto planned = campaign::plan(small_gmp_spec());
+  std::vector<RunCell> cells;
+  for (int i = 0; i < 6; ++i) {
+    cells.push_back(planned[static_cast<std::size_t>(i) % planned.size()]);
+    cells.back().index = i;
+  }
+  Listener listener;
+  std::string err;
+  ASSERT_TRUE(listener.open("127.0.0.1:0", &err)) << err;
+  Engine engine(&listener, Engine::Options{});
+  engine.add_batch(&cells, [](int, RunResult) {}, [] {});
+
+  Grant grant;
+  const int busy = lease_as_scripted_worker(&engine, listener.address(),
+                                            "busy", &grant, /*want=*/2);
+  ASSERT_GE(busy, 0) << "busy worker never got a lease";
+  ASSERT_EQ(grant.slots.size(), 2u);
+
+  // A second worker joins and holds nothing.
+  const int idle = dial(listener.address(), &err);
+  ASSERT_GE(idle, 0) << err;
+  fcntl(idle, F_SETFL, O_NONBLOCK);
+  Hello hello;
+  hello.role = "worker";
+  hello.name = "idle";
+  const std::string hi = encode_frame(FrameType::kHello, encode_hello(hello));
+  ASSERT_TRUE(send_all(idle, hi.data(), hi.size()));
+  for (int i = 0; i < 200 && engine.worker_count() < 2; ++i) engine.step(10);
+  ASSERT_EQ(engine.worker_count(), 2);
+
+  const std::string lease =
+      encode_frame(FrameType::kLease, encode_lease_request(2));
+  FrameReader busy_reader, idle_reader;
+  // Holding 2 with 4 queued: a grant of 2 still leaves 2 for the other.
+  ASSERT_TRUE(send_all(busy, lease.data(), lease.size()));
+  ASSERT_TRUE(await_grant(&engine, busy, &busy_reader, &grant, 200));
+  EXPECT_EQ(grant.slots.size(), 2u);
+  // Holding 4 with 2 queued: those are the other worker's, so this parks.
+  ASSERT_TRUE(send_all(busy, lease.data(), lease.size()));
+  EXPECT_FALSE(await_grant(&engine, busy, &busy_reader, &grant, 30));
+  // The worker that holds nothing gets the queue's last grant.
+  ASSERT_TRUE(send_all(idle, lease.data(), lease.size()));
+  ASSERT_TRUE(await_grant(&engine, idle, &idle_reader, &grant, 200));
+  EXPECT_EQ(grant.slots.size(), 2u);
+  EXPECT_EQ(engine.stats.leases_granted, 3);
+  close(busy);
+  close(idle);
   engine.shutdown("test complete");
 }
 
