@@ -522,8 +522,8 @@ int Engine::pick_job_for(const std::string& worker_id, int want) {
     // and gets a grant only while the queue keeps one as large for every
     // other connected worker, so a job's last cells never wait behind one
     // worker's prefetch while another worker sits idle.
-    const std::size_t take = std::min<std::size_t>(
-        {static_cast<std::size_t>(std::min(want, kMaxGrant)), b.queue.size()});
+    const std::size_t take = std::min(
+        static_cast<std::size_t>(std::min(want, kMaxGrant)), b.queue.size());
     if (busy && b.queue.size() < take * (others + 1)) continue;
     rr_pos_ = (at + 1) % rr_jobs_.size();
     return job;

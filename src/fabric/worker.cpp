@@ -283,7 +283,7 @@ int run_worker(const WorkerOptions& opts) {
     /// allocates, which the (forking) executor and the heartbeat thread
     /// must never do. A failed send is left for the next read to notice
     /// (STATS is a side channel, never worth a reconnect of its own).
-    auto stats_sent_at = SClock::time_point{};
+    auto stats_sent_at = SClock::now();
     bool stats_dirty = false;  // the registry moved since the last STATS
     auto send_stats = [&] {
       if (!opts.ship_stats) return;
