@@ -37,12 +37,20 @@ inline void put_parts(std::string* out, const char* key,
   for (const std::string_view p : parts) len += p.size();
   char buf[24];
   const std::string_view n = digits(buf, len);
-  out->append(key);
-  out->push_back(' ');
-  out->append(n.data(), n.size());
-  out->push_back('\n');
-  for (const std::string_view p : parts) out->append(p.data(), p.size());
-  out->push_back('\n');
+  const std::size_t key_len = std::strlen(key);
+  const std::size_t at = out->size();
+  out->resize(at + key_len + n.size() + len + 3);
+  char* w = out->data() + at;
+  const auto copy = [&w](const char* src, std::size_t size) {
+    std::memcpy(w, src, size);
+    w += size;
+  };
+  copy(key, key_len);
+  *w++ = ' ';
+  copy(n.data(), n.size());
+  *w++ = '\n';
+  for (const std::string_view p : parts) copy(p.data(), p.size());
+  *w = '\n';
 }
 
 inline void put(std::string* out, const char* key, std::string_view v) {

@@ -43,6 +43,12 @@ RunResult skeleton(const RunCell& cell) {
 
 std::string wire_encode(const RunResult& r) {
   std::string out;
+  // Room for the fixed fields plus ~48 bytes per set entry, so a result
+  // (2 KB for a 2PC cell, mostly metric entries) grows at most once.
+  out.reserve(256 + r.reason.size() + r.error.size() + r.timeline.size() +
+              48 * (r.metrics.size() + r.violations.size() + r.steps.size() +
+                    r.coverage.msg_types.size() + r.coverage.actions.size() +
+                    r.coverage.transitions.size()));
   kv::put_i64(&out, "index", r.index);
   kv::put(&out, "id", r.id);
   kv::put(&out, "pass", r.pass ? "1" : "0");

@@ -339,11 +339,13 @@ bool decode_cell(std::string_view payload, campaign::RunCell* out) {
 
 std::string encode_result(int job, int slot, std::int64_t epoch,
                           const campaign::RunResult& r) {
+  const std::string res = campaign::wire_encode(r);
   std::string out;
+  out.reserve(96 + res.size());
   kv::put_i64(&out, "job", job);
   kv::put_i64(&out, "slot", slot);
   kv::put_i64(&out, "epoch", epoch);
-  kv::put(&out, "res", campaign::wire_encode(r));
+  kv::put(&out, "res", res);
   return out;
 }
 
