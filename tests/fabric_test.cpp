@@ -1,12 +1,14 @@
 // Fabric tests: wire-format framing (any byte split, hex-float payload
 // fidelity, corruption/version/auth rejection), coordinator/worker
 // distribution (byte-identical records at any worker count, link flaps
-// included), lease requeueing when a worker dies mid-lease, reconnect and
-// result re-send dedupe, a forged result index dropping the link, journal
+// included), lease requeueing when a worker dies mid-lease or loses a grant
+// with its link, the tail rule for pipelined leases, reconnect and result
+// re-send dedupe, a forged result index dropping the link, journal
 // merging, and the campaign-as-a-service daemon end to end — including its
 // report matching the in-process document, two jobs running concurrently
 // over one worker pool, and the live journal chunk stream — plus the fleet
-// flag table the fabric binaries share and the coordinator's grant cap.
+// flag table the fabric binaries share, the coordinator's grant cap, and
+// one 2PC RESULT frame pinned byte for byte.
 #include <gtest/gtest.h>
 
 #include <algorithm>
