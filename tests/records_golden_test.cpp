@@ -1,5 +1,6 @@
-// Golden records for two shipped plans: the GMP omission spec
-// (scripts/campaign_gmp_omission.spec) and the suites/tcp conformance suite.
+// Golden records for three shipped plans: the GMP omission spec
+// (scripts/campaign_gmp_omission.spec), the suites/tcp conformance suite and
+// the TPC omission spec (scripts/campaign_tpc.spec).
 //
 // Each plan pins two files under tests/golden/records/:
 //
@@ -188,6 +189,14 @@ TEST(RecordsGolden, GmpOmissionSpec) {
       PFI_SCRIPTS_DIR "/campaign_gmp_omission.spec", &err);
   ASSERT_TRUE(spec.has_value()) << err;
   check_plan("gmp_omission", *spec, plan(*spec));
+}
+
+TEST(RecordsGolden, TpcOmissionSpec) {
+  std::string err;
+  const auto spec =
+      load_spec_file(PFI_SCRIPTS_DIR "/campaign_tpc.spec", &err);
+  ASSERT_TRUE(spec.has_value()) << err;
+  check_plan("tpc_omission", *spec, plan(*spec));
 }
 
 TEST(RecordsGolden, TcpSuite) {
