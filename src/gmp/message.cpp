@@ -19,7 +19,8 @@ std::string to_string(MsgType t) {
 }
 
 xk::Message GmpMessage::encode() const {
-  xk::Writer w;
+  xk::Message msg;
+  xk::Writer w{msg.prepend(kFixedSize + 4 * members.size())};
   w.u8(static_cast<std::uint8_t>(type));
   w.u32(sender);
   w.u32(originator);
@@ -27,8 +28,6 @@ xk::Message GmpMessage::encode() const {
   w.u64(view_id);
   w.u16(static_cast<std::uint16_t>(members.size()));
   for (net::NodeId m : members) w.u32(m);
-  xk::Message msg;
-  w.push_onto(msg);
   return msg;
 }
 
@@ -45,6 +44,17 @@ bool GmpMessage::peek(const xk::Message& msg, std::size_t at,
   out.members.clear();
   for (std::uint16_t i = 0; i < n; ++i) out.members.push_back(r.u32());
   return !r.truncated();
+}
+
+bool GmpMessage::peek_type(const xk::Message& msg, std::size_t at,
+                           MsgType& out) {
+  if (msg.size() < at + kFixedSize) return false;
+  const std::span<const std::uint8_t> body = msg.bytes().subspan(at);
+  const std::size_t count =
+      std::size_t{body[kCountAt]} << 8 | body[kCountAt + 1];
+  if (body.size() - kFixedSize < 4 * count) return false;
+  out = static_cast<MsgType>(body[0]);
+  return true;
 }
 
 bool GmpMessage::decode(const xk::Message& msg, GmpMessage& out) {
@@ -68,10 +78,9 @@ std::string GmpMessage::summary() const {
 }
 
 void RelHeader::push_onto(xk::Message& msg) const {
-  xk::Writer w;
+  xk::Writer w{msg.prepend(kSize)};
   w.u8(static_cast<std::uint8_t>(kind));
   w.u32(seq);
-  w.push_onto(msg);
 }
 
 bool RelHeader::pop_from(xk::Message& msg, RelHeader& out) {

@@ -19,6 +19,7 @@
 //
 //   GmpMessage: type u8 | sender u32 | originator u32 | subject u32 |
 //               view_id u64 | member_count u16 | members u32 * n
+//               (23 + 4 * n bytes)
 #pragma once
 
 #include <cstdint>
@@ -51,10 +52,17 @@ struct GmpMessage {
   std::uint64_t view_id = 0;
   std::vector<net::NodeId> members;  // MC / COMMIT proposals
 
+  /// Bytes before the members, and where member_count sits among them.
+  static constexpr std::size_t kFixedSize = 23;
+  static constexpr std::size_t kCountAt = 21;
+
   [[nodiscard]] xk::Message encode() const;
   static bool decode(const xk::Message& msg, GmpMessage& out);
   /// Parse at a byte offset without consuming (for the recognition stub).
   static bool peek(const xk::Message& msg, std::size_t at, GmpMessage& out);
+  /// Just the type of the message at `at`, after the length checks peek
+  /// makes (the fixed part, then every member): true iff peek would be.
+  static bool peek_type(const xk::Message& msg, std::size_t at, MsgType& out);
   [[nodiscard]] std::string summary() const;
 };
 

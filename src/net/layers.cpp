@@ -2,11 +2,17 @@
 
 namespace pfi::net {
 
+namespace {
+
+constexpr std::size_t kIpHeaderSize = 12;
+constexpr std::size_t kUdpHeaderSize = 6;
+
+}  // namespace
+
 void IpMeta::push_onto(xk::Message& msg) const {
-  xk::Writer w;
+  xk::Writer w{msg.prepend(kSize)};
   w.u32(remote);
   w.u8(static_cast<std::uint8_t>(proto));
-  w.push_onto(msg);
 }
 
 IpMeta IpMeta::pop_from(xk::Message& msg) {
@@ -24,11 +30,10 @@ IpMeta IpMeta::peek(const xk::Message& msg) {
 }
 
 void UdpMeta::push_onto(xk::Message& msg) const {
-  xk::Writer w;
+  xk::Writer w{msg.prepend(kSize)};
   w.u32(remote);
   w.u16(remote_port);
   w.u16(local_port);
-  w.push_onto(msg);
 }
 
 UdpMeta UdpMeta::pop_from(xk::Message& msg) {
@@ -69,13 +74,13 @@ IpLayer::IpLayer(NodeId self) : Layer("ip"), self_(self) {}
 
 void IpLayer::push(xk::Message msg) {
   const IpMeta meta = IpMeta::pop_from(msg);
-  xk::Writer w;
+  const auto len = static_cast<std::uint16_t>(msg.size());
+  xk::Writer w{msg.prepend(kIpHeaderSize)};
   w.u32(self_);            // src
   w.u32(meta.remote);      // dst
   w.u8(static_cast<std::uint8_t>(meta.proto));
   w.u8(64);                // ttl
-  w.u16(static_cast<std::uint16_t>(msg.size()));
-  w.push_onto(msg);
+  w.u16(len);              // the payload's, not counting this header
   send_down(std::move(msg));
 }
 
@@ -88,7 +93,7 @@ void IpLayer::pop(xk::Message msg) {
   r.u16();  // len
   if (r.truncated()) return;
   if (dst != self_ && dst != kBroadcast) return;  // not ours
-  msg.pop_header(12);
+  msg.pop_header(kIpHeaderSize);
   IpMeta meta;
   meta.remote = src;
   meta.proto = proto;
@@ -100,11 +105,11 @@ UdpLayer::UdpLayer(NodeId self) : Layer("udp"), self_(self) {}
 
 void UdpLayer::push(xk::Message msg) {
   const UdpMeta meta = UdpMeta::pop_from(msg);
-  xk::Writer w;
+  const auto len = static_cast<std::uint16_t>(msg.size());
+  xk::Writer w{msg.prepend(kUdpHeaderSize)};
   w.u16(meta.local_port);
   w.u16(meta.remote_port);
-  w.u16(static_cast<std::uint16_t>(msg.size()));
-  w.push_onto(msg);
+  w.u16(len);  // the payload's, not counting this header
   IpMeta ip;
   ip.remote = meta.remote;
   ip.proto = IpProto::kUdp;
@@ -120,7 +125,7 @@ void UdpLayer::pop(xk::Message msg) {
   const Port dst_port = r.u16();
   r.u16();  // len
   if (r.truncated()) return;
-  msg.pop_header(6);
+  msg.pop_header(kUdpHeaderSize);
   UdpMeta meta;
   meta.remote = ip.remote;
   meta.remote_port = src_port;

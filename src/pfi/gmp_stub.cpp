@@ -55,9 +55,9 @@ std::string GmpStub::type_of(const xk::Message& msg) const {
   gmp::RelHeader rel;
   if (!gmp::RelHeader::peek(msg, kRelAt, rel)) return "unknown";
   if (rel.kind == gmp::RelKind::kAck) return "rel-ack";
-  gmp::GmpMessage m;
-  if (!gmp::GmpMessage::peek(msg, kGmpAt, m)) return "unknown";
-  switch (m.type) {
+  gmp::MsgType type;
+  if (!gmp::GmpMessage::peek_type(msg, kGmpAt, type)) return "unknown";
+  switch (type) {
     case gmp::MsgType::kHeartbeat: return "gmp-heartbeat";
     case gmp::MsgType::kProclaim: return "gmp-proclaim";
     case gmp::MsgType::kJoin: return "gmp-join";

@@ -103,10 +103,9 @@ std::optional<xk::Message> ToyStub::generate(
 xk::Message ToyStub::make(std::uint8_t type, std::uint32_t id,
                           std::string_view payload) {
   xk::Message msg{payload};
-  xk::Writer w;
+  xk::Writer w{msg.prepend(5)};
   w.u8(type);
   w.u32(id);
-  w.push_onto(msg);
   return msg;
 }
 

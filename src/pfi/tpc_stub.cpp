@@ -33,9 +33,9 @@ void poke(xk::Message& msg, std::size_t at, int width, std::int64_t value) {
 }  // namespace
 
 std::string TpcStub::type_of(const xk::Message& msg) const {
-  tpc::TpcMessage m;
-  if (!tpc::TpcMessage::peek(msg, kTpcAt, m)) return "unknown";
-  switch (m.type) {
+  tpc::MsgType type;
+  if (!tpc::TpcMessage::peek_type(msg, kTpcAt, type)) return "unknown";
+  switch (type) {
     case tpc::MsgType::kVoteReq: return "tpc-vote-req";
     case tpc::MsgType::kVoteYes: return "tpc-vote-yes";
     case tpc::MsgType::kVoteNo: return "tpc-vote-no";

@@ -3,7 +3,7 @@
 namespace pfi::tcp {
 
 void TcpHeader::push_onto(xk::Message& msg) const {
-  xk::Writer w;
+  xk::Writer w{msg.prepend(kSize)};
   w.u16(src_port);
   w.u16(dst_port);
   w.u32(seq);
@@ -11,7 +11,6 @@ void TcpHeader::push_onto(xk::Message& msg) const {
   w.u8(flags);
   w.u16(window);
   w.u16(payload_len);
-  w.push_onto(msg);
 }
 
 bool TcpHeader::pop_from(xk::Message& msg, TcpHeader& out) {

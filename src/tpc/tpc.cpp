@@ -39,15 +39,14 @@ std::string to_string(TxState s) {
 }
 
 xk::Message TpcMessage::encode() const {
-  xk::Writer w;
+  xk::Message msg;
+  xk::Writer w{msg.prepend(kFixedSize + 4 * participants.size())};
   w.u8(static_cast<std::uint8_t>(type));
   w.u32(txid);
   w.u32(sender);
   w.u8(static_cast<std::uint8_t>(decision));
   w.u16(static_cast<std::uint16_t>(participants.size()));
   for (net::NodeId p : participants) w.u32(p);
-  xk::Message msg;
-  w.push_onto(msg);
   return msg;
 }
 
@@ -63,6 +62,17 @@ bool TpcMessage::peek(const xk::Message& msg, std::size_t at,
   out.participants.clear();
   for (std::uint16_t i = 0; i < n; ++i) out.participants.push_back(r.u32());
   return !r.truncated();
+}
+
+bool TpcMessage::peek_type(const xk::Message& msg, std::size_t at,
+                           MsgType& out) {
+  if (msg.size() < at + kFixedSize) return false;
+  const std::span<const std::uint8_t> body = msg.bytes().subspan(at);
+  const std::size_t count =
+      std::size_t{body[kCountAt]} << 8 | body[kCountAt + 1];
+  if (body.size() - kFixedSize < 4 * count) return false;
+  out = static_cast<MsgType>(body[0]);
+  return true;
 }
 
 bool TpcMessage::decode(const xk::Message& msg, TpcMessage& out) {

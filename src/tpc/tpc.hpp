@@ -18,7 +18,7 @@
 //
 // Wire format (UDP payload; the PFI layer sits between this and UDP):
 //   type u8 | txid u32 | sender u32 | decision u8 | participant_count u16 |
-//   participants u32 * n
+//   participants u32 * n                                   (12 + 4 * n bytes)
 #pragma once
 
 #include <cstdint>
@@ -57,9 +57,17 @@ struct TpcMessage {
   Decision decision = Decision::kNone;
   std::vector<net::NodeId> participants;  // VOTE_REQ carries the roster
 
+  /// Bytes before the participants, and where participant_count sits among
+  /// them.
+  static constexpr std::size_t kFixedSize = 12;
+  static constexpr std::size_t kCountAt = 10;
+
   [[nodiscard]] xk::Message encode() const;
   static bool decode(const xk::Message& msg, TpcMessage& out);
   static bool peek(const xk::Message& msg, std::size_t at, TpcMessage& out);
+  /// Just the type of the message at `at`, after the length checks peek
+  /// makes (the fixed part, then every participant): true iff peek would be.
+  static bool peek_type(const xk::Message& msg, std::size_t at, MsgType& out);
   [[nodiscard]] std::string summary() const;
 };
 

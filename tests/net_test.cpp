@@ -204,18 +204,18 @@ TEST(IpLayer, WrongDestinationFilteredAtIp) {
   Network net{sched};
   TestNode b{net, 2};
   xk::Message msg{"stray"};
-  xk::Writer udp;
+  const auto udp_len = static_cast<std::uint16_t>(msg.size());
+  xk::Writer udp{msg.prepend(6)};
   udp.u16(7);
   udp.u16(9);
-  udp.u16(static_cast<std::uint16_t>(msg.size()));
-  udp.push_onto(msg);
-  xk::Writer ip;
+  udp.u16(udp_len);
+  const auto ip_len = static_cast<std::uint16_t>(msg.size());
+  xk::Writer ip{msg.prepend(12)};
   ip.u32(1);  // src
   ip.u32(9);  // dst: NOT node 2
   ip.u8(17);
   ip.u8(64);
-  ip.u16(static_cast<std::uint16_t>(msg.size()));
-  ip.push_onto(msg);
+  ip.u16(ip_len);
   b.stack.find("ip")->pop(std::move(msg));
   EXPECT_TRUE(b.app->received().empty());
 }

@@ -1,6 +1,10 @@
 // Unit tests for the x-Kernel-style message and layer framework.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <span>
+
 #include "trace/trace.hpp"
 #include "xk/layer.hpp"
 #include "xk/message.hpp"
@@ -131,14 +135,49 @@ TEST(Message, PrintableEscapesNonPrintables) {
   EXPECT_EQ(m.printable(), "a\\x00\\xffb");
 }
 
+TEST(Message, PrependOnEmptyMessageLeavesHeadroomInFront) {
+  Message m;
+  const std::span<std::uint8_t> hdr = m.prepend(4);
+  ASSERT_EQ(hdr.size(), 4u);
+  const std::uint8_t bytes[] = {1, 2, 3, 4};
+  std::copy(std::begin(bytes), std::end(bytes), hdr.begin());
+  EXPECT_EQ(m.size(), 4u);
+  EXPECT_EQ(m.byte_at(0), 1);
+  EXPECT_EQ(m.byte_at(3), 4);
+  // The regrow kept kHeadroom free in front: the next headers land in the
+  // same buffer, directly before the first.
+  const std::uint8_t* first = m.bytes().data();
+  EXPECT_EQ(m.prepend(Message::kHeadroom).data() + Message::kHeadroom, first);
+  EXPECT_EQ(m.size(), 4u + Message::kHeadroom);
+}
+
+TEST(Message, PrependPastHeadroomRegrowsAndKeepsThePayload) {
+  Message m{"payload"};
+  const std::span<std::uint8_t> big = m.prepend(Message::kHeadroom + 36);
+  ASSERT_EQ(big.size(), Message::kHeadroom + 36);
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<std::uint8_t>(i);
+  }
+  EXPECT_EQ(m.size(), Message::kHeadroom + 36 + 7);
+  const std::uint8_t* front = m.bytes().data();
+  EXPECT_EQ(m.prepend(Message::kHeadroom).data() + Message::kHeadroom, front);
+  m.pop_header(Message::kHeadroom);
+  auto popped = m.pop_header(Message::kHeadroom + 36);
+  EXPECT_EQ(std::vector(popped.begin(), popped.end()),
+            std::vector(big.begin(), big.end()));
+  EXPECT_EQ(m.as_string(), "payload");
+}
+
 TEST(WriterReader, AllWidthsRoundTrip) {
-  Writer w;
+  std::uint8_t buf[1 + 2 + 4 + 8 + 2 + 8];
+  Writer w{buf};
   w.u8(0x12);
   w.u16(0x3456);
   w.u32(0x789ABCDE);
   w.u64(0x0102030405060708ULL);
   w.str("hi there");
-  Reader r{std::span<const std::uint8_t>{w.data()}};
+  EXPECT_FALSE(w.overflowed());
+  Reader r{std::span<const std::uint8_t>{buf}};
   EXPECT_EQ(r.u8(), 0x12);
   EXPECT_EQ(r.u16(), 0x3456);
   EXPECT_EQ(r.u32(), 0x789ABCDEu);
@@ -148,31 +187,49 @@ TEST(WriterReader, AllWidthsRoundTrip) {
   EXPECT_EQ(r.remaining(), 0u);
 }
 
-TEST(WriterReader, SpillPastInlineStorageRoundTrips) {
-  // 2 + 300 + 4 bytes: the writer outgrows its inline buffer mid-string.
-  Writer w;
+TEST(WriterReader, LongStringFillsA306ByteSpan) {
+  // 2 + 300 + 4 bytes, exactly the span's size.
+  std::vector<std::uint8_t> buf(306);
+  Writer w{buf};
   const std::string body(300, 'q');
   w.str(body);
   w.u32(0xCAFEF00D);
-  ASSERT_EQ(w.size(), 306u);
-  Reader r{w.data()};
+  EXPECT_FALSE(w.overflowed());
+  ASSERT_EQ(w.offset(), 306u);
+  Reader r{std::span<const std::uint8_t>{buf}};
   EXPECT_EQ(r.str(), body);
   EXPECT_EQ(r.u32(), 0xCAFEF00Du);
   EXPECT_FALSE(r.truncated());
   EXPECT_EQ(r.remaining(), 0u);
 }
 
-TEST(WriterReader, BigEndianOnWire) {
-  Writer w;
+TEST(WriterReader, WritePastTheSpanWritesNothingAndSticks) {
+  std::uint8_t buf[6] = {0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE};
+  Writer w{std::span{buf}.first(3)};
   w.u16(0x0102);
-  EXPECT_EQ(w.data()[0], 0x01);
-  EXPECT_EQ(w.data()[1], 0x02);
+  EXPECT_FALSE(w.overflowed());
+  w.u16(0x0304);  // one byte short: nothing of it lands
+  EXPECT_TRUE(w.overflowed());
+  w.u8(0x05);  // would fit, but the writer stays refused
+  w.str("");
+  EXPECT_TRUE(w.overflowed());
+  const std::uint8_t want[6] = {0x01, 0x02, 0xEE, 0xEE, 0xEE, 0xEE};
+  EXPECT_TRUE(std::equal(std::begin(buf), std::end(buf), std::begin(want)));
+}
+
+TEST(WriterReader, BigEndianOnWire) {
+  std::uint8_t buf[2];
+  Writer w{buf};
+  w.u16(0x0102);
+  EXPECT_EQ(buf[0], 0x01);
+  EXPECT_EQ(buf[1], 0x02);
 }
 
 TEST(WriterReader, TruncatedReadSticky) {
-  Writer w;
+  std::uint8_t buf[1];
+  Writer w{buf};
   w.u8(1);
-  Reader r{std::span<const std::uint8_t>{w.data()}};
+  Reader r{std::span<const std::uint8_t>{buf}};
   EXPECT_EQ(r.u32(), 0u);
   EXPECT_TRUE(r.truncated());
   EXPECT_EQ(r.u8(), 0);  // stays truncated
