@@ -96,9 +96,9 @@ class Message {
   // the front: prepend hands it out (O(1)) and pop_header just advances
   // `off_`. The x-Kernel's message tool used the same trick; the
   // pfi_overhead bench measures the win.
-  //
-  // Moves the data into a new buffer with kHeadroom + n free bytes in
-  // front of it.
+
+  /// Move the data into a new buffer with kHeadroom + n free bytes in
+  /// front of it.
   void regrow_front(std::size_t n);
 
   std::vector<std::uint8_t> buf_;
@@ -128,7 +128,6 @@ class Writer {
     raw({reinterpret_cast<const std::uint8_t*>(body.data()), body.size()});
   }
 
-  [[nodiscard]] std::size_t offset() const { return off_; }
   [[nodiscard]] bool overflowed() const { return overflowed_; }
 
  private:
