@@ -170,7 +170,6 @@ class Reader {
   std::vector<std::uint8_t> raw(std::size_t n);
   std::string str();  // length-prefixed (u16) string
 
-  [[nodiscard]] std::size_t offset() const { return off_; }
   [[nodiscard]] std::size_t remaining() const {
     return off_ <= data_.size() ? data_.size() - off_ : 0;
   }
