@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -52,6 +53,13 @@ const Diagnostic* find_rule(const std::vector<Diagnostic>& diags,
     if (d.rule == rule) return &d;
   }
   return nullptr;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in{path};
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
 }
 
 // ---------------------------------------------------------------------------
@@ -544,6 +552,25 @@ TEST(LintRegistry, SharedHostCommandsHaveOneSignature) {
   EXPECT_GT(shared, 0);
 }
 
+// The rows above compare lint with the live interpreters, so a typo in a
+// signature moves both sides together. This one pins every entry in the
+// tree: name, min_args, max_args, usage and origin, tab-separated.
+TEST(LintRegistry, MatchesTheGoldenFile) {
+  static constexpr const char* kOrigin[] = {"core", "filter", "driver"};
+  std::string got;
+  for (const RegisteredCommand& c : builtin_registry()) {
+    got += std::string{c.name} + '\t' + std::to_string(c.min_args) + '\t' +
+           std::to_string(c.max_args) + '\t' + std::string{c.usage} + '\t' +
+           kOrigin[static_cast<int>(c.origin)] + '\n';
+  }
+  const std::string path = PFI_GOLDEN_DIR "/lint/registry.txt";
+  if (std::getenv("PFI_UPDATE_GOLDEN") != nullptr) std::ofstream(path) << got;
+  const std::string want = slurp(path);
+  ASSERT_FALSE(want.empty())
+      << path << " missing; regenerate with PFI_UPDATE_GOLDEN=1";
+  EXPECT_EQ(want, got);
+}
+
 // ---------------------------------------------------------------------------
 // One command table: the interpreter and lint reject the same calls
 // ---------------------------------------------------------------------------
@@ -859,13 +886,6 @@ TEST(LintSpec, SpecTextLineNumbers) {
 // ---------------------------------------------------------------------------
 // Clean corpus: everything under scripts/ lints without errors
 // ---------------------------------------------------------------------------
-
-std::string slurp(const std::string& path) {
-  std::ifstream in{path};
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
 
 TEST(LintCorpus, ShippedScriptsAndSpecsAreClean) {
   int checked = 0;
