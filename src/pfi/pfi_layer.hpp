@@ -24,12 +24,18 @@
 // trace_note. A script that neither drops, holds, nor delays the current
 // message lets it pass unchanged; a script error is counted, logged, and the
 // message passes (fail-open, so a typo can't silently black-hole a link).
+//
+// These host commands are one static table that every layer's interpreters
+// share (script::Interp's host table), so building a layer registers
+// nothing. A command finds its layer through Interp::host() and its
+// direction by which of the layer's two interpreters called it.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -86,12 +92,13 @@ class PfiLayer : public xk::Layer {
 
   /// Register a user-defined command into both interpreters (the paper's
   /// "user defined procedures ... written in C and linked into the tool").
-  /// The interpreters enforce `sig`'s argument count before `fn` runs.
+  /// The interpreters enforce `sig`'s argument count before `fn` runs. A
+  /// registration shadows a host command of the same name in this layer.
   void register_command(const script::CommandSig& sig,
                         script::Interp::Command fn);
 
-  [[nodiscard]] script::Interp& send_interp() { return *send_interp_; }
-  [[nodiscard]] script::Interp& receive_interp() { return *receive_interp_; }
+  [[nodiscard]] script::Interp& send_interp() { return send_interp_; }
+  [[nodiscard]] script::Interp& receive_interp() { return receive_interp_; }
 
   void push(xk::Message msg) override;
   void pop(xk::Message msg) override;
@@ -128,14 +135,25 @@ class PfiLayer : public xk::Layer {
     Direction dir;
   };
 
+  /// The host-command table, sorted by name; built on first use.
+  static std::span<const script::Binding> host_commands();
+
   void run_filter(Direction dir, xk::Message msg);
   void forward(Direction dir, xk::Message msg);
-  void install_commands(script::Interp& interp, Direction dir);
+  /// Forward up to `count` (< 0: all) messages of a hold queue, oldest
+  /// first or, `reversed`, newest first.
+  void release(const std::string& queue, bool reversed, std::int64_t count);
+  /// Send a message the script built, now or after `delay`.
+  void inject(Direction dir, xk::Message msg, sim::Duration delay);
+  /// The direction whose filter runs in `interp`, one of this layer's.
+  [[nodiscard]] Direction dir_of(const script::Interp& interp) const {
+    return &interp == &send_interp_ ? Direction::kDown : Direction::kUp;
+  }
   script::Interp& interp_for(Direction dir) {
-    return dir == Direction::kDown ? *send_interp_ : *receive_interp_;
+    return dir == Direction::kDown ? send_interp_ : receive_interp_;
   }
   script::Interp& other_interp(Direction dir) {
-    return dir == Direction::kDown ? *receive_interp_ : *send_interp_;
+    return dir == Direction::kDown ? receive_interp_ : send_interp_;
   }
   [[nodiscard]] std::string type_of(const xk::Message& msg) const;
   void trace_packet(const MsgCtx& ctx, const std::string& verb,
@@ -145,8 +163,8 @@ class PfiLayer : public xk::Layer {
   sim::Scheduler& sched_;
   PfiConfig cfg_;
   sim::Rng rng_;
-  std::unique_ptr<script::Interp> send_interp_;
-  std::unique_ptr<script::Interp> receive_interp_;
+  script::Interp send_interp_;
+  script::Interp receive_interp_;
   script::Interp::Program send_program_;     // null: pass-through
   script::Interp::Program receive_program_;  // null: pass-through
   int send_script_line_ = 1;

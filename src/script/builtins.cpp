@@ -728,12 +728,7 @@ ProcSignature proc_signature(std::string_view name,
 
 namespace {
 
-using Builtin = Binding::Builtin;
-
-constexpr struct {
-  CommandSig sig;
-  Builtin fn;
-} kBuiltins[] = {
+constexpr CommandDef kBuiltins[] = {
     {{"append", 1, -1, "append varName ?value ...?"}, cmd_append},
     {{"array", 2, 3, "array option arrayName ?arg?"}, cmd_array},
     {{"break", 0, 0, "break"}, cmd_break},
@@ -774,14 +769,7 @@ constexpr struct {
 }  // namespace
 
 std::span<const Binding> core_commands() {
-  static const std::vector<Binding> table = [] {
-    std::vector<Binding> t;
-    for (const auto& b : kBuiltins) t.push_back({b.sig, b.fn, {}});
-    std::sort(t.begin(), t.end(), [](const Binding& x, const Binding& y) {
-      return x.sig.name < y.sig.name;
-    });
-    return t;
-  }();
+  static const std::vector<Binding> table = command_table(kBuiltins);
   return table;
 }
 

@@ -21,7 +21,26 @@ std::uint64_t next_generation() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
+const Binding* find_binding(std::span<const Binding> table,
+                            std::string_view name) {
+  const auto it = std::lower_bound(
+      table.begin(), table.end(), name,
+      [](const Binding& b, std::string_view n) { return b.sig.name < n; });
+  return it != table.end() && it->sig.name == name ? &*it : nullptr;
+}
+
 }  // namespace
+
+std::vector<Binding> command_table(std::span<const CommandDef> defs) {
+  std::vector<Binding> table;
+  table.reserve(defs.size());
+  for (const CommandDef& d : defs) table.push_back({d.sig, d.fn, {}});
+  std::sort(table.begin(), table.end(),
+            [](const Binding& x, const Binding& y) {
+              return x.sig.name < y.sig.name;
+            });
+  return table;
+}
 
 std::vector<std::string> CallArgs::tail(std::size_t from) const {
   std::vector<std::string> out;
@@ -33,7 +52,10 @@ std::vector<std::string> CallArgs::tail(std::size_t from) const {
 // Interp
 // ---------------------------------------------------------------------------
 
-Interp::Interp() : generation_(next_generation()) {
+Interp::Interp(std::span<const Binding> host_commands, void* host)
+    : generation_(next_generation()),
+      host_commands_(host_commands),
+      host_(host) {
   frames_.emplace_back();  // global frame
 }
 
@@ -180,7 +202,7 @@ Result Interp::run_command(const parse::Command& cmd, WordFrame& wf) {
   if (b->builtin != nullptr) {
     return b->builtin(*this, CallArgs{wf.args.data(), n, &cmd});
   }
-  // Host commands and procs take every word as a string.
+  // Registered commands and procs take every word as a string.
   for (std::size_t i = 0; i < n; ++i) {
     if (wf.args[i] != &wf.values[i]) wf.values[i] = *wf.args[i];
   }
@@ -191,11 +213,8 @@ const Binding* Interp::resolve(std::string_view name) const {
   if (auto it = commands_.find(name); it != commands_.end()) {
     return &it->second;
   }
-  const std::span<const Binding> core = core_commands();
-  const auto it = std::lower_bound(
-      core.begin(), core.end(), name,
-      [](const Binding& b, std::string_view n) { return b.sig.name < n; });
-  return it != core.end() && it->sig.name == name ? &*it : nullptr;
+  if (const Binding* b = find_binding(host_commands_, name)) return b;
+  return find_binding(core_commands(), name);
 }
 
 void Interp::register_command(const CommandSig& sig, Command fn) {
@@ -218,21 +237,21 @@ std::vector<std::string> Interp::command_names() const {
 }
 
 std::vector<CommandSig> Interp::signatures() const {
-  // The core table and the registered map are both sorted by name; a
-  // registered name shadows the core command of that name.
+  // In resolve()'s order, so a stable sort by name puts the binding a call
+  // reaches first among its name's entries.
   std::vector<CommandSig> out;
-  const std::span<const Binding> core = core_commands();
-  auto c = core.begin();
-  auto r = commands_.begin();
-  while (c != core.end() || r != commands_.end()) {
-    if (r == commands_.end() ||
-        (c != core.end() && c->sig.name < r->first)) {
-      out.push_back((c++)->sig);
-      continue;
-    }
-    if (c != core.end() && c->sig.name == r->first) ++c;
-    out.push_back((r++)->second.sig);
-  }
+  for (const auto& [name, b] : commands_) out.push_back(b.sig);
+  for (const Binding& b : host_commands_) out.push_back(b.sig);
+  for (const Binding& b : core_commands()) out.push_back(b.sig);
+  std::stable_sort(out.begin(), out.end(),
+                   [](const CommandSig& x, const CommandSig& y) {
+                     return x.name < y.name;
+                   });
+  out.erase(std::unique(out.begin(), out.end(),
+                        [](const CommandSig& x, const CommandSig& y) {
+                          return x.name == y.name;
+                        }),
+            out.end());
   return out;
 }
 

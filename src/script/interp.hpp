@@ -4,7 +4,7 @@
 // interpreted language with a collection of predefined libraries" and picks
 // Tcl: the PFI tool evaluates a *send filter* script and a *receive filter*
 // script inside persistent interpreter objects, and C-coded commands are
-// registered into the interpreter for message operations. This module
+// linked into the interpreter for message operations. This module
 // reproduces that surface without an external Tcl dependency:
 //
 //   * Tcl syntax: command words; `$var`/`${var}` substitution; `[...]`
@@ -13,14 +13,16 @@
 //   * Core commands: set/unset/incr/append, expr, if/elseif/else, while,
 //     for, foreach, break/continue/return, proc+global, catch/error, eval,
 //     puts, string ops (incl. glob `string match`), list ops, format, info.
-//   * Host commands registered from C++ (`Interp::register_command`) — these
+//   * Host commands: a static table that a host (the PFI layer, the
+//     scripted driver) hands the interpreter at construction, with a
+//     pointer to itself that the commands read back through host(). These
 //     are the paper's "user-defined procedures written in C and linked into
 //     the tool".
 //
-// Every command, builtin, host or proc, is registered with its signature
-// (CommandSig). The interpreter enforces the argument count before the
-// command runs, and pfi_lint reads the same registrations, so the two
-// agree on every argument count.
+// Every command, core, host or proc, carries its signature (CommandSig).
+// The interpreter enforces the argument count before the command runs, and
+// pfi_lint reads the same signatures, so the two agree on every argument
+// count.
 //
 // Interpreter state (variables, procs) persists across eval() calls, so a
 // filter script can keep counters across messages, exactly as §3 describes.
@@ -39,11 +41,14 @@
 //     expression (expr.hpp) on its word, so running it copies and hashes no
 //     text. Texts built at run time (`eval`, `expr $a + 1`) are compiled
 //     each time into reused storage, not cached as expressions.
-// The core commands are one static table shared by every interpreter;
-// register_command binds host commands and procs in front of it. Every
-// evaluation still reads variables and commands afresh. A syntax error
-// surfaces at the failing command: the commands before it, and the `[...]`
-// substitutions the text reaches before it, run first.
+// A name resolves through the interpreter's registered commands (procs and
+// register_command) first, then its host's table, then the core table; the
+// two tables are static and shared by every interpreter, so building one
+// registers nothing. Core and host commands borrow their words (CallArgs);
+// registered ones get copies. Every evaluation still reads variables and
+// commands afresh. A syntax error surfaces at the failing command: the
+// commands before it, and the `[...]` substitutions the text reaches before
+// it, run first.
 #pragma once
 
 #include <cstdint>
@@ -139,9 +144,10 @@ struct ExprValue {
 class Interp;
 class Expr;
 
-/// The words of a core command's call, borrowed: a literal word's value
-/// from its parse, a substituted one's from the interpreter's word storage.
-/// Valid for the duration of the call.
+/// The words of a core or host command's call, borrowed: a literal word's
+/// value from its parse, a substituted one's from the interpreter's word
+/// storage for the call's depth. Valid for the duration of the call, also
+/// across a nested evaluation, which uses the next depth's storage.
 class CallArgs {
  public:
   CallArgs(const std::string* const* words, std::size_t n,
@@ -168,8 +174,8 @@ class CallArgs {
   const parse::Command* cmd_;
 };
 
-/// What a command name is bound to: a core command from the shared static
-/// table, or a registered host command or proc.
+/// What a command name is bound to: a core or host command from a static
+/// table, or a registered command or proc.
 struct Binding {
   using Builtin = Result (*)(Interp&, const CallArgs&);
   using Command =
@@ -180,8 +186,18 @@ struct Binding {
   Command fn;  // when builtin is null
 };
 
+/// One row of a static command table.
+struct CommandDef {
+  CommandSig sig;
+  Binding::Builtin fn;
+};
+
+/// `defs` as bindings sorted by name: a table's owner builds it once, into
+/// a function-local static.
+std::vector<Binding> command_table(std::span<const CommandDef> defs);
+
 /// The core commands, sorted by name: one static table that every
-/// interpreter falls back to for a name it has not registered itself.
+/// interpreter falls back to for a name it resolves nowhere else.
 std::span<const Binding> core_commands();
 
 class Interp {
@@ -201,7 +217,10 @@ class Interp {
     std::uint64_t watchdog_probes = 0;   // watchdog_tripped() samples
   };
 
-  Interp();
+  /// `host_commands` is a host's static table, sorted by name (see
+  /// command_table); `host` is what its commands read back through host().
+  explicit Interp(std::span<const Binding> host_commands = {},
+                  void* host = nullptr);
   ~Interp();
   Interp(const Interp&) = delete;
   Interp& operator=(const Interp&) = delete;
@@ -220,15 +239,20 @@ class Interp {
   /// `$`/`[...]` substitution, like Tcl's expr on braced arguments.
   Result eval_expr(std::string_view expr);
 
-  /// Bind `fn` to sig.name, in front of any binding of that name (a core
-  /// command's included). The interpreter fails a call whose argument
-  /// count is outside [sig.min_args, sig.max_args] with
-  /// wrong_args(sig.usage) before `fn` runs, so `fn` checks only what a
-  /// count cannot express. The signature's views must outlive the binding.
+  /// Bind `fn` to sig.name in this interpreter, in front of any binding of
+  /// that name (a host or core command's included). The interpreter fails
+  /// a call whose argument count is outside [sig.min_args, sig.max_args]
+  /// with wrong_args(sig.usage) before `fn` runs, so `fn` checks only what
+  /// a count cannot express. The signature's views must outlive the
+  /// binding. For procs and embedders; a host's commands are its table.
   void register_command(const CommandSig& sig, Command fn);
   [[nodiscard]] std::vector<std::string> command_names() const;
-  /// Every command's signature, core and registered, sorted by name.
+  /// Every command's signature, registered, host and core, one per name
+  /// (the one a call resolves to), sorted by name.
   [[nodiscard]] std::vector<CommandSig> signatures() const;
+
+  /// The host pointer given at construction (null for a bare interpreter).
+  [[nodiscard]] void* host() const { return host_; }
 
   /// Variable access in the *current* frame (global frame between evals).
   [[nodiscard]] std::optional<std::string> get_var(
@@ -302,7 +326,7 @@ class Interp {
   Result substitute(const std::vector<parse::Part>& parts,
                     const std::vector<parse::Script>& nested,
                     std::string& out);
-  /// Word i of a core command's call as a script: a literal word's body
+  /// Word i of a table command's call as a script: a literal word's body
   /// parsed once and kept on the word, any other word through the cache.
   [[nodiscard]] Program word_program(const CallArgs& a, std::size_t i);
   Result eval_word(const CallArgs& a, std::size_t i);
@@ -326,7 +350,7 @@ class Interp {
   };
   /// One evaluation depth's words, reused by every command at that depth.
   struct WordFrame {
-    std::vector<std::string> values;  // substituted words; host calls: all
+    std::vector<std::string> values;  // substituted words; procs: all
     std::vector<const std::string*> args;  // each word's value
   };
 
@@ -347,6 +371,8 @@ class Interp {
                        const ExprValue** value);
 
   std::map<std::string_view, Binding, std::less<>> commands_;  // by sig.name
+  std::span<const Binding> host_commands_;
+  void* host_;
   /// Bumped by register_command; command resolutions cached on a parse
   /// hold the generation they were made in.
   std::uint64_t generation_;
