@@ -1,7 +1,8 @@
-// Signatures of the host commands that both script hosts register: the PFI
-// layer's filter interpreters and the scripted driver. Declaring them once
-// keeps the two registrations accepting the same calls, and pfi_lint, which
-// reads the live registrations, sees one signature per name.
+// Signatures of the host commands that both script hosts provide: the PFI
+// layer's filter interpreters and the scripted driver, each through its own
+// static command table. Declaring them once keeps the two tables accepting
+// the same calls, and pfi_lint, which reads the live interpreters, sees one
+// signature per name.
 #pragma once
 
 #include "script/interp.hpp"

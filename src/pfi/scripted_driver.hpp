@@ -14,10 +14,15 @@
 //   * counters/state persist in the interpreter, and the driver shares a
 //     SyncBus with PFI layers so the two can "communicate with each other
 //     during the test and coerce the system into certain states".
+//
+// Its commands are one static table that every driver's interpreter shares
+// (script::Interp's host table); each finds its driver through
+// Interp::host().
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "pfi/stub.hpp"
@@ -60,18 +65,19 @@ class ScriptedDriver : public xk::Layer {
   void push(xk::Message msg) override { send_down(std::move(msg)); }
   void pop(xk::Message msg) override;
 
-  [[nodiscard]] script::Interp& interp() { return *interp_; }
+  [[nodiscard]] script::Interp& interp() { return interp_; }
   [[nodiscard]] const DriverStats& stats() const { return stats_; }
   [[nodiscard]] const std::string& last_error() const { return last_error_; }
 
  private:
-  void install_commands();
+  /// The host-command table, sorted by name; built on first use.
+  static std::span<const script::Binding> host_commands();
   void note_error(const script::Result& r);
 
   sim::Scheduler& sched_;
   Config cfg_;
   sim::Rng rng_;
-  std::unique_ptr<script::Interp> interp_;
+  script::Interp interp_;
   std::string receive_script_;
   xk::Message* current_ = nullptr;  // during receive script only
   DriverStats stats_;
