@@ -17,37 +17,26 @@ void Histogram::observe(std::uint64_t sample) {
   ++count_;
 }
 
-Counter& Registry::counter(std::string_view name) {
+Registry::Entry& Registry::entry(std::string_view name, char kind) {
   auto it = entries_.find(name);
   if (it == entries_.end()) {
-    Entry e;
-    e.kind = 'c';
-    e.counter = std::make_unique<Counter>();
-    it = entries_.emplace(std::string(name), std::move(e)).first;
+    it = entries_.emplace(std::string(name), Entry{}).first;
+    it->second.kind = kind;
+    if (kind == 'h') it->second.histogram = std::make_unique<Histogram>();
   }
-  return *it->second.counter;
+  return it->second;
+}
+
+Counter& Registry::counter(std::string_view name) {
+  return entry(name, 'c').counter;
 }
 
 MaxGauge& Registry::max_gauge(std::string_view name) {
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    Entry e;
-    e.kind = 'g';
-    e.gauge = std::make_unique<MaxGauge>();
-    it = entries_.emplace(std::string(name), std::move(e)).first;
-  }
-  return *it->second.gauge;
+  return entry(name, 'g').gauge;
 }
 
 Histogram& Registry::histogram(std::string_view name) {
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    Entry e;
-    e.kind = 'h';
-    e.histogram = std::make_unique<Histogram>();
-    it = entries_.emplace(std::string(name), std::move(e)).first;
-  }
-  return *it->second.histogram;
+  return *entry(name, 'h').histogram;
 }
 
 void Registry::set_counter(std::string_view name, std::uint64_t value) {
@@ -69,10 +58,10 @@ std::vector<MetricSample> Registry::snapshot() const {
   for (const auto& [name, e] : entries_) {
     switch (e.kind) {
       case 'c':
-        out.push_back({name, 'c', e.counter->value()});
+        out.push_back({name, 'c', e.counter.value()});
         break;
       case 'g':
-        out.push_back({name, 'g', e.gauge->value()});
+        out.push_back({name, 'g', e.gauge.value()});
         break;
       case 'h': {
         out.push_back({name + ".count", 'c', e.histogram->count()});
@@ -103,7 +92,7 @@ Registry::counters_with_prefix(std::string_view prefix) const {
     const std::string& name = it->first;
     if (name.compare(0, prefix.size(), prefix) != 0) break;
     if (it->second.kind != 'c') continue;
-    out.emplace_back(name.substr(prefix.size()), it->second.counter->value());
+    out.emplace_back(name.substr(prefix.size()), it->second.counter.value());
   }
   return out;
 }

@@ -114,12 +114,18 @@ class Registry {
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
  private:
+  /// A map node never moves, so a counter or gauge lives in its entry;
+  /// a histogram's 256 bytes of buckets stay behind a pointer, out of the
+  /// other kinds' nodes.
   struct Entry {
     char kind = 'c';  // 'c' counter, 'g' gauge, 'h' histogram
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<MaxGauge> gauge;
+    Counter counter;
+    MaxGauge gauge;
     std::unique_ptr<Histogram> histogram;
   };
+  /// The entry for `name`, made with `kind` if it is new.
+  Entry& entry(std::string_view name, char kind);
+
   std::map<std::string, Entry, std::less<>> entries_;
 };
 
