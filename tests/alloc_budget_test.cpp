@@ -250,6 +250,28 @@ TEST(AllocBudget, InterpreterSharesTheCoreCommandTable) {
   EXPECT_LE(n, 4u);
 }
 
+// The host commands are one table every PfiLayer shares too, so building a
+// layer (two interpreters) costs a fixed handful of allocations, none per
+// host command.
+TEST(AllocBudget, PfiLayerSharesTheHostCommandTable) {
+  sim::Scheduler sched;
+  const auto build = [&sched] {
+    const core::PfiLayer layer{sched, core::PfiConfig{}};
+    (void)layer;
+  };
+  build();  // warm-up: builds the table once per process
+  {
+    core::PfiLayer layer{sched, core::PfiConfig{}};
+    const std::size_t host = layer.send_interp().signatures().size() -
+                             script::core_commands().size();
+    ASSERT_GE(host, 30u);
+  }
+  const std::uint64_t n = allocs_during(build);
+  std::printf("allocations to build a PfiLayer: %llu\n",
+              static_cast<unsigned long long>(n));
+  EXPECT_LE(n, 10u);
+}
+
 /// Allocations of one run_cell, after a warm-up run of the same cell has
 /// paid for lazily built tables.
 std::uint64_t steady_cell_allocs(const campaign::RunCell& cell) {
@@ -271,7 +293,20 @@ TEST(AllocBudget, GmpCampaignCellCeiling) {
   const std::uint64_t n = steady_cell_allocs(cells.front());
   std::printf("allocations for %s: %llu\n", cells.front().id.c_str(),
               static_cast<unsigned long long>(n));
-  EXPECT_LE(n, 1720u);
+  EXPECT_LE(n, 1420u);
+}
+
+TEST(AllocBudget, TpcCampaignCellCeiling) {
+  std::string err;
+  const auto spec = campaign::load_spec_file(
+      std::string(PFI_SCRIPTS_DIR) + "/campaign_tpc.spec", &err);
+  ASSERT_TRUE(spec.has_value()) << err;
+  const auto cells = campaign::plan(*spec);
+  ASSERT_FALSE(cells.empty());
+  const std::uint64_t n = steady_cell_allocs(cells.front());
+  std::printf("allocations for %s: %llu\n", cells.front().id.c_str(),
+              static_cast<unsigned long long>(n));
+  EXPECT_LE(n, 530u);
 }
 
 TEST(AllocBudget, TcpSuiteCellCeiling) {
@@ -282,7 +317,7 @@ TEST(AllocBudget, TcpSuiteCellCeiling) {
   const std::uint64_t n = steady_cell_allocs(cells->front());
   std::printf("allocations for %s: %llu\n", cells->front().id.c_str(),
               static_cast<unsigned long long>(n));
-  EXPECT_LE(n, 4700u);
+  EXPECT_LE(n, 4570u);
 }
 
 }  // namespace
