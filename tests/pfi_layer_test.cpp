@@ -2,8 +2,12 @@
 // state, sync bus, distributions, deferred scripts, and fail-open behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "pfi/pfi_layer.hpp"
 #include "pfi/stub.hpp"
+#include "script/parse.hpp"
 #include "sim/scheduler.hpp"
 #include "xk/layer.hpp"
 
@@ -421,6 +425,121 @@ TEST(PfiLayer, SetupRunsInBothInterpreters) {
   h.pfi->run_setup("set shared 9");
   EXPECT_EQ(h.pfi->send_interp().get_global("shared").value_or(""), "9");
   EXPECT_EQ(h.pfi->receive_interp().get_global("shared").value_or(""), "9");
+}
+
+// ---------------------------------------------------------------------------
+// One host-command table: per-interpreter shadowing, per-layer state
+// ---------------------------------------------------------------------------
+
+TEST(PfiLayer, ProcShadowsAHostCommandInItsInterpreterOnly) {
+  Harness h;
+  Harness other;
+  ASSERT_TRUE(h.pfi->send_interp()
+                  .eval("proc msg_type {args} {return shadowed}")
+                  .is_ok());
+  for (Harness* x : {&h, &other}) {
+    x->pfi->set_send_script("set seen [msg_type cur_msg]");
+    x->pfi->set_receive_script("set seen [msg_type cur_msg]");
+    x->send(ToyStub::kData, 1);
+    EXPECT_EQ(x->delivered(), 1u);
+  }
+  EXPECT_EQ(h.pfi->send_interp().get_global("seen").value_or(""), "shadowed");
+  EXPECT_EQ(h.pfi->receive_interp().get_global("seen").value_or(""), "data");
+  EXPECT_EQ(other.pfi->send_interp().get_global("seen").value_or(""), "data");
+  EXPECT_EQ(other.pfi->receive_interp().get_global("seen").value_or(""),
+            "data");
+}
+
+TEST(PfiLayer, RegisteredCommandShadowsAHostCommandInItsLayerOnly) {
+  Harness h;
+  Harness other;
+  int calls = 0;
+  h.pfi->register_command(
+      {"xDrop", 0, 1, "xDrop ?cur_msg?"},
+      [&calls](script::Interp&, const std::vector<std::string>&) {
+        ++calls;
+        return script::Result::ok();
+      });
+  for (Harness* x : {&h, &other}) x->pfi->set_send_script("xDrop cur_msg");
+  h.send(ToyStub::kData, 1);
+  other.send(ToyStub::kData, 2);
+  EXPECT_EQ(h.delivered(), 1u);  // the registration ran instead
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(h.pfi->stats().dropped, 0u);
+  EXPECT_EQ(other.delivered(), 0u);
+  EXPECT_EQ(other.pfi->stats().dropped, 1u);
+}
+
+TEST(PfiLayer, LayersOnOneSchedulerAnswerFromTheirOwnState) {
+  sim::Scheduler sched;
+  PfiConfig cfg;
+  cfg.stub = std::make_shared<ToyStub>();
+  cfg.node_name = "alpha";
+  PfiLayer alpha{sched, cfg};
+  cfg.node_name = "beta";
+  PfiLayer beta{sched, cfg};
+  const struct {
+    PfiLayer* layer;
+    const char* name;
+    int held;
+  } rows[] = {{&alpha, "alpha", 2}, {&beta, "beta", 1}};
+  for (const auto& row : rows) {
+    row.layer->set_send_script("xHold q");
+    for (int i = 0; i < row.held; ++i) {
+      row.layer->push(ToyStub::make(ToyStub::kData, 1));
+    }
+    row.layer->send_interp().set_global("mine", std::string{row.name} + "/s");
+    row.layer->receive_interp().set_global("mine",
+                                           std::string{row.name} + "/r");
+  }
+  for (const auto& row : rows) {
+    script::Interp& send = row.layer->send_interp();
+    script::Interp& recv = row.layer->receive_interp();
+    EXPECT_EQ(send.eval("node_name").value, row.name);
+    EXPECT_EQ(recv.eval("node_name").value, row.name);
+    EXPECT_EQ(send.eval("filter_dir").value, "send");
+    EXPECT_EQ(recv.eval("filter_dir").value, "recv");
+    EXPECT_EQ(send.eval("xHeldCount q").value, std::to_string(row.held));
+    EXPECT_EQ(recv.eval("xHeldCount q").value, std::to_string(row.held));
+    EXPECT_EQ(send.eval("peer_get mine").value, std::string{row.name} + "/r");
+    EXPECT_EQ(recv.eval("peer_get mine").value, std::string{row.name} + "/s");
+  }
+}
+
+TEST(PfiLayer, AfterRunsInTheInterpreterThatScheduledIt) {
+  Harness h;
+  ASSERT_TRUE(
+      h.pfi->send_interp().eval("after 10 {set ran [filter_dir]}").is_ok());
+  ASSERT_TRUE(
+      h.pfi->receive_interp().eval("after 20 {set ran [filter_dir]}").is_ok());
+  h.sched.run();
+  EXPECT_EQ(h.pfi->send_interp().get_global("ran").value_or(""), "send");
+  EXPECT_EQ(h.pfi->receive_interp().get_global("ran").value_or(""), "recv");
+}
+
+TEST(PfiLayer, InfoCommandsListsEachHostCommandOnce) {
+  Harness h;
+  // A proc shadowing a host command, and a registration of a new name.
+  h.pfi->run_setup("proc msg_type {args} {return p}");
+  h.pfi->register_command(
+      {"my_probe", 0, 0, "my_probe"},
+      [](script::Interp&, const std::vector<std::string>&) {
+        return script::Result::ok();
+      });
+  constexpr std::size_t kHostCommands = 35;
+  for (script::Interp* in : {&h.pfi->send_interp(), &h.pfi->receive_interp()}) {
+    const std::vector<std::string> names =
+        script::parse_list(in->eval("info commands").value);
+    EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+    EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(),
+              names.size());
+    EXPECT_EQ(names.size(),
+              script::core_commands().size() + kHostCommands + 1);
+    for (const char* name : {"msg_type", "xDrop", "after", "filter_dir",
+                             "peer_get", "my_probe", "set"}) {
+      EXPECT_EQ(std::count(names.begin(), names.end(), name), 1) << name;
+    }
+  }
 }
 
 }  // namespace
