@@ -76,19 +76,4 @@ std::string Message::as_string() const {
   return {bytes().begin(), bytes().end()};
 }
 
-std::vector<std::uint8_t> Reader::raw(std::size_t n) {
-  // An `n` past the span's size is refused as size + 1, which keeps
-  // take()'s `off_ + n` from wrapping.
-  if (!take(std::min(n, data_.size() + 1))) return {};
-  const auto at = data_.begin() + static_cast<long>(off_);
-  off_ += n;
-  return {at, at + static_cast<long>(n)};
-}
-
-std::string Reader::str() {
-  const std::uint16_t n = u16();
-  auto bytes = raw(n);
-  return {bytes.begin(), bytes.end()};
-}
-
 }  // namespace pfi::xk

@@ -117,23 +117,13 @@ class Writer {
   void u16(std::uint16_t v) { put_be<2>(v); }
   void u32(std::uint32_t v) { put_be<4>(v); }
   void u64(std::uint64_t v) { put_be<8>(v); }
-  void raw(std::span<const std::uint8_t> data) {
-    if (!claim(data.size())) return;
-    std::copy(data.begin(), data.end(), out_.begin() + off_);
-    off_ += data.size();
-  }
-  void str(std::string_view s) {  // length-prefixed (u16) string
-    const std::string_view body = s.substr(0, 0xFFFF);
-    u16(static_cast<std::uint16_t>(body.size()));
-    raw({reinterpret_cast<const std::uint8_t*>(body.data()), body.size()});
-  }
 
   [[nodiscard]] bool overflowed() const { return overflowed_; }
 
  private:
   /// True if the next `n` bytes fit; otherwise sets the sticky flag.
-  /// `off_ + n` cannot wrap: off_ never exceeds size + 1, and no span (so
-  /// no `n`) comes near SIZE_MAX / 2.
+  /// `off_ + n` cannot wrap: off_ never exceeds size + 1, and `n` is a
+  /// field width.
   bool claim(std::size_t n) {
     if (off_ + n <= out_.size()) return true;
     overflowed_ = true;
@@ -167,8 +157,6 @@ class Reader {
   std::uint16_t u16() { return static_cast<std::uint16_t>(get_be<2>()); }
   std::uint32_t u32() { return static_cast<std::uint32_t>(get_be<4>()); }
   std::uint64_t u64() { return get_be<8>(); }
-  std::vector<std::uint8_t> raw(std::size_t n);
-  std::string str();  // length-prefixed (u16) string
 
   [[nodiscard]] std::size_t remaining() const {
     return off_ <= data_.size() ? data_.size() - off_ : 0;
@@ -179,8 +167,7 @@ class Reader {
   /// True if the next `n` bytes are there; otherwise sets the sticky flag.
   /// A truncated reader sits at size + 1, so the check stays
   /// `off_ + n > size`: rewritten as `n > size - off_` it would wrap.
-  /// `off_ + n` itself cannot wrap: `n` is a field width, or raw() has
-  /// capped it at size + 1.
+  /// `off_ + n` itself cannot wrap: `n` is a field width.
   bool take(std::size_t n) {
     if (off_ + n > data_.size()) {
       truncated_ = true;

@@ -169,35 +169,18 @@ TEST(Message, PrependPastHeadroomRegrowsAndKeepsThePayload) {
 }
 
 TEST(WriterReader, AllWidthsRoundTrip) {
-  std::uint8_t buf[1 + 2 + 4 + 8 + 2 + 8];
+  std::uint8_t buf[1 + 2 + 4 + 8];
   Writer w{buf};
   w.u8(0x12);
   w.u16(0x3456);
   w.u32(0x789ABCDE);
   w.u64(0x0102030405060708ULL);
-  w.str("hi there");
   EXPECT_FALSE(w.overflowed());
   Reader r{std::span<const std::uint8_t>{buf}};
   EXPECT_EQ(r.u8(), 0x12);
   EXPECT_EQ(r.u16(), 0x3456);
   EXPECT_EQ(r.u32(), 0x789ABCDEu);
   EXPECT_EQ(r.u64(), 0x0102030405060708ULL);
-  EXPECT_EQ(r.str(), "hi there");
-  EXPECT_FALSE(r.truncated());
-  EXPECT_EQ(r.remaining(), 0u);
-}
-
-TEST(WriterReader, LongStringFillsA306ByteSpan) {
-  // 2 + 300 + 4 bytes, exactly the span's size.
-  std::vector<std::uint8_t> buf(306);
-  Writer w{buf};
-  const std::string body(300, 'q');
-  w.str(body);
-  w.u32(0xCAFEF00D);
-  EXPECT_FALSE(w.overflowed());
-  Reader r{std::span<const std::uint8_t>{buf}};
-  EXPECT_EQ(r.str(), body);
-  EXPECT_EQ(r.u32(), 0xCAFEF00Du);
   EXPECT_FALSE(r.truncated());
   EXPECT_EQ(r.remaining(), 0u);
 }
@@ -210,7 +193,6 @@ TEST(WriterReader, WritePastTheSpanWritesNothingAndSticks) {
   w.u16(0x0304);  // one byte short: nothing of it lands
   EXPECT_TRUE(w.overflowed());
   w.u8(0x05);  // would fit, but the writer stays refused
-  w.str("");
   EXPECT_TRUE(w.overflowed());
   const std::uint8_t want[6] = {0x01, 0x02, 0xEE, 0xEE, 0xEE, 0xEE};
   EXPECT_TRUE(std::equal(std::begin(buf), std::end(buf), std::begin(want)));
