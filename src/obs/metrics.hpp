@@ -114,9 +114,8 @@ class Registry {
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
  private:
-  /// A map node never moves, so a counter or gauge lives in its entry;
-  /// a histogram's 256 bytes of buckets stay behind a pointer, out of the
-  /// other kinds' nodes.
+  /// A map node never moves, so a counter or gauge lives in its entry; a
+  /// histogram's 256 bytes stay behind a pointer, out of other kinds' nodes.
   struct Entry {
     char kind = 'c';  // 'c' counter, 'g' gauge, 'h' histogram
     Counter counter;

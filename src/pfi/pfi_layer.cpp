@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <utility>
 
 #include "pfi/host_commands.hpp"
@@ -42,25 +41,6 @@ std::string to_hex(const xk::Message& msg) {
     out.push_back(kHex[b & 0xF]);
   }
   return out;
-}
-
-std::optional<xk::Message> from_hex(const std::string& hex) {
-  if (hex.size() % 2 != 0) return std::nullopt;
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(hex.size() / 2);
-  auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    return -1;
-  };
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = nibble(hex[i]);
-    const int lo = nibble(hex[i + 1]);
-    if (hi < 0 || lo < 0) return std::nullopt;
-    bytes.push_back(static_cast<std::uint8_t>((hi << 4) | lo));
-  }
-  return xk::Message{std::move(bytes)};
 }
 
 }  // namespace
@@ -273,6 +253,11 @@ using script::Interp;
 
 PfiLayer& layer_of(Interp& in) { return *static_cast<PfiLayer*>(in.host()); }
 
+/// A message command run outside a filter; word 0 is the command's name.
+Result no_message(const CallArgs& a) {
+  return Result::error(a[0] + ": no current message");
+}
+
 }  // namespace
 
 std::span<const script::Binding> PfiLayer::host_commands() {
@@ -290,30 +275,22 @@ std::span<const script::Binding> PfiLayer::host_commands() {
                                        "xInject up|down ?key value ...?"};
 
   static constexpr script::CommandDef kCommands[] = {
-      {host_sig::kMsgType,
-       [](Interp& in, const CallArgs&) -> Result {
-         PfiLayer& l = layer_of(in);
-         if (l.current_ == nullptr) {
-           return Result::error("msg_type: no current message");
-         }
-         return Result::ok(l.type_of(l.current_->msg));
-       }},
+      {host_sig::kMsgType, [](Interp& in, const CallArgs& a) -> Result {
+        const PfiLayer& l = layer_of(in);
+        if (l.current_ == nullptr) return no_message(a);
+        return Result::ok(l.type_of(l.current_->msg));
+      }},
 
-      {host_sig::kMsgLen,
-       [](Interp& in, const CallArgs&) -> Result {
-         PfiLayer& l = layer_of(in);
-         if (l.current_ == nullptr) {
-           return Result::error("msg_len: no current message");
-         }
-         return Result::ok(std::to_string(l.current_->msg.size()));
-       }},
+      {host_sig::kMsgLen, [](Interp& in, const CallArgs& a) -> Result {
+        const MsgCtx* ctx = layer_of(in).current_;
+        if (ctx == nullptr) return no_message(a);
+        return Result::ok(std::to_string(ctx->msg.size()));
+      }},
 
       {{"msg_byte", 1, 1, "msg_byte index"},
        [](Interp& in, const CallArgs& a) -> Result {
-         MsgCtx* ctx = layer_of(in).current_;
-         if (ctx == nullptr) {
-           return Result::error("msg_byte: no current message");
-         }
+         const MsgCtx* ctx = layer_of(in).current_;
+         if (ctx == nullptr) return no_message(a);
          auto i = to_int(a[1]);
          if (!i || *i < 0) return Result::error("msg_byte: bad index");
          return Result::ok(
@@ -323,9 +300,7 @@ std::span<const script::Binding> PfiLayer::host_commands() {
       {{"msg_set_byte", 2, 2, "msg_set_byte index value"},
        [](Interp& in, const CallArgs& a) -> Result {
          MsgCtx* ctx = layer_of(in).current_;
-         if (ctx == nullptr) {
-           return Result::error("msg_set_byte: no current message");
-         }
+         if (ctx == nullptr) return no_message(a);
          auto i = to_int(a[1]);
          auto v = to_int(a[2]);
          if (!i || !v || *i < 0) return Result::error("msg_set_byte: bad args");
@@ -338,9 +313,7 @@ std::span<const script::Binding> PfiLayer::host_commands() {
       {{"msg_truncate", 1, 1, "msg_truncate length"},
        [](Interp& in, const CallArgs& a) -> Result {
          MsgCtx* ctx = layer_of(in).current_;
-         if (ctx == nullptr) {
-           return Result::error("msg_truncate: no current message");
-         }
+         if (ctx == nullptr) return no_message(a);
          auto n = to_int(a[1]);
          if (!n || *n < 0) return Result::error("msg_truncate: bad length");
          ctx->msg.truncate(static_cast<std::size_t>(*n));
@@ -348,26 +321,20 @@ std::span<const script::Binding> PfiLayer::host_commands() {
          return Result::ok();
        }},
 
-      {host_sig::kMsgField,
-       [](Interp& in, const CallArgs& a) -> Result {
-         PfiLayer& l = layer_of(in);
-         MsgCtx* ctx = l.current_;
-         if (ctx == nullptr) {
-           return Result::error("msg_field: no current message");
-         }
-         if (l.cfg_.stub == nullptr) return Result::error("msg_field: no stub");
-         auto v = l.cfg_.stub->field(ctx->msg, a[1]);
-         if (!v) return Result::error("msg_field: no field \"" + a[1] + "\"");
-         return Result::ok(std::to_string(*v));
-       }},
+      {host_sig::kMsgField, [](Interp& in, const CallArgs& a) -> Result {
+        const PfiLayer& l = layer_of(in);
+        if (l.current_ == nullptr) return no_message(a);
+        if (l.cfg_.stub == nullptr) return Result::error("msg_field: no stub");
+        auto v = l.cfg_.stub->field(l.current_->msg, a[1]);
+        if (!v) return Result::error("msg_field: no field \"" + a[1] + "\"");
+        return Result::ok(std::to_string(*v));
+      }},
 
       {{"msg_set_field", 2, 2, "msg_set_field name value"},
        [](Interp& in, const CallArgs& a) -> Result {
-         PfiLayer& l = layer_of(in);
+         const PfiLayer& l = layer_of(in);
          MsgCtx* ctx = l.current_;
-         if (ctx == nullptr) {
-           return Result::error("msg_set_field: no current message");
-         }
+         if (ctx == nullptr) return no_message(a);
          if (l.cfg_.stub == nullptr) {
            return Result::error("msg_set_field: no stub");
          }
@@ -381,82 +348,65 @@ std::span<const script::Binding> PfiLayer::host_commands() {
        }},
 
       {{"msg_hex", 0, 1, "msg_hex ?cur_msg?"},
-       [](Interp& in, const CallArgs&) -> Result {
+       [](Interp& in, const CallArgs& a) -> Result {
          const MsgCtx* ctx = layer_of(in).current_;
-         if (ctx == nullptr) {
-           return Result::error("msg_hex: no current message");
-         }
+         if (ctx == nullptr) return no_message(a);
          return Result::ok(to_hex(ctx->msg));
        }},
 
-      {host_sig::kMsgLog,
-       [](Interp& in, const CallArgs& a) -> Result {
-         PfiLayer& l = layer_of(in);
-         MsgCtx* ctx = l.current_;
-         if (ctx == nullptr) {
-           return Result::error("msg_log: no current message");
-         }
-         std::string note;
-         // Skip a `cur_msg` handle argument; anything else is a note.
-         for (std::size_t i = 1; i < a.size(); ++i) {
-           if (a[i] == "cur_msg") continue;
-           if (!note.empty()) note += ' ';
-           note += a[i];
-         }
-         const bool send = l.dir_of(in) == Direction::kDown;
-         l.trace_packet(*ctx, send ? "send" : "recv", note);
-         return Result::ok();
-       }},
+      {host_sig::kMsgLog, [](Interp& in, const CallArgs& a) -> Result {
+        const PfiLayer& l = layer_of(in);
+        if (l.current_ == nullptr) return no_message(a);
+        const bool send = l.dir_of(in) == Direction::kDown;
+        l.trace_packet(*l.current_, send ? "send" : "recv", log_note(a));
+        return Result::ok();
+      }},
 
       // --- manipulation ------------------------------------------------------
 
       {{"xDrop", 0, 1, "xDrop ?cur_msg?"},
-       [](Interp& in, const CallArgs&) -> Result {
+       [](Interp& in, const CallArgs& a) -> Result {
          MsgCtx* ctx = layer_of(in).current_;
-         if (ctx == nullptr) return Result::error("xDrop: no current message");
+         if (ctx == nullptr) return no_message(a);
          ctx->dropped = true;
          return Result::ok();
        }},
 
-      {kXDelay,
-       [](Interp& in, const CallArgs& a) -> Result {
-         MsgCtx* ctx = layer_of(in).current_;
-         if (ctx == nullptr) return Result::error("xDelay: no current message");
-         if (a.size() == 3 && a[1] != "cur_msg") {
-           return script::wrong_args(kXDelay.usage);
-         }
-         auto ms = to_int(a.back());
-         if (!ms || *ms < 0) return Result::error("xDelay: bad delay");
-         ctx->delay = sim::msec(*ms);
-         return Result::ok();
-       }},
+      {kXDelay, [](Interp& in, const CallArgs& a) -> Result {
+        MsgCtx* ctx = layer_of(in).current_;
+        if (ctx == nullptr) return no_message(a);
+        if (a.size() == 3 && a[1] != "cur_msg") {
+          return script::wrong_args(kXDelay.usage);
+        }
+        auto ms = to_int(a.back());
+        if (!ms || *ms < 0) return Result::error("xDelay: bad delay");
+        ctx->delay = sim::msec(*ms);
+        return Result::ok();
+      }},
 
-      {kXDuplicate,
-       [](Interp& in, const CallArgs& a) -> Result {
-         MsgCtx* ctx = layer_of(in).current_;
-         if (ctx == nullptr) {
-           return Result::error("xDuplicate: no current message");
-         }
-         // The handle is optional, as for xDelay: `xDuplicate cur_msg 3`.
-         const bool handle = a.size() > 1 && a[1] == "cur_msg";
-         if (a.size() == 3 && !handle) {
-           return script::wrong_args(kXDuplicate.usage);
-         }
-         std::int64_t n = 1;
-         if (a.size() == (handle ? 3u : 2u)) {
-           auto v = to_int(a.back());
-           if (!v || *v < 0) return Result::error("xDuplicate: bad count");
-           n = *v;
-         }
-         ctx->duplicates = static_cast<int>(n);
-         return Result::ok();
-       }},
+      {kXDuplicate, [](Interp& in, const CallArgs& a) -> Result {
+        MsgCtx* ctx = layer_of(in).current_;
+        if (ctx == nullptr) return no_message(a);
+        // The handle is optional, as for xDelay: `xDuplicate cur_msg 3`.
+        const bool handle = a.size() > 1 && a[1] == "cur_msg";
+        if (a.size() == 3 && !handle) {
+          return script::wrong_args(kXDuplicate.usage);
+        }
+        std::int64_t n = 1;
+        if (a.size() == (handle ? 3u : 2u)) {
+          auto v = to_int(a.back());
+          if (!v || *v < 0) return Result::error("xDuplicate: bad count");
+          n = *v;
+        }
+        ctx->duplicates = static_cast<int>(n);
+        return Result::ok();
+      }},
 
       {{"xHold", 1, 1, "xHold queueName"},
        [](Interp& in, const CallArgs& a) -> Result {
          PfiLayer& l = layer_of(in);
          MsgCtx* ctx = l.current_;
-         if (ctx == nullptr) return Result::error("xHold: no current message");
+         if (ctx == nullptr) return no_message(a);
          if (ctx->held) return Result::error("xHold: message already held");
          // Park immediately so xHeldCount in the same filter run sees it —
          // that is what makes "hold until N accumulate, then release" work.
@@ -501,31 +451,30 @@ std::span<const script::Binding> PfiLayer::host_commands() {
 
       // --- injection ---------------------------------------------------------
 
-      {kXInject,
-       [](Interp& in, const CallArgs& a) -> Result {
-         PfiLayer& l = layer_of(in);
-         if (a.size() % 2 != 0) return script::wrong_args(kXInject.usage);
-         if (a[1] != "up" && a[1] != "down") {
-           return Result::error("xInject: direction must be up or down");
-         }
-         if (l.cfg_.stub == nullptr) return Result::error("xInject: no stub");
-         std::map<std::string, std::string> params;
-         for (std::size_t i = 2; i + 1 < a.size(); i += 2) {
-           params[a[i]] = a[i + 1];
-         }
-         auto msg = l.cfg_.stub->generate(params);
-         if (!msg) return Result::error("xInject: stub can't generate message");
-         l.inject(a[1] == "down" ? Direction::kDown : Direction::kUp,
-                  std::move(*msg), 0);
-         return Result::ok();
-       }},
+      {kXInject, [](Interp& in, const CallArgs& a) -> Result {
+        PfiLayer& l = layer_of(in);
+        if (a.size() % 2 != 0) return script::wrong_args(kXInject.usage);
+        if (a[1] != "up" && a[1] != "down") {
+          return Result::error("xInject: direction must be up or down");
+        }
+        if (l.cfg_.stub == nullptr) return Result::error("xInject: no stub");
+        std::map<std::string, std::string> params;
+        for (std::size_t i = 2; i + 1 < a.size(); i += 2) {
+          params[a[i]] = a[i + 1];
+        }
+        auto msg = l.cfg_.stub->generate(params);
+        if (!msg) return Result::error("xInject: stub can't generate message");
+        l.inject(a[1] == "down" ? Direction::kDown : Direction::kUp,
+                 std::move(*msg), 0);
+        return Result::ok();
+      }},
 
       {{"xInjectHex", 2, 3, "xInjectHex up|down hexBytes ?delayMs?"},
        [](Interp& in, const CallArgs& a) -> Result {
          if (a[1] != "up" && a[1] != "down") {
            return Result::error("xInjectHex: direction must be up or down");
          }
-         auto msg = from_hex(a[2]);
+         auto msg = message_from_hex(a[2]);
          if (!msg) return Result::error("xInjectHex: bad hex string");
          sim::Duration delay = 0;
          if (a.size() == 4) {
@@ -533,30 +482,26 @@ std::span<const script::Binding> PfiLayer::host_commands() {
            if (!ms || *ms < 0) return Result::error("xInjectHex: bad delay");
            delay = sim::msec(*ms);
          }
-         layer_of(in).inject(
-             a[1] == "down" ? Direction::kDown : Direction::kUp,
-             std::move(*msg), delay);
+         layer_of(in).inject(a[1] == "down" ? Direction::kDown : Direction::kUp,
+                             std::move(*msg), delay);
          return Result::ok();
        }},
 
       // --- clocks, distributions, misc ---------------------------------------
 
-      {{"now_us", 0, 0, "now_us"},
-       [](Interp& in, const CallArgs&) {
-         return Result::ok(std::to_string(layer_of(in).sched_.now()));
-       }},
-      {host_sig::kNowMs,
-       [](Interp& in, const CallArgs&) {
-         return Result::ok(
-             std::to_string(layer_of(in).sched_.now() / sim::kMillisecond));
-       }},
-      {{"now_s", 0, 0, "now_s"},
-       [](Interp& in, const CallArgs&) {
-         char buf[64];
-         std::snprintf(buf, sizeof buf, "%.6f",
-                       sim::to_seconds(layer_of(in).sched_.now()));
-         return Result::ok(buf);
-       }},
+      {{"now_us", 0, 0, "now_us"}, [](Interp& in, const CallArgs&) {
+        return Result::ok(std::to_string(layer_of(in).sched_.now()));
+      }},
+      {host_sig::kNowMs, [](Interp& in, const CallArgs&) {
+        return Result::ok(
+            std::to_string(layer_of(in).sched_.now() / sim::kMillisecond));
+      }},
+      {{"now_s", 0, 0, "now_s"}, [](Interp& in, const CallArgs&) {
+        char buf[64];
+        std::snprintf(buf, sizeof buf, "%.6f",
+                      sim::to_seconds(layer_of(in).sched_.now()));
+        return Result::ok(buf);
+      }},
 
       {{"dst_normal", 2, 2, "dst_normal mean variance"},
        [](Interp& in, const CallArgs& a) -> Result {
@@ -590,12 +535,11 @@ std::span<const script::Binding> PfiLayer::host_commands() {
          return Result::ok(buf);
        }},
 
-      {host_sig::kDstBernoulli,
-       [](Interp& in, const CallArgs& a) -> Result {
-         auto p = to_double(a[1]);
-         if (!p) return Result::error("dst_bernoulli: bad args");
-         return Result::ok(layer_of(in).rng_.bernoulli(*p) ? "1" : "0");
-       }},
+      {host_sig::kDstBernoulli, [](Interp& in, const CallArgs& a) -> Result {
+        auto p = to_double(a[1]);
+        if (!p) return Result::error("dst_bernoulli: bad args");
+        return Result::ok(layer_of(in).rng_.bernoulli(*p) ? "1" : "0");
+      }},
 
       // --- cross-interpreter and cross-node state ----------------------------
 
@@ -615,23 +559,21 @@ std::span<const script::Binding> PfiLayer::host_commands() {
          return Result::error("peer_get: no such variable \"" + a[1] + "\"");
        }},
 
-      {host_sig::kSyncSet,
-       [](Interp& in, const CallArgs& a) -> Result {
-         SyncBus* sync = layer_of(in).cfg_.sync.get();
-         if (sync == nullptr) return Result::error("sync_set: no sync bus");
-         sync->set(a[1], a[2]);
-         return Result::ok();
-       }},
+      {host_sig::kSyncSet, [](Interp& in, const CallArgs& a) -> Result {
+        SyncBus* sync = layer_of(in).cfg_.sync.get();
+        if (sync == nullptr) return Result::error("sync_set: no sync bus");
+        sync->set(a[1], a[2]);
+        return Result::ok();
+      }},
 
-      {host_sig::kSyncGet,
-       [](Interp& in, const CallArgs& a) -> Result {
-         SyncBus* sync = layer_of(in).cfg_.sync.get();
-         if (sync == nullptr) return Result::error("sync_get: no sync bus");
-         auto v = sync->get(a[1]);
-         if (v) return Result::ok(*v);
-         if (a.size() == 3) return Result::ok(a[2]);
-         return Result::error("sync_get: no such entry \"" + a[1] + "\"");
-       }},
+      {host_sig::kSyncGet, [](Interp& in, const CallArgs& a) -> Result {
+        SyncBus* sync = layer_of(in).cfg_.sync.get();
+        if (sync == nullptr) return Result::error("sync_get: no sync bus");
+        auto v = sync->get(a[1]);
+        if (v) return Result::ok(*v);
+        if (a.size() == 3) return Result::ok(a[2]);
+        return Result::error("sync_get: no such entry \"" + a[1] + "\"");
+      }},
 
       {{"sync_incr", 1, 2, "sync_incr name ?by?"},
        [](Interp& in, const CallArgs& a) -> Result {
@@ -646,26 +588,25 @@ std::span<const script::Binding> PfiLayer::host_commands() {
          return Result::ok(std::to_string(sync->incr(a[1], by)));
        }},
 
-      {host_sig::kAfter,
-       [](Interp& in, const CallArgs& a) -> Result {
-         PfiLayer& l = layer_of(in);
-         auto ms = to_int(a[1]);
-         if (!ms || *ms < 0) return Result::error("after: bad delay");
-         l.sched_.schedule(sim::msec(*ms), [&l, alive = l.alive_,
-                                            dir = l.dir_of(in), body = a[2]] {
-           if (!*alive) return;
-           Result r = l.interp_for(dir).eval(body);
-           if (r.is_error()) {
-             ++l.stats_.script_errors;
-             l.last_error_ = r.value;
-           }
-         });
-         return Result::ok();
-       }},
+      {host_sig::kAfter, [](Interp& in, const CallArgs& a) -> Result {
+        PfiLayer& l = layer_of(in);
+        auto ms = to_int(a[1]);
+        if (!ms || *ms < 0) return Result::error("after: bad delay");
+        l.sched_.schedule(sim::msec(*ms), [&l, alive = l.alive_,
+                                           dir = l.dir_of(in), body = a[2]] {
+          if (!*alive) return;
+          Result r = l.interp_for(dir).eval(body);
+          if (r.is_error()) {
+            ++l.stats_.script_errors;
+            l.last_error_ = r.value;
+          }
+        });
+        return Result::ok();
+      }},
 
       {{"trace_note", 0, -1, "trace_note ?word ...?"},
        [](Interp& in, const CallArgs& a) -> Result {
-         PfiLayer& l = layer_of(in);
+         const PfiLayer& l = layer_of(in);
          std::string note;
          for (std::size_t i = 1; i < a.size(); ++i) {
            if (!note.empty()) note += ' ';
@@ -678,17 +619,14 @@ std::span<const script::Binding> PfiLayer::host_commands() {
          return Result::ok();
        }},
 
-      {{"node_name", 0, 0, "node_name"},
-       [](Interp& in, const CallArgs&) {
-         return Result::ok(layer_of(in).cfg_.node_name);
-       }},
+      {{"node_name", 0, 0, "node_name"}, [](Interp& in, const CallArgs&) {
+        return Result::ok(layer_of(in).cfg_.node_name);
+      }},
 
-      {{"filter_dir", 0, 0, "filter_dir"},
-       [](Interp& in, const CallArgs&) {
-         return Result::ok(layer_of(in).dir_of(in) == Direction::kDown
-                               ? "send"
-                               : "recv");
-       }},
+      {{"filter_dir", 0, 0, "filter_dir"}, [](Interp& in, const CallArgs&) {
+        const bool send = layer_of(in).dir_of(in) == Direction::kDown;
+        return Result::ok(send ? "send" : "recv");
+      }},
   };
   static const std::vector<script::Binding> table =
       script::command_table(kCommands);

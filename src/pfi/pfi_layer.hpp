@@ -24,11 +24,9 @@
 // trace_note. A script that neither drops, holds, nor delays the current
 // message lets it pass unchanged; a script error is counted, logged, and the
 // message passes (fail-open, so a typo can't silently black-hole a link).
-//
-// These host commands are one static table that every layer's interpreters
-// share (script::Interp's host table), so building a layer registers
-// nothing. A command finds its layer through Interp::host() and its
-// direction by which of the layer's two interpreters called it.
+// These commands are one static table, the host table of every layer's
+// interpreters: a command finds its layer through Interp::host() and its
+// direction by which of the layer's interpreters called it.
 #pragma once
 
 #include <cstdint>

@@ -8,24 +8,12 @@ namespace pfi::core {
 
 namespace {
 
+using script::CallArgs;
+using script::Interp;
 using script::Result;
 
-std::optional<xk::Message> hex_to_message(const std::string& hex) {
-  if (hex.size() % 2 != 0) return std::nullopt;
-  std::vector<std::uint8_t> bytes;
-  auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    return -1;
-  };
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = nibble(hex[i]);
-    const int lo = nibble(hex[i + 1]);
-    if (hi < 0 || lo < 0) return std::nullopt;
-    bytes.push_back(static_cast<std::uint8_t>((hi << 4) | lo));
-  }
-  return xk::Message{std::move(bytes)};
+ScriptedDriver& driver_of(Interp& in) {
+  return *static_cast<ScriptedDriver*>(in.host());
 }
 
 }  // namespace
@@ -64,157 +52,126 @@ void ScriptedDriver::note_error(const script::Result& r) {
   }
 }
 
-namespace {
-
-using script::CallArgs;
-using script::Interp;
-
-ScriptedDriver& driver_of(Interp& in) {
-  return *static_cast<ScriptedDriver*>(in.host());
-}
-
-}  // namespace
-
 std::span<const script::Binding> ScriptedDriver::host_commands() {
   static constexpr script::CommandSig kDrvSend{
       "drv_send", 2, -1, "drv_send key value ?key value ...?"};
 
   static constexpr script::CommandDef kCommands[] = {
-      {kDrvSend,
-       [](Interp& in, const CallArgs& a) -> Result {
-         ScriptedDriver& d = driver_of(in);
-         if (a.size() % 2 != 1) return script::wrong_args(kDrvSend.usage);
-         if (d.cfg_.stub == nullptr) return Result::error("drv_send: no stub");
-         std::map<std::string, std::string> params;
-         for (std::size_t i = 1; i + 1 < a.size(); i += 2) {
-           params[a[i]] = a[i + 1];
-         }
-         auto msg = d.cfg_.stub->generate(params);
-         if (!msg) return Result::error("drv_send: stub can't generate");
-         ++d.stats_.generated;
-         if (d.cfg_.trace != nullptr) {
-           d.cfg_.trace->add(d.sched_.now(), d.cfg_.node_name, "send",
-                             d.cfg_.stub->type_of(*msg),
-                             d.cfg_.stub->summary(*msg));
-         }
-         d.send_down(std::move(*msg));
-         return Result::ok();
-       }},
+      {kDrvSend, [](Interp& in, const CallArgs& a) -> Result {
+        ScriptedDriver& d = driver_of(in);
+        if (a.size() % 2 != 1) return script::wrong_args(kDrvSend.usage);
+        if (d.cfg_.stub == nullptr) return Result::error("drv_send: no stub");
+        std::map<std::string, std::string> params;
+        for (std::size_t i = 1; i + 1 < a.size(); i += 2) {
+          params[a[i]] = a[i + 1];
+        }
+        auto msg = d.cfg_.stub->generate(params);
+        if (!msg) return Result::error("drv_send: stub can't generate");
+        ++d.stats_.generated;
+        if (d.cfg_.trace != nullptr) {
+          d.cfg_.trace->add(d.sched_.now(), d.cfg_.node_name, "send",
+                            d.cfg_.stub->type_of(*msg),
+                            d.cfg_.stub->summary(*msg));
+        }
+        d.send_down(std::move(*msg));
+        return Result::ok();
+      }},
 
       {{"drv_send_hex", 1, 1, "drv_send_hex bytes"},
        [](Interp& in, const CallArgs& a) -> Result {
          ScriptedDriver& d = driver_of(in);
-         auto msg = hex_to_message(a[1]);
+         auto msg = message_from_hex(a[1]);
          if (!msg) return Result::error("drv_send_hex: bad hex");
          ++d.stats_.generated;
          d.send_down(std::move(*msg));
          return Result::ok();
        }},
 
-      {host_sig::kMsgType,
-       [](Interp& in, const CallArgs&) -> Result {
-         ScriptedDriver& d = driver_of(in);
-         if (d.current_ == nullptr) {
-           return Result::error("msg_type: no message");
-         }
-         if (d.cfg_.stub == nullptr) return Result::ok("raw");
-         return Result::ok(d.cfg_.stub->type_of(*d.current_));
-       }},
+      {host_sig::kMsgType, [](Interp& in, const CallArgs&) -> Result {
+        const ScriptedDriver& d = driver_of(in);
+        if (d.current_ == nullptr) return Result::error("msg_type: no message");
+        if (d.cfg_.stub == nullptr) return Result::ok("raw");
+        return Result::ok(d.cfg_.stub->type_of(*d.current_));
+      }},
 
-      {host_sig::kMsgField,
-       [](Interp& in, const CallArgs& a) -> Result {
-         ScriptedDriver& d = driver_of(in);
-         if (d.current_ == nullptr) {
-           return Result::error("msg_field: no message");
-         }
-         if (d.cfg_.stub == nullptr) return Result::error("msg_field: no stub");
-         auto v = d.cfg_.stub->field(*d.current_, a[1]);
-         if (!v) return Result::error("msg_field: no field " + a[1]);
-         return Result::ok(std::to_string(*v));
-       }},
+      {host_sig::kMsgField, [](Interp& in, const CallArgs& a) -> Result {
+        const ScriptedDriver& d = driver_of(in);
+        if (d.current_ == nullptr) {
+          return Result::error("msg_field: no message");
+        }
+        if (d.cfg_.stub == nullptr) return Result::error("msg_field: no stub");
+        auto v = d.cfg_.stub->field(*d.current_, a[1]);
+        if (!v) return Result::error("msg_field: no field " + a[1]);
+        return Result::ok(std::to_string(*v));
+      }},
 
-      {host_sig::kMsgLen,
-       [](Interp& in, const CallArgs&) -> Result {
-         const ScriptedDriver& d = driver_of(in);
-         if (d.current_ == nullptr) return Result::error("msg_len: no message");
-         return Result::ok(std::to_string(d.current_->size()));
-       }},
+      {host_sig::kMsgLen, [](Interp& in, const CallArgs&) -> Result {
+        const ScriptedDriver& d = driver_of(in);
+        if (d.current_ == nullptr) return Result::error("msg_len: no message");
+        return Result::ok(std::to_string(d.current_->size()));
+      }},
 
-      {host_sig::kMsgLog,
-       [](Interp& in, const CallArgs& a) -> Result {
-         ScriptedDriver& d = driver_of(in);
-         if (d.current_ == nullptr) return Result::error("msg_log: no message");
-         std::string note;
-         for (std::size_t i = 1; i < a.size(); ++i) {
-           if (a[i] == "cur_msg") continue;
-           if (!note.empty()) note += ' ';
-           note += a[i];
-         }
-         if (d.cfg_.trace != nullptr) {
-           const PacketStub* stub = d.cfg_.stub.get();
-           std::string detail = stub != nullptr ? stub->summary(*d.current_)
-                                                : d.current_->printable();
-           if (!note.empty()) detail += " | " + note;
-           d.cfg_.trace->add(d.sched_.now(), d.cfg_.node_name, "recv",
-                             stub != nullptr ? stub->type_of(*d.current_)
-                                             : "raw",
-                             detail);
-         }
-         return Result::ok();
-       }},
+      {host_sig::kMsgLog, [](Interp& in, const CallArgs& a) -> Result {
+        const ScriptedDriver& d = driver_of(in);
+        if (d.current_ == nullptr) return Result::error("msg_log: no message");
+        if (d.cfg_.trace != nullptr) {
+          const PacketStub* stub = d.cfg_.stub.get();
+          std::string detail = stub != nullptr ? stub->summary(*d.current_)
+                                               : d.current_->printable();
+          const std::string note = log_note(a);
+          if (!note.empty()) detail += " | " + note;
+          d.cfg_.trace->add(
+              d.sched_.now(), d.cfg_.node_name, "recv",
+              stub != nullptr ? stub->type_of(*d.current_) : "raw", detail);
+        }
+        return Result::ok();
+      }},
 
-      {host_sig::kAfter,
-       [](Interp& in, const CallArgs& a) -> Result {
-         ScriptedDriver& d = driver_of(in);
-         std::int64_t ms = 0;
-         auto res =
-             std::from_chars(a[1].data(), a[1].data() + a[1].size(), ms);
-         if (res.ec != std::errc{} || ms < 0) {
-           return Result::error("after: bad delay");
-         }
-         d.sched_.schedule(sim::msec(ms),
-                           [&d, alive = d.alive_, body = a[2]] {
-                             if (!*alive) return;
-                             Result r = d.interp_.eval(body);
-                             if (r.is_error()) d.note_error(r);
-                           });
-         return Result::ok();
-       }},
+      {host_sig::kAfter, [](Interp& in, const CallArgs& a) -> Result {
+        ScriptedDriver& d = driver_of(in);
+        std::int64_t ms = 0;
+        auto res = std::from_chars(a[1].data(), a[1].data() + a[1].size(), ms);
+        if (res.ec != std::errc{} || ms < 0) {
+          return Result::error("after: bad delay");
+        }
+        d.sched_.schedule(sim::msec(ms), [&d, alive = d.alive_, body = a[2]] {
+          if (!*alive) return;
+          Result r = d.interp_.eval(body);
+          if (r.is_error()) d.note_error(r);
+        });
+        return Result::ok();
+      }},
 
-      {host_sig::kNowMs,
-       [](Interp& in, const CallArgs&) {
-         return Result::ok(
-             std::to_string(driver_of(in).sched_.now() / sim::kMillisecond));
-       }},
+      {host_sig::kNowMs, [](Interp& in, const CallArgs&) {
+        return Result::ok(
+            std::to_string(driver_of(in).sched_.now() / sim::kMillisecond));
+      }},
 
-      {host_sig::kDstBernoulli,
-       [](Interp& in, const CallArgs& a) -> Result {
-         double p = 0;
-         try {
-           p = std::stod(a[1]);
-         } catch (...) {
-           return Result::error("dst_bernoulli: bad p");
-         }
-         return Result::ok(driver_of(in).rng_.bernoulli(p) ? "1" : "0");
-       }},
+      {host_sig::kDstBernoulli, [](Interp& in, const CallArgs& a) -> Result {
+        double p = 0;
+        try {
+          p = std::stod(a[1]);
+        } catch (...) {
+          return Result::error("dst_bernoulli: bad p");
+        }
+        return Result::ok(driver_of(in).rng_.bernoulli(p) ? "1" : "0");
+      }},
 
-      {host_sig::kSyncSet,
-       [](Interp& in, const CallArgs& a) -> Result {
-         SyncBus* sync = driver_of(in).cfg_.sync.get();
-         if (sync == nullptr) return Result::error("sync_set: no bus");
-         sync->set(a[1], a[2]);
-         return Result::ok();
-       }},
+      {host_sig::kSyncSet, [](Interp& in, const CallArgs& a) -> Result {
+        SyncBus* sync = driver_of(in).cfg_.sync.get();
+        if (sync == nullptr) return Result::error("sync_set: no bus");
+        sync->set(a[1], a[2]);
+        return Result::ok();
+      }},
 
-      {host_sig::kSyncGet,
-       [](Interp& in, const CallArgs& a) -> Result {
-         SyncBus* sync = driver_of(in).cfg_.sync.get();
-         if (sync == nullptr) return Result::error("sync_get: no bus");
-         auto v = sync->get(a[1]);
-         if (v) return Result::ok(*v);
-         if (a.size() == 3) return Result::ok(a[2]);
-         return Result::error("sync_get: no such entry");
-       }},
+      {host_sig::kSyncGet, [](Interp& in, const CallArgs& a) -> Result {
+        SyncBus* sync = driver_of(in).cfg_.sync.get();
+        if (sync == nullptr) return Result::error("sync_get: no bus");
+        auto v = sync->get(a[1]);
+        if (v) return Result::ok(*v);
+        if (a.size() == 3) return Result::ok(a[2]);
+        return Result::error("sync_get: no such entry");
+      }},
   };
   static const std::vector<script::Binding> table =
       script::command_table(kCommands);

@@ -14,10 +14,8 @@
 //   * counters/state persist in the interpreter, and the driver shares a
 //     SyncBus with PFI layers so the two can "communicate with each other
 //     during the test and coerce the system into certain states".
-//
-// Its commands are one static table that every driver's interpreter shares
-// (script::Interp's host table); each finds its driver through
-// Interp::host().
+// Its commands are one static table, the host table of every driver's
+// interpreter; each finds its driver through Interp::host().
 #pragma once
 
 #include <cstdint>

@@ -21,11 +21,11 @@ std::uint64_t next_generation() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
+std::string_view name_of(const Binding& b) { return b.sig.name; }
+
 const Binding* find_binding(std::span<const Binding> table,
                             std::string_view name) {
-  const auto it = std::lower_bound(
-      table.begin(), table.end(), name,
-      [](const Binding& b, std::string_view n) { return b.sig.name < n; });
+  const auto it = std::ranges::lower_bound(table, name, {}, name_of);
   return it != table.end() && it->sig.name == name ? &*it : nullptr;
 }
 
@@ -35,10 +35,7 @@ std::vector<Binding> command_table(std::span<const CommandDef> defs) {
   std::vector<Binding> table;
   table.reserve(defs.size());
   for (const CommandDef& d : defs) table.push_back({d.sig, d.fn, {}});
-  std::sort(table.begin(), table.end(),
-            [](const Binding& x, const Binding& y) {
-              return x.sig.name < y.sig.name;
-            });
+  std::ranges::sort(table, {}, name_of);
   return table;
 }
 
@@ -243,15 +240,9 @@ std::vector<CommandSig> Interp::signatures() const {
   for (const auto& [name, b] : commands_) out.push_back(b.sig);
   for (const Binding& b : host_commands_) out.push_back(b.sig);
   for (const Binding& b : core_commands()) out.push_back(b.sig);
-  std::stable_sort(out.begin(), out.end(),
-                   [](const CommandSig& x, const CommandSig& y) {
-                     return x.name < y.name;
-                   });
-  out.erase(std::unique(out.begin(), out.end(),
-                        [](const CommandSig& x, const CommandSig& y) {
-                          return x.name == y.name;
-                        }),
-            out.end());
+  std::ranges::stable_sort(out, {}, &CommandSig::name);
+  const auto repeats = std::ranges::unique(out, {}, &CommandSig::name);
+  out.erase(repeats.begin(), repeats.end());
   return out;
 }
 

@@ -13,11 +13,9 @@
 //   * Core commands: set/unset/incr/append, expr, if/elseif/else, while,
 //     for, foreach, break/continue/return, proc+global, catch/error, eval,
 //     puts, string ops (incl. glob `string match`), list ops, format, info.
-//   * Host commands: a static table that a host (the PFI layer, the
-//     scripted driver) hands the interpreter at construction, with a
-//     pointer to itself that the commands read back through host(). These
-//     are the paper's "user-defined procedures written in C and linked into
-//     the tool".
+//   * Host commands: a host's static table (the PFI layer's, the driver's),
+//     given at construction — the paper's "user-defined procedures written
+//     in C and linked into the tool".
 //
 // Every command, core, host or proc, carries its signature (CommandSig).
 // The interpreter enforces the argument count before the command runs, and
@@ -41,14 +39,12 @@
 //     expression (expr.hpp) on its word, so running it copies and hashes no
 //     text. Texts built at run time (`eval`, `expr $a + 1`) are compiled
 //     each time into reused storage, not cached as expressions.
-// A name resolves through the interpreter's registered commands (procs and
-// register_command) first, then its host's table, then the core table; the
-// two tables are static and shared by every interpreter, so building one
-// registers nothing. Core and host commands borrow their words (CallArgs);
-// registered ones get copies. Every evaluation still reads variables and
-// commands afresh. A syntax error surfaces at the failing command: the
-// commands before it, and the `[...]` substitutions the text reaches before
-// it, run first.
+// A name resolves through the registered commands (procs, register_command)
+// first, then the host table, then the core table; the two tables are
+// static, so building an interpreter registers nothing. Every evaluation
+// still reads variables and commands afresh. A syntax error surfaces at the
+// failing command: the commands before it, and the `[...]` substitutions
+// the text reaches before it, run first.
 #pragma once
 
 #include <cstdint>
@@ -144,10 +140,9 @@ struct ExprValue {
 class Interp;
 class Expr;
 
-/// The words of a core or host command's call, borrowed: a literal word's
-/// value from its parse, a substituted one's from the interpreter's word
-/// storage for the call's depth. Valid for the duration of the call, also
-/// across a nested evaluation, which uses the next depth's storage.
+/// The words of a table command's call, borrowed: a literal word's value
+/// from its parse, a substituted one's from the word storage of the call's
+/// depth. Valid for the call, across nested evaluations too.
 class CallArgs {
  public:
   CallArgs(const std::string* const* words, std::size_t n,
@@ -247,8 +242,7 @@ class Interp {
   /// binding. For procs and embedders; a host's commands are its table.
   void register_command(const CommandSig& sig, Command fn);
   [[nodiscard]] std::vector<std::string> command_names() const;
-  /// Every command's signature, registered, host and core, one per name
-  /// (the one a call resolves to), sorted by name.
+  /// Each name's signature as a call resolves it, sorted by name.
   [[nodiscard]] std::vector<CommandSig> signatures() const;
 
   /// The host pointer given at construction (null for a bare interpreter).
