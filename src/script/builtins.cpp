@@ -768,6 +768,18 @@ constexpr CommandDef kBuiltins[] = {
 
 }  // namespace
 
+// Defined here, not in interp.cpp: with this sort instantiated there, GCC 12
+// at -O3 inlined less of the evaluation loop, and a filter eval cost ~15%
+// more.
+std::vector<Binding> command_table(std::span<const CommandDef> defs) {
+  std::vector<Binding> table;
+  table.reserve(defs.size());
+  for (const CommandDef& d : defs) table.push_back({d.sig, d.fn, {}});
+  std::ranges::sort(table, {},
+                    [](const Binding& b) { return b.sig.name; });
+  return table;
+}
+
 std::span<const Binding> core_commands() {
   static const std::vector<Binding> table = command_table(kBuiltins);
   return table;

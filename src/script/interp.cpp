@@ -21,23 +21,14 @@ std::uint64_t next_generation() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-std::string_view name_of(const Binding& b) { return b.sig.name; }
-
 const Binding* find_binding(std::span<const Binding> table,
                             std::string_view name) {
-  const auto it = std::ranges::lower_bound(table, name, {}, name_of);
+  const auto it = std::ranges::lower_bound(
+      table, name, {}, [](const Binding& b) { return b.sig.name; });
   return it != table.end() && it->sig.name == name ? &*it : nullptr;
 }
 
 }  // namespace
-
-std::vector<Binding> command_table(std::span<const CommandDef> defs) {
-  std::vector<Binding> table;
-  table.reserve(defs.size());
-  for (const CommandDef& d : defs) table.push_back({d.sig, d.fn, {}});
-  std::ranges::sort(table, {}, name_of);
-  return table;
-}
 
 std::vector<std::string> CallArgs::tail(std::size_t from) const {
   std::vector<std::string> out;
