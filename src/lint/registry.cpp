@@ -10,8 +10,8 @@ namespace pfi::lint {
 
 namespace {
 
-/// Read the registry from the hosts that register commands: each command
-/// is credited to the first host that registers it.
+/// Read the registry from the hosts that provide commands: each command
+/// is credited to the first host that provides it.
 std::vector<RegisteredCommand> build_registry() {
   sim::Scheduler sched;
   const script::Interp fresh;

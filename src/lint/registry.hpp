@@ -1,5 +1,5 @@
 // Machine-readable registry of every command a filter script may call,
-// read once from what three live hosts register: a fresh Interp (the
+// read once from the signatures of three live hosts: a fresh Interp (the
 // builtins), a PfiLayer filter interpreter and a ScriptedDriver. Each entry
 // is the signature the interpreter enforces (script::CommandSig), so lint
 // and the interpreter agree on every argument count.
@@ -16,12 +16,12 @@ namespace pfi::lint {
 
 enum class Origin {
   kCore,    // interpreter builtin (always available)
-  kFilter,  // registered by PfiLayer into send/receive filter interps
-  kDriver,  // registered by ScriptedDriver (drv_* scripts)
+  kFilter,  // PfiLayer's host table (send/receive filter interps)
+  kDriver,  // ScriptedDriver's host table (drv_* scripts)
 };
 
 /// A registered command and the first host (in the order above) that
-/// registers it.
+/// provides it.
 struct RegisteredCommand : script::CommandSig {
   Origin origin = Origin::kCore;
 };
