@@ -255,18 +255,17 @@ TEST(AllocBudget, InterpreterSharesTheCoreCommandTable) {
 // host command.
 TEST(AllocBudget, PfiLayerSharesTheHostCommandTable) {
   sim::Scheduler sched;
-  const auto build = [&sched] {
-    const core::PfiLayer layer{sched, core::PfiConfig{}};
-    (void)layer;
-  };
-  build();  // warm-up: builds the table once per process
   {
+    // The first layer builds the table, once per process.
     core::PfiLayer layer{sched, core::PfiConfig{}};
     const std::size_t host = layer.send_interp().signatures().size() -
                              script::core_commands().size();
     ASSERT_GE(host, 30u);
   }
-  const std::uint64_t n = allocs_during(build);
+  const std::uint64_t n = allocs_during([&sched] {
+    const core::PfiLayer layer{sched, core::PfiConfig{}};
+    (void)layer;
+  });
   std::printf("allocations to build a PfiLayer: %llu\n",
               static_cast<unsigned long long>(n));
   EXPECT_LE(n, 10u);
