@@ -41,9 +41,9 @@ std::vector<std::string> CallArgs::tail(std::size_t from) const {
 // ---------------------------------------------------------------------------
 
 Interp::Interp(std::span<const Binding> host_commands, void* host)
-    : generation_(next_generation()),
-      host_commands_(host_commands),
-      host_(host) {
+    : host_commands_(host_commands),
+      host_(host),
+      generation_(next_generation()) {
   frames_.emplace_back();  // global frame
 }
 
